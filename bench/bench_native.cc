@@ -9,9 +9,9 @@
  *     (stages, RAs, control values) and validates outputs.
  *  2. A gather-reduce kernel sized for native execution: deep queues and
  *     reference accelerators that absorb the irregular inner loop. RAs
- *     stream elements natively (no interpreter dispatch), so the
- *     pipeline executes far fewer interpreted instructions per element
- *     than the serial baseline — this is the configuration expected to
+ *     stream elements natively (no instruction dispatch), so the
+ *     pipeline executes far fewer stage instructions per element than
+ *     the serial baseline — this is the configuration expected to
  *     beat serial wall-clock even on modest host parallelism.
  *
  * Speedups are host-dependent (thread count, core count); the simulator
@@ -153,10 +153,10 @@ reportRow(const char* name, const char* input,
  * Hand-pipelined gather_sum tuned for native execution: a SCAN RA over
  * col absorbs the irregular column traversal into native streaming, and
  * the consumer's accumulation loop is handler-driven — per element it
- * interprets deq + gather load + fadd + backedge (4 dispatches) where
- * serial interprets the full loop (test, two bounds-checked loads,
+ * executes deq + gather load + fadd + backedge (4 dispatches) where
+ * serial executes the full loop (test, two bounds-checked loads,
  * accumulate, increment: ~8 dispatches). A single ring hop per element
- * keeps queue overhead below the interpreter savings even when all
+ * keeps queue overhead below the dispatch savings even when all
  * workers share one core.
  */
 ir::PipelinePtr
@@ -488,32 +488,21 @@ benchScalarTier(int64_t rows)
 int
 main(int argc, char** argv)
 {
-    // --json= predates the shared report format and stays as an alias
-    // for --report= (same schema-versioned output, written by
-    // src/metrics).
-    std::vector<std::string> arg_store;
-    std::vector<char*> args;
-    args.push_back(argv[0]);
-    for (int i = 1; i < argc; ++i) {
-        std::string a = argv[i];
-        if (a.rfind("--json=", 0) == 0)
-            a = "--report=" + a.substr(7);
-        arg_store.push_back(std::move(a));
-    }
-    for (auto& a : arg_store)
-        args.push_back(a.data());
-    args.push_back(nullptr);
-    int nargs = static_cast<int>(args.size()) - 1;
-    bench::initReport(&nargs, args.data(), "bench_native");
+    bench::initReport(&argc, argv, "bench_native");
 
     int64_t rows = 1 << 15;
     int64_t degree = 16;
     std::vector<const char*> pos;
-    for (int i = 1; i < nargs; ++i) {
-        if (std::strncmp(args[i], "--trace-dir=", 12) == 0)
-            g_trace_dir = args[i] + 12;
-        else
-            pos.push_back(args[i]);
+    for (int i = 1; i < argc; ++i) {
+        if (std::strncmp(argv[i], "--trace-dir=", 12) == 0) {
+            g_trace_dir = argv[i] + 12;
+        } else if (argv[i][0] == '-') {
+            std::fprintf(stderr, "bench_native: unknown option %s\n",
+                         argv[i]);
+            return 2;
+        } else {
+            pos.push_back(argv[i]);
+        }
     }
     if (!g_trace_dir.empty()) {
         std::error_code ec;

@@ -379,22 +379,4 @@ autotuneMeasured(const ir::Function& fn, const AutotuneOptions& opts,
     return std::move(s.result);
 }
 
-AutotuneResult
-autotune(const ir::Function& fn, const AutotuneOptions& opts,
-         const PipelineEvaluator& evaluate)
-{
-    // Score-only evaluator: no steering signals and no queue-depth or
-    // replication support, so restrict refinement to cut-set moves.
-    AutotuneOptions legacy = opts;
-    legacy.maxReplicas = 1;
-    legacy.maxQueueDepth = 0;
-    return autotuneMeasured(
-        fn, legacy,
-        [&](const ir::Pipeline& pipeline, const SearchPoint&) {
-            CandidateProfile prof;
-            prof.speedup = evaluate(pipeline);
-            return prof;
-        });
-}
-
 } // namespace phloem::comp

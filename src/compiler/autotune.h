@@ -77,14 +77,6 @@ struct CandidateProfile
 using CandidateEvaluator = std::function<CandidateProfile(
     const ir::Pipeline& pipeline, const SearchPoint& point)>;
 
-/**
- * Legacy evaluator: gmean speedup of the pipeline over serial across
- * the training inputs. Return <= 0 to reject a candidate (e.g., wrong
- * output, deadlock, resource overflow).
- */
-using PipelineEvaluator =
-    std::function<double(const ir::Pipeline& pipeline)>;
-
 struct AutotuneOptions
 {
     /** Hardware thread budget per pipeline (SMT threads per core). */
@@ -178,11 +170,6 @@ struct AutotuneResult
 AutotuneResult autotuneMeasured(const ir::Function& fn,
                                 const AutotuneOptions& opts,
                                 const CandidateEvaluator& evaluate);
-
-/** Legacy entry point: same search driven by a score-only evaluator
- *  (no steering signals, so only cut-set refinement moves run). */
-AutotuneResult autotune(const ir::Function& fn, const AutotuneOptions& opts,
-                        const PipelineEvaluator& evaluate);
 
 } // namespace phloem::comp
 

@@ -47,8 +47,8 @@ struct CompileSpec
      * Execution tier the pipeline is being prepared for. kJit makes
      * compileSource also emit + compile each stage's native artifact
      * (the .so is cached alongside the pipeline, so service cache hits
-     * skip JIT codegen too). kAuto/kEngine/kInterp prepare nothing
-     * extra; the tier is resolved again at run time.
+     * skip JIT codegen too). kAuto/kEngine prepare nothing extra; the
+     * tier is resolved again at run time.
      */
     rt::TierMode tier = rt::TierMode::kAuto;
 };
@@ -124,7 +124,7 @@ struct RunSpec
     trace::Tracer* tracer = nullptr;
     /**
      * Stage execution tier (native backend only). kAuto defers to the
-     * PHLOEM_NATIVE_TIER / PHLOEM_NATIVE_ENGINE environment. When kJit
+     * PHLOEM_NATIVE_TIER environment. When kJit
      * and the pipeline was compiled with tier kJit, the cached
      * artifacts are reused; otherwise the run compiles them on entry.
      */

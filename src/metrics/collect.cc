@@ -207,7 +207,6 @@ nativeRunToMetrics(const std::string& name, const rt::NativeStats& stats)
                    static_cast<uint64_t>(stats.numStageThreads));
     top.addCounter("ra_workers",
                    static_cast<uint64_t>(stats.numRAWorkers));
-    top.addCounter("engine", stats.engine ? 1 : 0);
     top.addCounter("failures", stats.ok ? 0 : 1);
     // Resolved stage execution tier, plus the JIT pipeline's own costs
     // when it ran: stages compiled vs. downgraded, and where the
@@ -231,7 +230,6 @@ nativeRunToMetrics(const std::string& name, const rt::NativeStats& stats)
     if (stats.sched.shared) {
         top.setGauge("sched_pool_size",
                      static_cast<double>(stats.sched.poolSize));
-        top.addCounter("sched_stealing", stats.sched.stealing ? 1 : 0);
         top.addCounter("sched_parks", stats.sched.parks);
         top.addCounter("sched_unparks", stats.sched.unparks);
         top.addCounter("sched_steals", stats.sched.steals);

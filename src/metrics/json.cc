@@ -55,6 +55,8 @@ class Parser
     const std::string& text_;
     std::string* err_;
     size_t pos_ = 0;
+    /** Open arrays/objects enclosing pos_ (bounded by Json::kMaxDepth). */
+    int depth_ = 0;
 
     bool
     fail(const std::string& msg)
@@ -103,9 +105,15 @@ class Parser
         char c = text_[pos_];
         switch (c) {
         case '{':
-            return parseObject(out);
-        case '[':
-            return parseArray(out);
+        case '[': {
+            if (depth_ == Json::kMaxDepth)
+                return fail("nesting deeper than " +
+                            std::to_string(Json::kMaxDepth) + " levels");
+            ++depth_;
+            bool ok = c == '{' ? parseObject(out) : parseArray(out);
+            --depth_;
+            return ok;
+        }
         case '"': {
             std::string s;
             if (!parseString(&s))

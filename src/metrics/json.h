@@ -74,9 +74,17 @@ class Json
     std::string dump(int indent = -1) const;
 
     /**
+     * Deepest array/object nesting parse() accepts. The parser is
+     * recursive and reads untrusted bytes (phloemd frames, report
+     * files), so deeper input is an error rather than a stack overflow.
+     */
+    static constexpr int kMaxDepth = 256;
+
+    /**
      * Parse one JSON document (trailing whitespace allowed, trailing
      * garbage rejected). Returns false and fills *err with a
-     * position-annotated message on malformed input.
+     * position-annotated message on malformed input, including nesting
+     * deeper than kMaxDepth.
      */
     static bool parse(const std::string& text, Json* out, std::string* err);
 

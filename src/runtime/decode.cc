@@ -140,7 +140,7 @@ decodeShape(const sim::Program& prog)
         out.code.push_back(decodeOne(inst));
 
     // Sentinel: running off the end halts without counting an
-    // instruction, exactly like the interpreter's pc bound check.
+    // instruction, exactly like the simulator's pc bound check.
     // Branch targets may legally point here (loops ending the body).
     DInst end;
     end.op = DOp::kEnd;
@@ -236,18 +236,6 @@ relocateProgram(DecodedProgram& dp, int queue_offset,
                       "decoded queue id out of range");
         d.q = queues[static_cast<size_t>(d.absQ)];
     }
-}
-
-DecodedProgram
-decodeProgram(const sim::Program& prog, int queue_offset,
-              int queue_stride, int num_replicas,
-              const std::vector<SpscQueue*>& queues)
-{
-    (void)queue_stride;
-    (void)num_replicas;
-    DecodedProgram out = decodeShape(prog);
-    relocateProgram(out, queue_offset, queues);
-    return out;
 }
 
 } // namespace phloem::rt

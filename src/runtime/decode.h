@@ -3,12 +3,11 @@
  * Pre-decoded instruction form for the native runtime's execution
  * engine.
  *
- * The stage interpreter (runtime/worker.cc) walks the raw sim::Inst
- * stream, paying a kind-switch, an opcode classification chain
- * (usesQueue / usesArray), a full opcode switch, and a
- * `queueOffset_ + inst.queue` pointer lookup on every dynamic
- * instruction. Decoding performs all of that classification once per
- * stage at pipeline setup:
+ * Walking the raw sim::Inst stream (as the simulator does) pays a
+ * kind-switch, an opcode classification chain (usesQueue / usesArray),
+ * a full opcode switch, and a `queueOffset_ + inst.queue` pointer
+ * lookup on every dynamic instruction. Decoding performs all of that
+ * classification once per stage at pipeline setup:
  *
  *  - every instruction is mapped to a small dispatch code (DOp) that a
  *    handler table indexes directly — one indirect call replaces the
@@ -26,9 +25,8 @@
  * target), while slot i+1 keeps its own standalone decoding as the
  * landing pad for branches that enter the pair in the middle. Branch
  * targets and control-handler pcs therefore need no remapping, and the
- * engine's dynamic instruction counts stay exactly equal to the raw
- * interpreter's (which the differential tests assert against the
- * simulator).
+ * engine's dynamic instruction counts stay exactly equal to the
+ * simulator's (which the differential tests assert).
  */
 
 #ifndef PHLOEM_RUNTIME_DECODE_H
@@ -78,7 +76,7 @@ constexpr size_t kNumDOps = static_cast<size_t>(DOp::kCount_);
  * One decoded instruction. Hot operands are copied inline; the generic
  * scalar/memory paths evaluate through pointers to the original
  * sim::Inst so the functional semantics stay byte-identical to the
- * interpreter (both call the same sim/eval.h helpers).
+ * simulator (both call the same sim/eval.h helpers).
  */
 struct DInst
 {
@@ -151,15 +149,6 @@ DecodedProgram decodeShape(const sim::Program& prog);
  */
 void relocateProgram(DecodedProgram& dp, int queue_offset,
                      const std::vector<SpscQueue*>& queues);
-
-/**
- * Decode one stage's flat program for one replica: decodeShape +
- * relocateProgram in one step (the per-worker path when no cached
- * shape is available).
- */
-DecodedProgram decodeProgram(const sim::Program& prog, int queue_offset,
-                             int queue_stride, int num_replicas,
-                             const std::vector<SpscQueue*>& queues);
 
 } // namespace phloem::rt
 

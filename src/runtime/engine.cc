@@ -9,13 +9,84 @@
 
 namespace phloem::rt {
 
-Engine::Engine(const DecodedProgram& prog, const EngineEnv& env)
-    : prog_(prog), env_(env)
+// ---------------------------------------------------------------------
+// StageQueues: the blocked paths.
+// ---------------------------------------------------------------------
+
+StageQueues::StageQueues(const EngineEnv& env, const int32_t* pc)
+    : ctl_(env.ctl), stats_(env.stats), trace_(env.trace), pc_(pc)
 {
-    phloem_assert(env_.regs != nullptr && env_.ctl != nullptr &&
-                      env_.stats != nullptr && env_.queues != nullptr,
-                  "engine env incomplete");
-    bufs_.resize(env_.queues->size());
+    phloem_assert(env.regs != nullptr && env.ctl != nullptr &&
+                      env.stats != nullptr && env.queues != nullptr,
+                  "stage env incomplete");
+    bufs_.resize(env.queues->size());
+}
+
+bool
+StageQueues::settle(WaitStatus s, QueueWait kind, int abs_q)
+{
+    if (s != WaitStatus::kDeadlock)
+        return s == WaitStatus::kOk;
+    std::string msg = "deadlock: " + stats_->name + " blocked on " +
+                      queueWaitName(kind) + " q" + std::to_string(abs_q) +
+                      " at pc=" + std::to_string(*pc_) +
+                      " with no global progress for " +
+                      std::to_string(ctl_->opt.deadlockTimeoutMs) + " ms";
+    ctl_->fail(msg);
+    throw std::runtime_error(msg);
+}
+
+bool
+StageQueues::pushBlocked(SpscQueue& q, int abs_q, const ir::Value& v)
+{
+    return settle(waitBlocked(*ctl_, trace_, q, abs_q, QueueWait::kEnq,
+                              /*stoppable=*/false,
+                              [&] { return q.tryPush(v); }),
+                  QueueWait::kEnq, abs_q);
+}
+
+bool
+StageQueues::refillBlocked(SpscQueue& q, int abs_q, ir::Value* dst,
+                           size_t& n)
+{
+    return settle(waitBlocked(*ctl_, trace_, q, abs_q, QueueWait::kDeq,
+                              /*stoppable=*/false,
+                              [&] {
+                                  n = q.popBatch(kBatchCap, dst);
+                                  return n != 0;
+                              }),
+                  QueueWait::kDeq, abs_q);
+}
+
+bool
+StageQueues::peekBlocked(SpscQueue& q, int abs_q, ir::Value& v)
+{
+    return settle(waitBlocked(*ctl_, trace_, q, abs_q, QueueWait::kPeek,
+                              /*stoppable=*/false,
+                              [&] { return q.tryPeek(v); }),
+                  QueueWait::kPeek, abs_q);
+}
+
+std::vector<std::pair<int, uint64_t>>
+StageQueues::unconsumed() const
+{
+    std::vector<std::pair<int, uint64_t>> out;
+    for (size_t q = 0; q < bufs_.size(); ++q) {
+        const ConsumerBuf& b = bufs_[q];
+        if (b.pos < b.len)
+            out.emplace_back(static_cast<int>(q),
+                             static_cast<uint64_t>(b.len - b.pos));
+    }
+    return out;
+}
+
+// ---------------------------------------------------------------------
+// Engine.
+// ---------------------------------------------------------------------
+
+Engine::Engine(const DecodedProgram& prog, const EngineEnv& env)
+    : prog_(prog), env_(env), queues_(env, &pc_)
+{
 }
 
 // ---------------------------------------------------------------------
@@ -25,9 +96,9 @@ Engine::Engine(const DecodedProgram& prog, const EngineEnv& env)
 bool
 Engine::slowTick()
 {
-    // Mirrors the interpreter's heartbeat: long compute phases without
-    // queue ops must still look alive to blocked peers' watchdogs, and
-    // abort/budget are polled here rather than per instruction.
+    // Heartbeat: long compute phases without queue ops must still look
+    // alive to blocked peers' watchdogs, and abort/budget are polled
+    // here rather than per instruction.
     env_.ctl->progress.fetch_add(1, std::memory_order_relaxed);
     heartbeat_ = 0;
     if (env_.ctl->aborted())
@@ -55,147 +126,6 @@ Engine::tick(uint64_t n)
     return true;
 }
 
-void
-Engine::reportDeadlock(const char* what, int abs_q)
-{
-    std::string msg = "deadlock: " + env_.stats->name + " blocked on " +
-                      what + " q" + std::to_string(abs_q) + " at pc=" +
-                      std::to_string(pc_) + " with no global progress for " +
-                      std::to_string(env_.ctl->opt.deadlockTimeoutMs) +
-                      " ms";
-    env_.ctl->fail(msg);
-    throw std::runtime_error(msg);
-}
-
-// ---------------------------------------------------------------------
-// Blocking queue primitives.
-// ---------------------------------------------------------------------
-
-bool
-Engine::waitPush(SpscQueue& q, int abs_q, const ir::Value& v)
-{
-    // Fast path: no shared-counter traffic; the instruction heartbeat
-    // keeps the watchdog fed while this worker runs.
-    if (q.tryPush(v))
-        return true;
-    q.noteEnqBlocked();
-    uint64_t t0 = env_.trace ? env_.trace->now() : 0;
-    ParkTarget pt = makePushTarget(q, abs_q);
-    Backoff backoff(*env_.ctl);
-    for (;;) {
-        if (q.tryPush(v)) {
-            env_.ctl->progress.fetch_add(1, std::memory_order_relaxed);
-            if (env_.trace)
-                env_.trace->record(trace::EventKind::kEnqBlock, abs_q,
-                                   t0, env_.trace->now());
-            return true;
-        }
-        switch (backoff.step(*env_.ctl, /*stoppable=*/false, &pt)) {
-          case Backoff::Result::kRetry:
-            break;
-          case Backoff::Result::kStopped:
-            if (env_.trace)
-                env_.trace->record(trace::EventKind::kEnqBlock, abs_q,
-                                   t0, env_.trace->now());
-            return false;
-          case Backoff::Result::kDeadlock:
-            if (env_.trace)
-                env_.trace->record(trace::EventKind::kEnqBlock, abs_q,
-                                   t0, env_.trace->now());
-            reportDeadlock("enq", abs_q);
-        }
-    }
-}
-
-bool
-Engine::popValue(const DInst& d, ir::Value& v)
-{
-    ConsumerBuf& b = bufs_[static_cast<size_t>(d.absQ)];
-    if (b.pos < b.len) {
-        v = b.data[b.pos++];
-        return true;
-    }
-    if (!b.data)
-        b.data = std::make_unique<ir::Value[]>(kBatchCap);
-    size_t n = d.q->popBatch(kBatchCap, b.data.get());
-    if (n == 0) {
-        d.q->noteDeqBlocked();
-        uint64_t t0 = env_.trace ? env_.trace->now() : 0;
-        ParkTarget pt = makePopTarget(*d.q, d.absQ);
-        Backoff backoff(*env_.ctl);
-        for (;;) {
-            n = d.q->popBatch(kBatchCap, b.data.get());
-            if (n != 0) {
-                env_.ctl->progress.fetch_add(1,
-                                             std::memory_order_relaxed);
-                if (env_.trace)
-                    env_.trace->record(trace::EventKind::kDeqBlock,
-                                       d.absQ, t0, env_.trace->now());
-                break;
-            }
-            switch (backoff.step(*env_.ctl, /*stoppable=*/false, &pt)) {
-              case Backoff::Result::kRetry:
-                break;
-              case Backoff::Result::kStopped:
-                if (env_.trace)
-                    env_.trace->record(trace::EventKind::kDeqBlock,
-                                       d.absQ, t0, env_.trace->now());
-                return false;
-              case Backoff::Result::kDeadlock:
-                if (env_.trace)
-                    env_.trace->record(trace::EventKind::kDeqBlock,
-                                       d.absQ, t0, env_.trace->now());
-                reportDeadlock("deq", d.absQ);
-            }
-        }
-    }
-    b.len = static_cast<uint32_t>(n);
-    b.pos = 1;
-    v = b.data[0];
-    return true;
-}
-
-bool
-Engine::peekValue(const DInst& d, ir::Value& v)
-{
-    // Peek must not consume, so it never triggers a refill: serve the
-    // buffer front when one is pending, otherwise read the ring front.
-    const ConsumerBuf& b = bufs_[static_cast<size_t>(d.absQ)];
-    if (b.pos < b.len) {
-        v = b.data[b.pos];
-        return true;
-    }
-    if (d.q->tryPeek(v))
-        return true;
-    d.q->noteDeqBlocked();
-    uint64_t t0 = env_.trace ? env_.trace->now() : 0;
-    ParkTarget pt = makePopTarget(*d.q, d.absQ, "peek");
-    Backoff backoff(*env_.ctl);
-    for (;;) {
-        if (d.q->tryPeek(v)) {
-            env_.ctl->progress.fetch_add(1, std::memory_order_relaxed);
-            if (env_.trace)
-                env_.trace->record(trace::EventKind::kDeqBlock, d.absQ,
-                                   t0, env_.trace->now());
-            return true;
-        }
-        switch (backoff.step(*env_.ctl, /*stoppable=*/false, &pt)) {
-          case Backoff::Result::kRetry:
-            break;
-          case Backoff::Result::kStopped:
-            if (env_.trace)
-                env_.trace->record(trace::EventKind::kDeqBlock, d.absQ,
-                                   t0, env_.trace->now());
-            return false;
-          case Backoff::Result::kDeadlock:
-            if (env_.trace)
-                env_.trace->record(trace::EventKind::kDeqBlock, d.absQ,
-                                   t0, env_.trace->now());
-            reportDeadlock("peek", d.absQ);
-        }
-    }
-}
-
 // ---------------------------------------------------------------------
 // Handlers.
 // ---------------------------------------------------------------------
@@ -204,7 +134,7 @@ bool
 Engine::hEnd(Engine& e, const DInst&)
 {
     // Fell off the end: halt without counting an instruction, exactly
-    // like the interpreter's pc bound check.
+    // like the simulator's pc bound check.
     (void)e;
     return false;
 }
@@ -387,8 +317,8 @@ Engine::hEnq(Engine& e, const DInst& d)
         return false;
     e.env_.stats->queueOps++;
     e.env_.stats->opCounts[static_cast<size_t>(d.opcode)]++;
-    if (!e.waitPush(*d.q, d.absQ,
-                    e.env_.regs[static_cast<size_t>(d.src0)]))
+    if (!e.queues_.push(*d.q, d.absQ,
+                        e.env_.regs[static_cast<size_t>(d.src0)]))
         return false;
     e.pc_++;
     return true;
@@ -401,8 +331,9 @@ Engine::hEnqCtrl(Engine& e, const DInst& d)
         return false;
     e.env_.stats->queueOps++;
     e.env_.stats->opCounts[static_cast<size_t>(d.opcode)]++;
-    if (!e.waitPush(*d.q, d.absQ,
-                    ir::Value::makeControl(static_cast<uint32_t>(d.imm))))
+    if (!e.queues_.push(
+            *d.q, d.absQ,
+            ir::Value::makeControl(static_cast<uint32_t>(d.imm))))
         return false;
     e.pc_++;
     return true;
@@ -422,7 +353,7 @@ Engine::hEnqDist(Engine& e, const DInst& d)
     ir::Value v =
         d.src0 < 0 ? ir::Value::makeControl(static_cast<uint32_t>(d.imm))
                    : e.env_.regs[static_cast<size_t>(d.src0)];
-    if (!e.waitPush(q, abs_q, v))
+    if (!e.queues_.push(q, abs_q, v))
         return false;
     e.pc_++;
     return true;
@@ -436,7 +367,7 @@ Engine::hDeq(Engine& e, const DInst& d)
     e.env_.stats->queueOps++;
     e.env_.stats->opCounts[static_cast<size_t>(d.opcode)]++;
     ir::Value v;
-    if (!e.popValue(d, v))
+    if (!e.queues_.pop(*d.q, d.absQ, v))
         return false;
     e.env_.regs[static_cast<size_t>(d.dst)] = v;
     // Control-value handler: transfer when a control value is dequeued,
@@ -456,7 +387,7 @@ Engine::hPeek(Engine& e, const DInst& d)
     e.env_.stats->queueOps++;
     e.env_.stats->opCounts[static_cast<size_t>(d.opcode)]++;
     ir::Value v;
-    if (!e.peekValue(d, v))
+    if (!e.queues_.peek(*d.q, d.absQ, v))
         return false;
     e.env_.regs[static_cast<size_t>(d.dst)] = v;
     e.pc_++;
@@ -504,7 +435,7 @@ Engine::hScalarEnq(Engine& e, const DInst& d)
     e.env_.stats->opCounts[static_cast<size_t>(d.opcode2)]++;
     ir::Value out = sim::evalScalarOp(*d.raw, e.env_.regs);
     e.env_.regs[static_cast<size_t>(d.dst)] = out;
-    if (!e.waitPush(*d.q, d.absQ, out))
+    if (!e.queues_.push(*d.q, d.absQ, out))
         return false;
     e.pc_ += 2;
     return true;
@@ -522,7 +453,7 @@ Engine::hLoadEnq(Engine& e, const DInst& d)
     int64_t idx = e.env_.regs[static_cast<size_t>(d.src0)].asInt();
     ir::Value out = buf->load(idx);
     e.env_.regs[static_cast<size_t>(d.dst)] = out;
-    if (!e.waitPush(*d.q, d.absQ, out))
+    if (!e.queues_.push(*d.q, d.absQ, out))
         return false;
     e.pc_ += 2;
     return true;
@@ -563,19 +494,6 @@ Engine::run()
         if (!kDispatch[static_cast<size_t>(d.op)](*this, d))
             return;
     }
-}
-
-std::vector<std::pair<int, uint64_t>>
-Engine::unconsumed() const
-{
-    std::vector<std::pair<int, uint64_t>> out;
-    for (size_t q = 0; q < bufs_.size(); ++q) {
-        const ConsumerBuf& b = bufs_[q];
-        if (b.pos < b.len)
-            out.emplace_back(static_cast<int>(q),
-                             static_cast<uint64_t>(b.len - b.pos));
-    }
-    return out;
 }
 
 } // namespace phloem::rt

@@ -4,27 +4,21 @@
  *
  * The engine executes a DecodedProgram (runtime/decode.h) through a
  * function-pointer handler table: one indirect call per decoded
- * instruction replaces the interpreter's kind-switch + opcode
- * classification + opcode-switch, queue pointers are already absolute,
- * and fused superinstructions retire the flattener's dominant pairs in
- * one dispatch.
+ * instruction, queue pointers already absolute, and fused
+ * superinstructions retiring the flattener's dominant pairs in one
+ * dispatch.
  *
- * Dequeues additionally drain the ring in batches: a blocked-or-empty
- * consumer refills a small per-queue buffer with SpscQueue::popBatch —
- * one acquire/release pair per run of values instead of one per element
- * — and subsequent deqs are served from the buffer. Buffering is
- * consumer-side only: values a stage *produces* are always published
- * immediately (blocking semantics and the deadlock watchdog depend on
- * enqueued values being visible to peers), while values already
- * published by a peer may be drained eagerly without changing any
- * observable ordering. Values drained but never architecturally
- * dequeued when the stage halts are reported via unconsumed() so queue
- * statistics (deq counts, residual occupancy) stay truthful.
+ * Dequeues additionally drain the ring in batches (StageQueues below,
+ * shared with the JIT tier). Buffering is consumer-side only: values a
+ * stage *produces* are always published immediately (blocking
+ * semantics and the deadlock watchdog depend on enqueued values being
+ * visible to peers), while values already published by a peer may be
+ * drained eagerly without changing any observable ordering.
  *
- * Semantics are bit-identical to the raw interpreter: both run the same
+ * Semantics are bit-identical to the simulator: both run the same
  * sim/eval.h functional core, and dynamic instruction counts match
  * exactly (fused pairs count two). The fuzzing oracle and the
- * differential tests exercise engine-on vs engine-off vs simulator.
+ * differential tests diff engine vs. simulator vs. serial reference.
  */
 
 #ifndef PHLOEM_RUNTIME_ENGINE_H
@@ -57,29 +51,70 @@ struct EngineEnv
     int numReplicas = 1;
 };
 
-class Engine
+/**
+ * A stage's blocking queue ops, shared by the engine and the JIT host:
+ * pushes publish immediately; pops drain the ring in batches. A pop
+ * that finds its per-queue buffer empty refills it with
+ * SpscQueue::popBatch — one acquire/release pair per run of values
+ * instead of one per element — and later pops and peeks are served
+ * from the buffer. Values drained but never architecturally dequeued
+ * when the stage halts are reported by unconsumed(), so queue
+ * statistics (deq counts, residual occupancy) stay truthful.
+ *
+ * The fast paths (a buffer hit, the first tryPush/popBatch/tryPeek)
+ * are inline here; only the blocked paths (waitBlocked) are out of
+ * line.
+ */
+class StageQueues
 {
   public:
-    Engine(const DecodedProgram& prog, const EngineEnv& env);
+    /** `pc` is the owner's program counter, named in deadlock reports. */
+    StageQueues(const EngineEnv& env, const int32_t* pc);
+
+    bool
+    push(SpscQueue& q, int abs_q, const ir::Value& v)
+    {
+        return q.tryPush(v) || pushBlocked(q, abs_q, v);
+    }
+
+    bool
+    pop(SpscQueue& q, int abs_q, ir::Value& v)
+    {
+        ConsumerBuf& b = bufs_[static_cast<size_t>(abs_q)];
+        if (b.pos < b.len) {
+            v = b.data[b.pos++];
+            return true;
+        }
+        if (!b.data)
+            b.data = std::make_unique<ir::Value[]>(kBatchCap);
+        size_t n = q.popBatch(kBatchCap, b.data.get());
+        if (n == 0 && !refillBlocked(q, abs_q, b.data.get(), n))
+            return false;
+        b.len = static_cast<uint32_t>(n);
+        b.pos = 1;
+        v = b.data[0];
+        return true;
+    }
+
+    /** Read the front without consuming (so never a refill). */
+    bool
+    peek(SpscQueue& q, int abs_q, ir::Value& v)
+    {
+        const ConsumerBuf& b = bufs_[static_cast<size_t>(abs_q)];
+        if (b.pos < b.len) {
+            v = b.data[b.pos];
+            return true;
+        }
+        return q.tryPeek(v) || peekBlocked(q, abs_q, v);
+    }
 
     /**
-     * Execute until halt or abort. Throws (like the interpreter) on
-     * deadlock watchdog or instruction-budget violations; the caller's
-     * thread wrapper routes that to RunControl::fail.
-     */
-    void run();
-
-    /**
-     * Per-queue counts of values drained into the consumer buffer but
-     * never dequeued by the program (pairs of absolute queue id,
-     * count). Valid after run() returns.
+     * Per-queue counts of values drained into a buffer but never
+     * dequeued by the program (pairs of absolute queue id, count).
      */
     std::vector<std::pair<int, uint64_t>> unconsumed() const;
 
   private:
-    using Handler = bool (*)(Engine&, const DInst&);
-    static const Handler kDispatch[kNumDOps];
-
     /** Values drained per popBatch refill (and buffer capacity). */
     static constexpr size_t kBatchCap = 256;
 
@@ -90,17 +125,44 @@ class Engine
         uint32_t len = 0;
     };
 
+    bool pushBlocked(SpscQueue& q, int abs_q, const ir::Value& v);
+    /** Wait for a non-empty popBatch into dst; its size lands in n. */
+    bool refillBlocked(SpscQueue& q, int abs_q, ir::Value* dst, size_t& n);
+    bool peekBlocked(SpscQueue& q, int abs_q, ir::Value& v);
+    /** A blocked wait's result; a deadlock fails the run and throws. */
+    bool settle(WaitStatus s, QueueWait kind, int abs_q);
+
+    RunControl* ctl_;
+    const WorkerStats* stats_;
+    trace::TraceBuffer* trace_;
+    const int32_t* pc_;
+    /** Consumer-side batch buffers, indexed by absolute queue id. */
+    std::vector<ConsumerBuf> bufs_;
+};
+
+class Engine
+{
+  public:
+    Engine(const DecodedProgram& prog, const EngineEnv& env);
+
+    /**
+     * Execute until halt or abort. Throws on deadlock watchdog or
+     * instruction-budget violations; the caller's thread wrapper
+     * routes that to RunControl::fail.
+     */
+    void run();
+
+    /** The stage's queue ops; unconsumed() is valid after run(). */
+    const StageQueues& queues() const { return queues_; }
+
+  private:
+    using Handler = bool (*)(Engine&, const DInst&);
+    static const Handler kDispatch[kNumDOps];
+
     // --- Bookkeeping ------------------------------------------------
     /** Count n retired instructions; false when the run aborted. */
     bool tick(uint64_t n);
     bool slowTick();
-    [[noreturn]] void reportDeadlock(const char* what, int abs_q);
-
-    // --- Blocking queue primitives ----------------------------------
-    bool waitPush(SpscQueue& q, int abs_q, const ir::Value& v);
-    /** Buffered pop: serve from the batch buffer, refilling as needed. */
-    bool popValue(const DInst& d, ir::Value& v);
-    bool peekValue(const DInst& d, ir::Value& v);
 
     // --- Handlers (indexed by DOp) ----------------------------------
     static bool hEnd(Engine& e, const DInst& d);
@@ -133,8 +195,7 @@ class Engine
     uint64_t heartbeat_ = 0;
     /** Sink for kWork's burned mixes; keeps the burn loop observable. */
     uint64_t workSink_ = 0;
-    /** Consumer-side batch buffers, indexed by absolute queue id. */
-    std::vector<ConsumerBuf> bufs_;
+    StageQueues queues_;
 };
 
 } // namespace phloem::rt

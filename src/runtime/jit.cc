@@ -679,17 +679,14 @@ jitCompileStage(const sim::Program& prog, const DecodedProgram& shape,
 }
 
 // ---------------------------------------------------------------------
-// JitHost: the blocking primitives and callbacks.
+// JitHost: the callbacks.
 // ---------------------------------------------------------------------
 
 JitHost::JitHost(const sim::Program& prog, const EngineEnv& env,
                  int queue_offset)
-    : prog_(&prog), env_(env), queueOffset_(queue_offset)
+    : prog_(&prog), env_(env), queueOffset_(queue_offset),
+      queues_(env, &pc_)
 {
-    phloem_assert(env_.regs != nullptr && env_.ctl != nullptr &&
-                      env_.stats != nullptr && env_.queues != nullptr,
-                  "jit host env incomplete");
-    bufs_.resize(env_.queues->size());
 }
 
 JitHost::~JitHost() = default;
@@ -731,154 +728,6 @@ JitHost::run(const JitArtifact& art)
     }
 }
 
-void
-JitHost::reportDeadlock(const char* what, int abs_q)
-{
-    std::string msg = "deadlock: " + env_.stats->name + " blocked on " +
-                      what + " q" + std::to_string(abs_q) + " at pc=" +
-                      std::to_string(pc_) + " with no global progress for " +
-                      std::to_string(env_.ctl->opt.deadlockTimeoutMs) +
-                      " ms";
-    env_.ctl->fail(msg);
-    throw std::runtime_error(msg);
-}
-
-bool
-JitHost::waitPush(SpscQueue& q, int abs_q, const ir::Value& v)
-{
-    if (q.tryPush(v))
-        return true;
-    q.noteEnqBlocked();
-    uint64_t t0 = env_.trace ? env_.trace->now() : 0;
-    ParkTarget pt = makePushTarget(q, abs_q);
-    Backoff backoff(*env_.ctl);
-    for (;;) {
-        if (q.tryPush(v)) {
-            env_.ctl->progress.fetch_add(1, std::memory_order_relaxed);
-            if (env_.trace)
-                env_.trace->record(trace::EventKind::kEnqBlock, abs_q,
-                                   t0, env_.trace->now());
-            return true;
-        }
-        switch (backoff.step(*env_.ctl, /*stoppable=*/false, &pt)) {
-          case Backoff::Result::kRetry:
-            break;
-          case Backoff::Result::kStopped:
-            if (env_.trace)
-                env_.trace->record(trace::EventKind::kEnqBlock, abs_q,
-                                   t0, env_.trace->now());
-            return false;
-          case Backoff::Result::kDeadlock:
-            if (env_.trace)
-                env_.trace->record(trace::EventKind::kEnqBlock, abs_q,
-                                   t0, env_.trace->now());
-            reportDeadlock("enq", abs_q);
-        }
-    }
-}
-
-bool
-JitHost::popValue(int abs_q, SpscQueue& q, ir::Value& v)
-{
-    ConsumerBuf& b = bufs_[static_cast<size_t>(abs_q)];
-    if (b.pos < b.len) {
-        v = b.data[b.pos++];
-        return true;
-    }
-    if (!b.data)
-        b.data = std::make_unique<ir::Value[]>(kBatchCap);
-    size_t n = q.popBatch(kBatchCap, b.data.get());
-    if (n == 0) {
-        q.noteDeqBlocked();
-        uint64_t t0 = env_.trace ? env_.trace->now() : 0;
-        ParkTarget pt = makePopTarget(q, abs_q);
-        Backoff backoff(*env_.ctl);
-        for (;;) {
-            n = q.popBatch(kBatchCap, b.data.get());
-            if (n != 0) {
-                env_.ctl->progress.fetch_add(1,
-                                             std::memory_order_relaxed);
-                if (env_.trace)
-                    env_.trace->record(trace::EventKind::kDeqBlock,
-                                       abs_q, t0, env_.trace->now());
-                break;
-            }
-            switch (backoff.step(*env_.ctl, /*stoppable=*/false, &pt)) {
-              case Backoff::Result::kRetry:
-                break;
-              case Backoff::Result::kStopped:
-                if (env_.trace)
-                    env_.trace->record(trace::EventKind::kDeqBlock,
-                                       abs_q, t0, env_.trace->now());
-                return false;
-              case Backoff::Result::kDeadlock:
-                if (env_.trace)
-                    env_.trace->record(trace::EventKind::kDeqBlock,
-                                       abs_q, t0, env_.trace->now());
-                reportDeadlock("deq", abs_q);
-            }
-        }
-    }
-    b.len = static_cast<uint32_t>(n);
-    b.pos = 1;
-    v = b.data[0];
-    return true;
-}
-
-bool
-JitHost::peekValue(int abs_q, SpscQueue& q, ir::Value& v)
-{
-    // Peek must not consume, so it never triggers a refill: serve the
-    // buffer front when one is pending, otherwise read the ring front.
-    const ConsumerBuf& b = bufs_[static_cast<size_t>(abs_q)];
-    if (b.pos < b.len) {
-        v = b.data[b.pos];
-        return true;
-    }
-    if (q.tryPeek(v))
-        return true;
-    q.noteDeqBlocked();
-    uint64_t t0 = env_.trace ? env_.trace->now() : 0;
-    ParkTarget pt = makePopTarget(q, abs_q, "peek");
-    Backoff backoff(*env_.ctl);
-    for (;;) {
-        if (q.tryPeek(v)) {
-            env_.ctl->progress.fetch_add(1, std::memory_order_relaxed);
-            if (env_.trace)
-                env_.trace->record(trace::EventKind::kDeqBlock, abs_q,
-                                   t0, env_.trace->now());
-            return true;
-        }
-        switch (backoff.step(*env_.ctl, /*stoppable=*/false, &pt)) {
-          case Backoff::Result::kRetry:
-            break;
-          case Backoff::Result::kStopped:
-            if (env_.trace)
-                env_.trace->record(trace::EventKind::kDeqBlock, abs_q,
-                                   t0, env_.trace->now());
-            return false;
-          case Backoff::Result::kDeadlock:
-            if (env_.trace)
-                env_.trace->record(trace::EventKind::kDeqBlock, abs_q,
-                                   t0, env_.trace->now());
-            reportDeadlock("peek", abs_q);
-        }
-    }
-}
-
-std::vector<std::pair<int, uint64_t>>
-JitHost::unconsumed() const
-{
-    std::vector<std::pair<int, uint64_t>> out;
-    for (size_t q = 0; q < bufs_.size(); ++q) {
-        const ConsumerBuf& b = bufs_[q];
-        if (b.pos < b.len)
-            out.emplace_back(static_cast<int>(q),
-                             static_cast<uint64_t>(b.len - b.pos));
-    }
-    return out;
-}
-
 // --- Callbacks. Exceptions must not unwind through the emitted C
 // frame: capture them, return 0 (the code exits), rethrow in run(). ---
 
@@ -916,7 +765,7 @@ JitHost::cbPush(PhloemJitCtx* c, int32_t rel_q, const PhloemJitValue* v)
         ir::Value val;
         val.bits = v->bits;
         val.ctrl = v->ctrl;
-        return h->waitPush(q, abs_q, val) ? 1 : 0;
+        return h->queues_.push(q, abs_q, val) ? 1 : 0;
     } catch (...) {
         h->eptr_ = std::current_exception();
         return 0;
@@ -935,7 +784,7 @@ JitHost::cbPushDist(PhloemJitCtx* c, int32_t queue_base, int64_t sel,
         ir::Value val;
         val.bits = v->bits;
         val.ctrl = v->ctrl;
-        return h->waitPush(q, abs_q, val) ? 1 : 0;
+        return h->queues_.push(q, abs_q, val) ? 1 : 0;
     } catch (...) {
         h->eptr_ = std::current_exception();
         return 0;
@@ -950,7 +799,7 @@ JitHost::cbPop(PhloemJitCtx* c, int32_t rel_q, PhloemJitValue* v)
         int abs_q = h->queueOffset_ + rel_q;
         SpscQueue& q = *(*h->env_.queues)[static_cast<size_t>(abs_q)];
         ir::Value val;
-        if (!h->popValue(abs_q, q, val))
+        if (!h->queues_.pop(q, abs_q, val))
             return 0;
         v->bits = val.bits;
         v->ctrl = val.ctrl;
@@ -969,7 +818,7 @@ JitHost::cbPeek(PhloemJitCtx* c, int32_t rel_q, PhloemJitValue* v)
         int abs_q = h->queueOffset_ + rel_q;
         SpscQueue& q = *(*h->env_.queues)[static_cast<size_t>(abs_q)];
         ir::Value val;
-        if (!h->peekValue(abs_q, q, val))
+        if (!h->queues_.peek(q, abs_q, val))
             return 0;
         v->bits = val.bits;
         v->ctrl = val.ctrl;

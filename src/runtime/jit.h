@@ -4,16 +4,16 @@
  * it with the host toolchain into a shared object, and run the stage
  * through the emitted entry point.
  *
- * This is the third tier above the raw interpreter and the pre-decoded
- * engine. The engine already collapsed dispatch to one indirect call
- * per DInst, but every instruction still pays that call plus runtime
- * operand decode. The emitter removes both: each DInst becomes
- * straight-line C with its operands baked in as constants — scalar
- * bodies inlined from the sim/eval.h functional core (bit-identical
- * wrap/div/NaN semantics), branch targets as labels, fused
- * superinstruction sites kept fused, and queue ids baked as
- * replica-RELATIVE constants so one compiled object serves every
- * replica and can be cached across runs by the compilation service.
+ * This is the opt-in tier above the pre-decoded engine. The engine
+ * already collapsed dispatch to one indirect call per DInst, but every
+ * instruction still pays that call plus runtime operand decode. The
+ * emitter removes both: each DInst becomes straight-line C with its
+ * operands baked in as constants — scalar bodies inlined from the
+ * sim/eval.h functional core (bit-identical wrap/div/NaN semantics),
+ * branch targets as labels, fused superinstruction sites kept fused,
+ * and queue ids baked as replica-RELATIVE constants so one compiled
+ * object serves every replica and can be cached across runs by the
+ * compilation service.
  *
  * Anything that must touch runtime state the compiler cannot see —
  * blocking ring ops, array loads/stores (kSwapArr retargets bindings),
@@ -34,10 +34,9 @@
 #define PHLOEM_RUNTIME_JIT_H
 
 #include <cstdint>
+#include <exception>
 #include <memory>
 #include <string>
-#include <utility>
-#include <vector>
 
 #include "runtime/decode.h"
 #include "runtime/engine.h"
@@ -160,9 +159,9 @@ std::string jitEmitC(const sim::Program& prog, const DecodedProgram& shape,
                      const std::string& stage_name, std::string* err);
 
 /**
- * Host side of one JIT stage execution: owns the consumer-side batch
- * buffers (same batched popBatch draining as the engine, so queue
- * statistics agree) and the callback implementations. One host per
+ * Host side of one JIT stage execution: the callback implementations,
+ * with queue ops going through the same StageQueues the engine uses
+ * (so batched draining and queue statistics agree). One host per
  * worker per run; the artifact is shared.
  */
 class JitHost
@@ -185,20 +184,10 @@ class JitHost
      */
     void run(const JitArtifact& art);
 
-    /** Per-queue (absolute id, count) of drained-but-undequeued values. */
-    std::vector<std::pair<int, uint64_t>> unconsumed() const;
+    /** The stage's queue ops; unconsumed() is valid after run(). */
+    const StageQueues& queues() const { return queues_; }
 
   private:
-    struct ConsumerBuf
-    {
-        std::unique_ptr<ir::Value[]> data;
-        uint32_t pos = 0;
-        uint32_t len = 0;
-    };
-
-    /** Values drained per popBatch refill (engine's kBatchCap). */
-    static constexpr size_t kBatchCap = 256;
-
     // Callback implementations (see jit.cc).
     static int cbSlowTick(PhloemJitCtx* c);
     static int cbPush(PhloemJitCtx* c, int32_t rel_q,
@@ -215,11 +204,6 @@ class JitHost
     static int cbMemOp(PhloemJitCtx* c, int32_t pc, PhloemJitValue* v);
     static int cbSwapArr(PhloemJitCtx* c, int32_t arr, int32_t arr2);
 
-    bool waitPush(SpscQueue& q, int abs_q, const ir::Value& v);
-    bool popValue(int abs_q, SpscQueue& q, ir::Value& v);
-    bool peekValue(int abs_q, SpscQueue& q, ir::Value& v);
-    [[noreturn]] void reportDeadlock(const char* what, int abs_q);
-
     const sim::Program* prog_;
     EngineEnv env_;
     int queueOffset_;
@@ -229,8 +213,7 @@ class JitHost
     uint64_t workSink_ = 0;
     /** Published pc of the emitted code (diagnostics). */
     int32_t pc_ = 0;
-    /** Consumer-side batch buffers, indexed by absolute queue id. */
-    std::vector<ConsumerBuf> bufs_;
+    StageQueues queues_;
 };
 
 } // namespace phloem::rt

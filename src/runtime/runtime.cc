@@ -44,48 +44,12 @@ workerMain(W& worker, RunControl& ctl)
 }
 
 /**
- * Resolve the engine selection: explicit option wins; kAuto defaults to
- * on, with the PHLOEM_NATIVE_ENGINE environment variable as the escape
- * hatch. Accepted spellings (case-insensitive): 0/false/off disable,
- * 1/true/on enable. Anything else warns once and keeps the default so a
- * typo in a fuzz/CI harness cannot silently flip the configuration.
- */
-bool
-resolveEngine(EngineMode mode)
-{
-    switch (mode) {
-      case EngineMode::kOn:
-        return true;
-      case EngineMode::kOff:
-        return false;
-      case EngineMode::kAuto:
-        break;
-    }
-    const char* env = std::getenv("PHLOEM_NATIVE_ENGINE");
-    if (env == nullptr || *env == '\0')
-        return true;
-    std::string v(env);
-    for (char& c : v)
-        c = static_cast<char>(
-            std::tolower(static_cast<unsigned char>(c)));
-    if (v == "0" || v == "false" || v == "off")
-        return false;
-    if (v == "1" || v == "true" || v == "on")
-        return true;
-    static std::atomic<bool> warned{false};
-    if (!warned.exchange(true))
-        phloem_warn("unrecognized PHLOEM_NATIVE_ENGINE value \"", env,
-                    "\" (expected 0/false/off or 1/true/on); engine "
-                    "stays enabled");
-    return true;
-}
-
-/**
- * Resolve the scheduler selection, mirroring resolveEngine: explicit
- * option wins; kAuto defaults to the shared pool, with PHLOEM_SCHED as
- * the escape hatch. Accepted spellings (case-insensitive):
- * legacy/threads/off/0 keep one OS thread per worker, shared/pool/on/1
- * use the shared pool. Anything else warns once and keeps the default.
+ * Resolve the scheduler selection: explicit option wins; kAuto defaults
+ * to the shared pool, with PHLOEM_SCHED as the escape hatch. Accepted
+ * spellings (case-insensitive): legacy/threads/off/0 keep one OS thread
+ * per worker, shared/pool/on/1 use the shared pool. Anything else warns
+ * once and keeps the default, so a typo in a harness cannot silently
+ * flip the configuration.
  */
 bool
 resolveScheduler(SchedulerMode mode)
@@ -119,66 +83,36 @@ resolveScheduler(SchedulerMode mode)
 
 /**
  * Resolve the stage execution tier. Precedence: explicit opt.tier, then
- * an explicit opt.engine (kOn -> engine, kOff -> interpreter), then the
- * PHLOEM_NATIVE_TIER env override, then PHLOEM_NATIVE_ENGINE (via
- * resolveEngine). Accepted PHLOEM_NATIVE_TIER spellings
- * (case-insensitive): jit, engine, interp/interpreter. Anything else
- * warns once and falls through to the engine-era resolution, matching
- * the PHLOEM_NATIVE_ENGINE convention.
+ * the PHLOEM_NATIVE_TIER env override, then the engine. Accepted
+ * PHLOEM_NATIVE_TIER spellings (case-insensitive): jit, engine.
+ * Anything else warns once and runs the engine.
  */
 TierMode
 resolveTier(const RuntimeOptions& opt)
 {
-    switch (opt.tier) {
-      case TierMode::kInterp:
-        return TierMode::kInterp;
-      case TierMode::kEngine:
-        return TierMode::kEngine;
-      case TierMode::kJit:
-        return TierMode::kJit;
-      case TierMode::kAuto:
-        break;
-    }
-    if (opt.engine == EngineMode::kOn)
-        return TierMode::kEngine;
-    if (opt.engine == EngineMode::kOff)
-        return TierMode::kInterp;
+    if (opt.tier != TierMode::kAuto)
+        return opt.tier;
     const char* env = std::getenv("PHLOEM_NATIVE_TIER");
-    if (env != nullptr && *env != '\0') {
-        std::string v(env);
-        for (char& c : v)
-            c = static_cast<char>(
-                std::tolower(static_cast<unsigned char>(c)));
-        if (v == "jit")
-            return TierMode::kJit;
-        if (v == "engine")
-            return TierMode::kEngine;
-        if (v == "interp" || v == "interpreter")
-            return TierMode::kInterp;
+    if (env == nullptr || *env == '\0')
+        return TierMode::kEngine;
+    std::string v(env);
+    for (char& c : v)
+        c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+    if (v == "jit")
+        return TierMode::kJit;
+    if (v != "engine") {
         static std::atomic<bool> warned{false};
         if (!warned.exchange(true))
             phloem_warn("unrecognized PHLOEM_NATIVE_TIER value \"", env,
-                        "\" (expected jit, engine, or "
-                        "interp/interpreter); falling back to "
-                        "PHLOEM_NATIVE_ENGINE");
+                        "\" (expected jit or engine); running the engine");
     }
-    return resolveEngine(EngineMode::kAuto) ? TierMode::kEngine
-                                            : TierMode::kInterp;
+    return TierMode::kEngine;
 }
 
 const char*
 tierName(TierMode t)
 {
-    switch (t) {
-      case TierMode::kInterp:
-        return "interp";
-      case TierMode::kJit:
-        return "jit";
-      case TierMode::kAuto:
-      case TierMode::kEngine:
-        break;
-    }
-    return "engine";
+    return t == TierMode::kJit ? "jit" : "engine";
 }
 
 /**
@@ -205,21 +139,6 @@ buildStageArtifact(const sim::Program& prog, const DecodedProgram* shape,
 }
 
 } // namespace
-
-NativeStats
-Runtime::runPipeline(const ir::Pipeline& pipeline, sim::Binding& binding)
-{
-    return runPipeline(pipeline, binding, PreparedPrograms{});
-}
-
-NativeStats
-Runtime::runPipeline(const ir::Pipeline& pipeline, sim::Binding& binding,
-                     const std::vector<sim::Program>* programs)
-{
-    PreparedPrograms prep;
-    prep.programs = programs;
-    return runPipeline(pipeline, binding, prep);
-}
 
 NativeStats
 Runtime::runPipeline(const ir::Pipeline& pipeline, sim::Binding& binding,
@@ -315,8 +234,7 @@ Runtime::runPipeline(const ir::Pipeline& pipeline, sim::Binding& binding,
 
     RunControl ctl;
     ctl.opt = opt_;
-    ctl.tier = resolveTier(opt_);
-    ctl.useEngine = ctl.tier != TierMode::kInterp;
+    const TierMode tier = resolveTier(opt_);
 
     // JIT tier: build (or reuse) one artifact per stage program before
     // the timed region — replicas share artifacts, and a cache hit in
@@ -324,7 +242,7 @@ Runtime::runPipeline(const ir::Pipeline& pipeline, sim::Binding& binding,
     // just downgrades that stage to the engine (recorded per worker).
     std::vector<JitArtifactPtr> local_jit;
     const std::vector<JitArtifactPtr>* jit_arts = nullptr;
-    if (ctl.tier == TierMode::kJit) {
+    if (tier == TierMode::kJit) {
         if (prep.jit != nullptr) {
             phloem_assert(prep.jit->size() == programs.size(),
                           "jit artifact count (", prep.jit->size(),
@@ -441,12 +359,9 @@ Runtime::runPipeline(const ir::Pipeline& pipeline, sim::Binding& binding,
     auto t1 = t0;
     std::vector<QueueWaiters> queue_waiters;
     if (use_sched) {
-        Scheduler::Options hint;
-        hint.workers = opt_.schedWorkers;
-        hint.stealing = opt_.schedStealing;
         Scheduler& sched = opt_.schedulerOverride != nullptr
                                ? *opt_.schedulerOverride
-                               : Scheduler::shared(&hint);
+                               : Scheduler::shared();
         // Attach the rings' waiter slots before any task can touch
         // them: this is what arms the park/unpark path in the backoff.
         queue_waiters =
@@ -493,7 +408,6 @@ Runtime::runPipeline(const ir::Pipeline& pipeline, sim::Binding& binding,
         }
         sched_stats.shared = true;
         sched_stats.poolSize = sched.poolSize();
-        sched_stats.stealing = sched.stealing();
         sched_stats.parks = run->parks();
         sched_stats.unparks = run->unparks();
         sched_stats.steals = run->steals();
@@ -563,8 +477,7 @@ Runtime::runPipeline(const ir::Pipeline& pipeline, sim::Binding& binding,
     out.wallNs = elapsedNs(t0, t1);
     out.numStageThreads = total_threads;
     out.numRAWorkers = static_cast<int>(ra_workers.size());
-    out.engine = ctl.useEngine;
-    out.tier = tierName(ctl.tier);
+    out.tier = tierName(tier);
     if (jit_arts != nullptr) {
         for (const JitArtifactPtr& a : *jit_arts) {
             out.jitEmitNs += a->emitNs;
@@ -605,6 +518,7 @@ Runtime::runPipeline(const ir::Pipeline& pipeline, sim::Binding& binding,
         qs.maxOccupancy = q.maxOccupancy();
         // Exact: all workers have joined.
         qs.residual = q.sizeApprox() + uncons;
+        qs.buffered = uncons;
         qs.popBatches = q.popBatches();
         qs.popBatchElems = q.popBatchElems();
         qs.pushBatches = q.pushBatches();
@@ -623,13 +537,16 @@ Runtime::runPipeline(const ir::Pipeline& pipeline, sim::Binding& binding,
         }
         // Watchdog post-mortem: which edges still hold data, and (when
         // traced) what each worker was doing right before the stall.
+        // Ring and consumer-buffer residue print apart: only the ring's
+        // share is bounded by the depth.
         std::string residuals;
         for (const auto& qs : out.queues)
             if (qs.residual > 0)
-                residuals += "  q" + std::to_string(qs.id) +
-                             ": residual occupancy " +
-                             std::to_string(qs.residual) + "/" +
-                             std::to_string(qs.depth) + "\n";
+                residuals += "  q" + std::to_string(qs.id) + ": ring " +
+                             std::to_string(qs.residual - qs.buffered) +
+                             "/" + std::to_string(qs.depth) +
+                             ", consumer buffer " +
+                             std::to_string(qs.buffered) + "\n";
         if (!residuals.empty())
             out.error += "\nresidual occupancy:\n" + residuals;
         if (tracer != nullptr)
@@ -666,14 +583,13 @@ Runtime::runSerial(const ir::Function& fn, sim::Binding& binding)
 
     RunControl ctl;
     ctl.opt = opt_;
-    ctl.tier = resolveTier(opt_);
-    ctl.useEngine = ctl.tier != TierMode::kInterp;
+    const TierMode tier = resolveTier(opt_);
     StageBarrier barrier(1);
     StageWorker worker(fn.name, &prog, binding, /*replica=*/0,
                        /*queue_offset=*/0, /*queue_stride=*/0,
                        /*num_replicas=*/1, {}, &barrier, &ctl);
     JitArtifactPtr jit_art;
-    if (ctl.tier == TierMode::kJit) {
+    if (tier == TierMode::kJit) {
         jit_art = buildStageArtifact(prog, nullptr, fn.name);
         if (jit_art->ok())
             worker.jit = jit_art.get();
@@ -701,8 +617,7 @@ Runtime::runSerial(const ir::Function& fn, sim::Binding& binding)
         out.hwValid = true;
     }
     out.rusage = ResourceUsage::processNow().minus(ru0);
-    out.engine = ctl.useEngine;
-    out.tier = tierName(ctl.tier);
+    out.tier = tierName(tier);
     if (jit_art != nullptr) {
         out.jitEmitNs = jit_art->emitNs;
         out.jitCompileNs = jit_art->compileNs;

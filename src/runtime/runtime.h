@@ -11,7 +11,7 @@
  * stages than cores — share the host without thread oversubscription; a
  * task blocked on a full/empty ring parks and yields its pool worker.
  * RuntimeOptions::scheduler = kLegacy restores thread-per-stage.
- * It interprets the same sim::flatten instruction stream as the
+ * It executes the same sim::flatten instruction stream as the
  * simulator, through the same functional core (sim/eval.h), so its
  * output is bit-for-bit identical to the simulator's — which the
  * differential tests enforce.
@@ -70,32 +70,15 @@ class Runtime
 
     /**
      * Execute a pipeline to completion on host threads. Mutates the
-     * bound arrays exactly as Machine::runPipeline would. On failure
-     * (deadlock watchdog, worker exception) the returned stats have
-     * ok=false and the array contents are unspecified.
-     */
-    NativeStats runPipeline(const ir::Pipeline& pipeline,
-                            sim::Binding& binding);
-
-    /**
-     * Same, but with the stages' flattened programs supplied by the
-     * caller (one per stage, in stage order) instead of re-flattened
-     * per run. The programs are only read, so a compilation service
-     * can share one pre-flattened pipeline across concurrent runs;
-     * they must outlive the call. Null falls back to flattening.
+     * bound arrays exactly as Machine::runPipeline would. `prep`
+     * optionally supplies pre-flattened programs, cached decoded
+     * shapes, and pre-built JIT artifacts (see PreparedPrograms). On
+     * failure (deadlock watchdog, worker exception) the returned stats
+     * have ok=false and the array contents are unspecified.
      */
     NativeStats runPipeline(const ir::Pipeline& pipeline,
                             sim::Binding& binding,
-                            const std::vector<sim::Program>* programs);
-
-    /**
-     * Same, with any combination of pre-flattened programs, cached
-     * decoded shapes, and pre-built JIT artifacts (see
-     * PreparedPrograms).
-     */
-    NativeStats runPipeline(const ir::Pipeline& pipeline,
-                            sim::Binding& binding,
-                            const PreparedPrograms& prep);
+                            const PreparedPrograms& prep = {});
 
     /** Execute a serial function on one host thread (the baseline). */
     NativeStats runSerial(const ir::Function& fn, sim::Binding& binding);

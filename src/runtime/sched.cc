@@ -18,7 +18,6 @@
 #include <pthread.h>
 
 #include <chrono>
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 
@@ -220,15 +219,9 @@ SchedRun::start()
     size_t i = 0;
     for (auto& t : tasks_) {
         sched_->tasksStarted_.fetch_add(1, std::memory_order_relaxed);
-        if (sched_->stealing_) {
-            // Seed round-robin across the pool; stealing rebalances.
-            auto& w = *sched_->workers_[i++ % sched_->workers_.size()];
-            sched_->submitLocal(w, t.get(), /*front=*/false);
-        } else {
-            // No stealing: the shared injection queue is the only way
-            // an idle worker can pick the task up.
-            sched_->submitExternal(t.get());
-        }
+        // Seed round-robin across the pool; stealing rebalances.
+        auto& w = *sched_->workers_[i++ % sched_->workers_.size()];
+        sched_->submitLocal(w, t.get(), /*front=*/false);
     }
 }
 
@@ -264,7 +257,7 @@ schedWakeAll(SchedRun* run)
 
 Scheduler::Scheduler() : Scheduler(Options()) {}
 
-Scheduler::Scheduler(const Options& opts) : stealing_(opts.stealing)
+Scheduler::Scheduler(const Options& opts)
 {
     int n = opts.workers;
     if (n <= 0)
@@ -306,29 +299,15 @@ Scheduler::~Scheduler()
 }
 
 Scheduler&
-Scheduler::shared(const Options* hint)
+Scheduler::shared()
 {
-    static Scheduler s([hint] {
+    static Scheduler s([] {
         Options o;
-        if (hint != nullptr)
-            o = *hint;
-        if (const char* env = std::getenv("PHLOEM_SCHED_WORKERS")) {
-            int n = std::atoi(env);
-            if (n > 0)
-                o.workers = n;
-        }
+        if (const char* env = std::getenv("PHLOEM_SCHED_WORKERS"))
+            o.workers = std::atoi(env);
         return o;
     }());
     g_sharedSched.store(&s, std::memory_order_release);
-    if (hint != nullptr && hint->workers > 0 && hint->workers != s.poolSize()) {
-        static std::atomic<bool> warned{false};
-        if (!warned.exchange(true)) {
-            std::fprintf(stderr,
-                         "phloem: shared scheduler already sized to %d "
-                         "workers; ignoring pool-size hint %d\n",
-                         s.poolSize(), hint->workers);
-        }
-    }
     return s;
 }
 
@@ -595,7 +574,7 @@ Scheduler::workerLoop(Worker& w)
         Task* t = takeLocal(w);
         if (t == nullptr)
             t = takeGlobal();
-        if (t == nullptr && stealing_)
+        if (t == nullptr)
             t = trySteal(w);
         if (t != nullptr) {
             dispatch(w, t);
@@ -611,7 +590,7 @@ Scheduler::workerLoop(Worker& w)
         std::atomic_thread_fence(std::memory_order_seq_cst);
         bool work = globalSize_.load(std::memory_order_seq_cst) > 0 ||
                     w.size.load(std::memory_order_seq_cst) > 0;
-        if (!work && stealing_) {
+        if (!work) {
             for (const auto& p : workers_) {
                 if (p->size.load(std::memory_order_seq_cst) > 0) {
                     work = true;

@@ -201,8 +201,6 @@ class Scheduler
     {
         /** Pool size; 0 means std::thread::hardware_concurrency(). */
         int workers = 0;
-        /** Idle workers steal from the back of peers' run queues. */
-        bool stealing = true;
     };
 
     Scheduler();
@@ -214,17 +212,14 @@ class Scheduler
 
     /**
      * The process-wide shared pool every run uses by default, created
-     * on first use (PHLOEM_SCHED_WORKERS overrides the size). A hint
-     * is honored only by the call that creates the pool; later hints
-     * that disagree warn once and are ignored — one machine, one pool
-     * is the point.
+     * on first use: hardware_concurrency workers unless
+     * PHLOEM_SCHED_WORKERS sets the size — one machine, one pool.
      */
-    static Scheduler& shared(const Options* hint = nullptr);
+    static Scheduler& shared();
     /** The shared pool if some run already created it, else null. */
     static Scheduler* sharedIfCreated();
 
     int poolSize() const { return static_cast<int>(workers_.size()); }
-    bool stealing() const { return stealing_; }
 
     struct Counters
     {
@@ -332,7 +327,6 @@ class Scheduler
     static thread_local Task* tlsTask_;
 
     std::vector<std::unique_ptr<Worker>> workers_;
-    bool stealing_ = true;
 
     std::mutex idleMu_;
     std::condition_variable idleCv_;

@@ -40,6 +40,11 @@ struct QueueStats
      * deadlock post-mortems key on it).
      */
     uint64_t residual = 0;
+    /**
+     * The part of `residual` held in the consumer's batch buffer; the
+     * rest, residual - buffered, was still in the ring (<= depth).
+     */
+    uint64_t buffered = 0;
 
     // --- Batched-transfer accounting (engine + RA streaming). -------
     /** Number of log2 histogram buckets: 1, 2-3, 4-7, ..., >= 128. */
@@ -98,7 +103,7 @@ struct WorkerStats
     /** Static superinstruction sites found by the decoder. */
     uint64_t fusedSites = 0;
 
-    /** Tier this worker actually ran: "interp", "engine", or "jit". */
+    /** Tier this worker actually ran: "engine" or "jit". */
     std::string tier;
     /**
      * JIT-tier runs where this stage fell back to the engine: the
@@ -114,8 +119,6 @@ struct SchedStats
     bool shared = false;
     /** Worker threads in the pool that ran this pipeline. */
     int poolSize = 0;
-    /** Work stealing between pool workers was enabled. */
-    bool stealing = false;
     /** Times a task of this run parked on a full/empty ring or barrier. */
     uint64_t parks = 0;
     /** Times a parked/parking task of this run was woken. */
@@ -145,9 +148,7 @@ struct NativeStats
     double wallNs = 0.0;
     int numStageThreads = 0;
     int numRAWorkers = 0;
-    /** Stage workers ran the pre-decoded engine (vs. raw interpreter). */
-    bool engine = false;
-    /** Resolved stage tier: "interp", "engine", or "jit". */
+    /** Resolved stage tier: "engine" or "jit". */
     std::string tier = "engine";
     /** JIT tier: stage workers that ran compiled code. */
     int jitStages = 0;

@@ -1,16 +1,13 @@
 #include "runtime/worker.h"
 
 #include <chrono>
-#include <stdexcept>
 #include <thread>
 
-#include "base/logging.h"
 #include "ir/op.h"
 #include "runtime/decode.h"
 #include "runtime/engine.h"
 #include "runtime/jit.h"
 #include "runtime/sched.h"
-#include "sim/eval.h"
 
 namespace phloem::rt {
 
@@ -146,9 +143,9 @@ StageWorker::StageWorker(std::string name, const sim::Program* prog,
                          int queue_offset, int queue_stride,
                          int num_replicas, std::vector<SpscQueue*> queues,
                          StageBarrier* barrier, RunControl* ctl)
-    : prog_(prog), replica_(replica), queueOffset_(queue_offset),
-      queueStride_(queue_stride), numReplicas_(num_replicas),
-      queues_(std::move(queues)), barrier_(barrier), ctl_(ctl)
+    : prog_(prog), queueOffset_(queue_offset), queueStride_(queue_stride),
+      numReplicas_(num_replicas), queues_(std::move(queues)),
+      barrier_(barrier), ctl_(ctl)
 {
     stats.name = std::move(name);
     stats.isStage = true;
@@ -157,273 +154,24 @@ StageWorker::StageWorker(std::string name, const sim::Program* prog,
     regs_.assign(static_cast<size_t>(prog_->numRegs), ir::Value{});
     const ir::Function& fn = *prog_->fn;
     for (const auto& p : fn.scalarParams)
-        regs_[static_cast<size_t>(p.reg)] = binding.scalar(p.name, replica_);
+        regs_[static_cast<size_t>(p.reg)] = binding.scalar(p.name, replica);
     arrayBind_.resize(fn.arrays.size());
     for (size_t a = 0; a < fn.arrays.size(); ++a)
-        arrayBind_[a] = binding.array(fn.arrays[a].name, replica_);
-}
-
-void
-StageWorker::reportDeadlock(const char* what, int abs_q)
-{
-    std::string msg = "deadlock: " + stats.name + " blocked on " + what +
-                      " q" + std::to_string(abs_q) + " at pc=" +
-                      std::to_string(pc_) + " with no global progress for " +
-                      std::to_string(ctl_->opt.deadlockTimeoutMs) + " ms";
-    ctl_->fail(msg);
-    throw std::runtime_error(msg);
-}
-
-bool
-StageWorker::waitPush(int abs_q, const ir::Value& v)
-{
-    SpscQueue& q = *queues_[static_cast<size_t>(abs_q)];
-    // Fast path: no shared-counter traffic. The per-instruction
-    // heartbeat keeps the watchdog fed while this worker runs.
-    if (q.tryPush(v))
-        return true;
-    q.noteEnqBlocked();
-    uint64_t t0 = traceBuf ? traceBuf->now() : 0;
-    ParkTarget pt = makePushTarget(q, abs_q);
-    Backoff backoff(*ctl_);
-    for (;;) {
-        if (q.tryPush(v)) {
-            ctl_->progress.fetch_add(1, std::memory_order_relaxed);
-            if (traceBuf)
-                traceBuf->record(trace::EventKind::kEnqBlock, abs_q, t0,
-                                 traceBuf->now());
-            return true;
-        }
-        switch (backoff.step(*ctl_, /*stoppable=*/false, &pt)) {
-          case Backoff::Result::kRetry:
-            break;
-          case Backoff::Result::kStopped:
-            if (traceBuf)
-                traceBuf->record(trace::EventKind::kEnqBlock, abs_q, t0,
-                                 traceBuf->now());
-            return false;
-          case Backoff::Result::kDeadlock:
-            if (traceBuf)
-                traceBuf->record(trace::EventKind::kEnqBlock, abs_q, t0,
-                                 traceBuf->now());
-            reportDeadlock("enq", abs_q);
-        }
-    }
-}
-
-bool
-StageWorker::waitPop(int abs_q, ir::Value& v)
-{
-    SpscQueue& q = *queues_[static_cast<size_t>(abs_q)];
-    if (q.tryPop(v))
-        return true;
-    q.noteDeqBlocked();
-    uint64_t t0 = traceBuf ? traceBuf->now() : 0;
-    ParkTarget pt = makePopTarget(q, abs_q);
-    Backoff backoff(*ctl_);
-    for (;;) {
-        if (q.tryPop(v)) {
-            ctl_->progress.fetch_add(1, std::memory_order_relaxed);
-            if (traceBuf)
-                traceBuf->record(trace::EventKind::kDeqBlock, abs_q, t0,
-                                 traceBuf->now());
-            return true;
-        }
-        switch (backoff.step(*ctl_, /*stoppable=*/false, &pt)) {
-          case Backoff::Result::kRetry:
-            break;
-          case Backoff::Result::kStopped:
-            if (traceBuf)
-                traceBuf->record(trace::EventKind::kDeqBlock, abs_q, t0,
-                                 traceBuf->now());
-            return false;
-          case Backoff::Result::kDeadlock:
-            if (traceBuf)
-                traceBuf->record(trace::EventKind::kDeqBlock, abs_q, t0,
-                                 traceBuf->now());
-            reportDeadlock("deq", abs_q);
-        }
-    }
-}
-
-bool
-StageWorker::waitPeek(int abs_q, ir::Value& v)
-{
-    SpscQueue& q = *queues_[static_cast<size_t>(abs_q)];
-    if (q.tryPeek(v))
-        return true;
-    q.noteDeqBlocked();
-    uint64_t t0 = traceBuf ? traceBuf->now() : 0;
-    ParkTarget pt = makePopTarget(q, abs_q, "peek");
-    Backoff backoff(*ctl_);
-    for (;;) {
-        if (q.tryPeek(v)) {
-            // The producer's value arriving is global progress: without
-            // this bump a pipeline advancing only through peeks would
-            // eventually trip a peer's deadlock watchdog.
-            ctl_->progress.fetch_add(1, std::memory_order_relaxed);
-            if (traceBuf)
-                traceBuf->record(trace::EventKind::kDeqBlock, abs_q, t0,
-                                 traceBuf->now());
-            return true;
-        }
-        switch (backoff.step(*ctl_, /*stoppable=*/false, &pt)) {
-          case Backoff::Result::kRetry:
-            break;
-          case Backoff::Result::kStopped:
-            if (traceBuf)
-                traceBuf->record(trace::EventKind::kDeqBlock, abs_q, t0,
-                                 traceBuf->now());
-            return false;
-          case Backoff::Result::kDeadlock:
-            if (traceBuf)
-                traceBuf->record(trace::EventKind::kDeqBlock, abs_q, t0,
-                                 traceBuf->now());
-            reportDeadlock("peek", abs_q);
-        }
-    }
-}
-
-bool
-StageWorker::execOp(const sim::Inst& inst)
-{
-    using ir::Opcode;
-
-    stats.opCounts[static_cast<size_t>(inst.opcode)]++;
-
-    if (ir::usesQueue(inst.opcode)) {
-        stats.queueOps++;
-        switch (inst.opcode) {
-          case Opcode::kEnq:
-          case Opcode::kEnqCtrl:
-          case Opcode::kEnqDist: {
-            int abs_q;
-            if (inst.opcode == Opcode::kEnqDist) {
-                int64_t sel =
-                    regs_[static_cast<size_t>(inst.src1)].asInt();
-                int target = sim::distTargetReplica(sel, numReplicas_);
-                abs_q = inst.queue + target * queueStride_;
-            } else {
-                abs_q = queueOffset_ + inst.queue;
-            }
-            ir::Value v;
-            if (inst.opcode == Opcode::kEnqCtrl ||
-                (inst.opcode == Opcode::kEnqDist && inst.src0 < 0)) {
-                v = ir::Value::makeControl(
-                    static_cast<uint32_t>(inst.imm));
-            } else {
-                v = regs_[static_cast<size_t>(inst.src0)];
-            }
-            if (!waitPush(abs_q, v))
-                return false;
-            pc_++;
-            return true;
-          }
-
-          case Opcode::kDeq: {
-            int abs_q = queueOffset_ + inst.queue;
-            ir::Value v;
-            if (!waitPop(abs_q, v))
-                return false;
-            regs_[static_cast<size_t>(inst.dst)] = v;
-            // Control-value handler: transfer when a control value is
-            // dequeued, exactly as the simulated hardware does.
-            if (v.isControl() && inst.handlerPc >= 0)
-                pc_ = inst.handlerPc;
-            else
-                pc_++;
-            return true;
-          }
-
-          case Opcode::kPeek: {
-            int abs_q = queueOffset_ + inst.queue;
-            ir::Value v;
-            if (!waitPeek(abs_q, v))
-                return false;
-            regs_[static_cast<size_t>(inst.dst)] = v;
-            pc_++;
-            return true;
-          }
-
-          default:
-            phloem_panic("not a queue op");
-        }
-    }
-
-    if (ir::usesArray(inst.opcode) && inst.opcode != Opcode::kSwapArr) {
-        sim::ArrayBuffer* buf = arrayBind_[static_cast<size_t>(inst.arr)];
-        ir::Value result;
-        bool is_rmw = inst.opcode == Opcode::kAtomicMin ||
-                      inst.opcode == Opcode::kAtomicAdd ||
-                      inst.opcode == Opcode::kAtomicFAdd ||
-                      inst.opcode == Opcode::kAtomicOr;
-        if (is_rmw) {
-            // applyMemOp implements RMWs as load+store; serialize them
-            // across stages so concurrent updates are not lost.
-            std::lock_guard<std::mutex> g(ctl_->atomicsMu);
-            result = sim::applyMemOp(inst, *buf, regs_.data());
-        } else {
-            result = sim::applyMemOp(inst, *buf, regs_.data());
-        }
-        if (inst.dst >= 0)
-            regs_[static_cast<size_t>(inst.dst)] = result;
-        pc_++;
-        return true;
-    }
-
-    switch (inst.opcode) {
-      case Opcode::kBarrier: {
-        pc_++;
-        if (!traceBuf)
-            return barrier_->arriveAndWait(*ctl_);
-        uint64_t t0 = traceBuf->now();
-        bool ok = barrier_->arriveAndWait(*ctl_);
-        traceBuf->record(trace::EventKind::kBarrierWait, -1, t0,
-                         traceBuf->now());
-        return ok;
-      }
-      case Opcode::kHalt:
-        return false;
-      case Opcode::kSwapArr:
-        std::swap(arrayBind_[static_cast<size_t>(inst.arr)],
-                  arrayBind_[static_cast<size_t>(inst.arr2)]);
-        pc_++;
-        return true;
-      default:
-        break;
-    }
-
-    ir::Value out = sim::evalScalarOp(inst, regs_.data());
-    if (inst.opcode == Opcode::kWork && inst.imm > 1) {
-        // The simulator charges kWork as `imm` uops; natively we burn the
-        // same amount of real compute. Only the first mix lands in the
-        // destination register so results stay bit-identical.
-        uint64_t burn = out.bits;
-        for (int64_t k = 1; k < inst.imm; ++k)
-            burn = sim::workMix(burn);
-        workSink_ += burn;
-    }
-    if (inst.dst >= 0)
-        regs_[static_cast<size_t>(inst.dst)] = out;
-    pc_++;
-    return true;
+        arrayBind_[a] = binding.array(fn.arrays[a].name, replica);
 }
 
 void
 StageWorker::run()
 {
-    if (ctl_->tier == TierMode::kJit && jit != nullptr) {
+    if (jit != nullptr) {
         stats.tier = "jit";
         runJit();
-    } else if (ctl_->useEngine) {
+    } else {
         // Includes per-stage JIT fallback: a stage whose artifact
         // failed to build runs on the engine (stats.jitFallback says
         // why; the runtime set it alongside a null `jit`).
         stats.tier = "engine";
         runEngine();
-    } else {
-        stats.tier = "interp";
-        runInterpreter();
     }
     // Abnormal exits (watchdog, budget) throw past this point; they
     // already recorded the block span they died in.
@@ -433,21 +181,9 @@ StageWorker::run()
     }
 }
 
-void
-StageWorker::runEngine()
+EngineEnv
+StageWorker::engineEnv()
 {
-    // A cached shape (compilation service) skips classification+fusion;
-    // the copy is then relocated for this replica's queue window.
-    DecodedProgram dec;
-    if (shape != nullptr) {
-        dec = *shape;
-        relocateProgram(dec, queueOffset_, queues_);
-    } else {
-        dec = decodeProgram(*prog_, queueOffset_, queueStride_,
-                            numReplicas_, queues_);
-    }
-    stats.fusedSites = static_cast<uint64_t>(dec.fusedSites);
-
     EngineEnv env;
     env.regs = regs_.data();
     env.arrayBind = arrayBind_.data();
@@ -458,17 +194,28 @@ StageWorker::runEngine()
     env.trace = traceBuf;
     env.queueStride = queueStride_;
     env.numReplicas = numReplicas_;
+    return env;
+}
 
-    Engine engine(dec, env);
+void
+StageWorker::runEngine()
+{
+    // A cached shape (compilation service) skips classification+fusion;
+    // either way the copy is relocated for this replica's queue window.
+    DecodedProgram dec = shape != nullptr ? *shape : decodeShape(*prog_);
+    relocateProgram(dec, queueOffset_, queues_);
+    stats.fusedSites = static_cast<uint64_t>(dec.fusedSites);
+
+    Engine engine(dec, engineEnv());
     try {
         engine.run();
     } catch (...) {
         // Deadlock / budget throws still report buffered-but-undequeued
         // values: the watchdog post-mortem keys on residual occupancy.
-        unconsumed = engine.unconsumed();
+        unconsumed = engine.queues().unconsumed();
         throw;
     }
-    unconsumed = engine.unconsumed();
+    unconsumed = engine.queues().unconsumed();
 }
 
 void
@@ -476,77 +223,14 @@ StageWorker::runJit()
 {
     stats.fusedSites = static_cast<uint64_t>(jit->fusedSites);
 
-    EngineEnv env;
-    env.regs = regs_.data();
-    env.arrayBind = arrayBind_.data();
-    env.queues = &queues_;
-    env.barrier = barrier_;
-    env.ctl = ctl_;
-    env.stats = &stats;
-    env.trace = traceBuf;
-    env.queueStride = queueStride_;
-    env.numReplicas = numReplicas_;
-
-    JitHost host(*prog_, env, queueOffset_);
+    JitHost host(*prog_, engineEnv(), queueOffset_);
     try {
         host.run(*jit);
     } catch (...) {
-        unconsumed = host.unconsumed();
+        unconsumed = host.queues().unconsumed();
         throw;
     }
-    unconsumed = host.unconsumed();
-}
-
-void
-StageWorker::runInterpreter()
-{
-    const auto& code = prog_->code;
-    uint64_t heartbeat = 0;
-    for (;;) {
-        if (pc_ >= static_cast<int>(code.size()))
-            return;  // fell off the end: halt
-        stats.instructions++;
-        if (++heartbeat >= kHeartbeatInterval) {
-            // Long compute phases without queue ops must still look
-            // alive to blocked peers' watchdogs. Abort is polled here
-            // (and in every blocked wait) rather than per instruction.
-            ctl_->progress.fetch_add(1, std::memory_order_relaxed);
-            heartbeat = 0;
-            if (ctl_->aborted())
-                return;
-            if (stats.instructions > ctl_->opt.maxInstructions) {
-                std::string msg = "instruction budget exceeded (" +
-                                  std::to_string(ctl_->opt.maxInstructions) +
-                                  ") in " + stats.name;
-                ctl_->fail(msg);
-                throw std::runtime_error(msg);
-            }
-            // Shared pool: long compute phases must not monopolize the
-            // worker while runnable peers wait (no-op off the pool).
-            Scheduler::maybeYield();
-        }
-        const sim::Inst& inst = code[static_cast<size_t>(pc_)];
-        switch (inst.kind) {
-          case sim::Inst::Kind::kBr:
-            stats.branches++;
-            pc_ = inst.target;
-            break;
-          case sim::Inst::Kind::kBrIf:
-          case sim::Inst::Kind::kBrIfNot: {
-            stats.branches++;
-            bool truth =
-                regs_[static_cast<size_t>(inst.src0)].asInt() != 0;
-            bool taken =
-                inst.kind == sim::Inst::Kind::kBrIf ? truth : !truth;
-            pc_ = taken ? inst.target : pc_ + 1;
-            break;
-          }
-          case sim::Inst::Kind::kOp:
-            if (!execOp(inst))
-                return;
-            break;
-        }
-    }
+    unconsumed = host.queues().unconsumed();
 }
 
 // ---------------------------------------------------------------------
@@ -581,40 +265,15 @@ RAWorker::waitPush(const ir::Value& v)
         heartbeat();
         return true;
     }
-    outQ_->noteEnqBlocked();
-    uint64_t t0 = traceBuf ? traceBuf->now() : 0;
-    ParkTarget pt = makePushTarget(*outQ_, traceOutQ);
-    Backoff backoff(*ctl_);
-    for (;;) {
-        if (outQ_->tryPush(v)) {
-            ctl_->progress.fetch_add(1, std::memory_order_relaxed);
-            if (traceBuf)
-                traceBuf->record(trace::EventKind::kEnqBlock, traceOutQ,
-                                 t0, traceBuf->now());
-            return true;
-        }
-        // Stoppable: once every stage thread halted, whatever the RA
-        // still holds can never reach memory, so it just exits.
-        switch (backoff.step(*ctl_, /*stoppable=*/true, &pt)) {
-          case Backoff::Result::kRetry:
-            break;
-          case Backoff::Result::kStopped:
-            if (traceBuf)
-                traceBuf->record(trace::EventKind::kEnqBlock, traceOutQ,
-                                 t0, traceBuf->now());
-            return false;
-          case Backoff::Result::kDeadlock: {
-            if (traceBuf)
-                traceBuf->record(trace::EventKind::kEnqBlock, traceOutQ,
-                                 t0, traceBuf->now());
-            std::string msg =
-                "deadlock: " + stats.name + " blocked on enq with no "
-                "global progress";
-            ctl_->fail(msg);
-            return false;
-          }
-        }
-    }
+    // Stoppable: once every stage thread halted, whatever the RA still
+    // holds can never reach memory, so it just exits.
+    WaitStatus s =
+        waitBlocked(*ctl_, traceBuf, *outQ_, traceOutQ, QueueWait::kEnq,
+                    /*stoppable=*/true, [&] { return outQ_->tryPush(v); });
+    if (s == WaitStatus::kDeadlock)
+        ctl_->fail("deadlock: " + stats.name +
+                   " blocked on enq with no global progress");
+    return s == WaitStatus::kOk;
 }
 
 bool
@@ -624,35 +283,12 @@ RAWorker::waitPop(ir::Value& v)
         heartbeat();
         return true;
     }
-    inQ_->noteDeqBlocked();
-    uint64_t t0 = traceBuf ? traceBuf->now() : 0;
-    ParkTarget pt = makePopTarget(*inQ_, traceInQ);
-    Backoff backoff(*ctl_);
-    for (;;) {
-        if (inQ_->tryPop(v)) {
-            ctl_->progress.fetch_add(1, std::memory_order_relaxed);
-            if (traceBuf)
-                traceBuf->record(trace::EventKind::kDeqBlock, traceInQ,
-                                 t0, traceBuf->now());
-            return true;
-        }
-        // An empty input after shutdown is the normal RA exit path, not
-        // a deadlock: RAs never see an end-of-stream value.
-        switch (backoff.step(*ctl_, /*stoppable=*/true, &pt)) {
-          case Backoff::Result::kRetry:
-            break;
-          case Backoff::Result::kStopped:
-            if (traceBuf)
-                traceBuf->record(trace::EventKind::kDeqBlock, traceInQ,
-                                 t0, traceBuf->now());
-            return false;
-          case Backoff::Result::kDeadlock:
-            if (traceBuf)
-                traceBuf->record(trace::EventKind::kDeqBlock, traceInQ,
-                                 t0, traceBuf->now());
-            return false;
-        }
-    }
+    // An empty input after shutdown is the normal RA exit path, not a
+    // deadlock (RAs never see an end-of-stream value), so a watchdog
+    // firing here exits silently too.
+    return waitBlocked(*ctl_, traceBuf, *inQ_, traceInQ, QueueWait::kDeq,
+                       /*stoppable=*/true,
+                       [&] { return inQ_->tryPop(v); }) == WaitStatus::kOk;
 }
 
 bool
@@ -770,23 +406,15 @@ RAWorker::runLoop()
         }
 
         if (cfg_.mode == ir::RAMode::kIndirect) {
-            if (ctl_->useEngine) {
-                // Batched drain/emit: grab whatever run of indices the
-                // producer has already published alongside e, then load
-                // and publish the elements with pushBatch — one ring
-                // synchronization per run on each side instead of one
-                // per element.
-                ir::Value batch[kIndirectBatch];
-                batch[0] = e;
-                size_t n =
-                    1 + inQ_->popBatch(kIndirectBatch - 1, batch + 1);
-                if (!serviceIndirectBatch(batch, n))
-                    return;
-                continue;
-            }
-            ir::Value v = array_->load(e.asInt());
-            stats.raElements++;
-            if (!waitPush(v))
+            // Batched drain/emit: grab whatever run of indices the
+            // producer has already published alongside e, then load and
+            // publish the elements with pushBatch — one ring
+            // synchronization per run on each side instead of one per
+            // element.
+            ir::Value batch[kIndirectBatch];
+            batch[0] = e;
+            size_t n = 1 + inQ_->popBatch(kIndirectBatch - 1, batch + 1);
+            if (!serviceIndirectBatch(batch, n))
                 return;
         } else {
             if (phase == Phase::kIdle) {

@@ -1,14 +1,15 @@
 /**
  * @file
- * Native-runtime workers: the per-stage interpreter thread and the
- * software reference accelerator.
+ * Native-runtime workers: the per-stage task and the software
+ * reference accelerator.
  *
- * A StageWorker interprets the same sim::flatten instruction stream the
- * simulator executes, using the shared functional core (sim/eval.h), so
- * the two backends agree bit-for-bit. Queue ops block on the SPSC rings
- * with spin-then-yield backoff; control values arriving at a kDeq with a
- * handler transfer to the handler pc exactly as the simulated hardware
- * does.
+ * A StageWorker runs one stage's sim::flatten instruction stream —
+ * pre-decoded by the engine (runtime/engine.h) or compiled by the JIT
+ * tier (runtime/jit.h) — through the same functional core the
+ * simulator uses (sim/eval.h), so the two backends agree bit-for-bit.
+ * Queue ops block on the SPSC rings through waitBlocked() below;
+ * control values arriving at a kDeq with a handler transfer to the
+ * handler pc exactly as the simulated hardware does.
  *
  * An RAWorker replays sim/machine.cc's RAEntity state machine in
  * software: indirect mode turns dequeued indices into loaded elements;
@@ -39,23 +40,10 @@ namespace phloem::rt {
 /** Bump the global progress counter every this many instructions. */
 constexpr uint64_t kHeartbeatInterval = 4096;
 
-/** Stage execution engine selection (see runtime/engine.h). */
-enum class EngineMode : uint8_t {
-    /** Engine on unless the PHLOEM_NATIVE_ENGINE=0 env override. */
-    kAuto,
-    kOn,   ///< pre-decoded batching engine
-    kOff,  ///< raw sim::Inst interpreter (the pre-engine behavior)
-};
-
-/**
- * Stage execution tier (see runtime/jit.h). Subsumes EngineMode: the
- * engine on/off pair predates the JIT and is kept for compatibility —
- * an explicit `tier` wins over an explicit `engine`, and kAuto defers
- * to the PHLOEM_NATIVE_TIER / PHLOEM_NATIVE_ENGINE env overrides.
- */
+/** Stage execution tier (see runtime/jit.h). */
 enum class TierMode : uint8_t {
+    /** The PHLOEM_NATIVE_TIER env override, else the engine. */
     kAuto,
-    kInterp,  ///< raw sim::Inst interpreter
     kEngine,  ///< pre-decoded batching engine (the default)
     kJit,     ///< per-stage compiled code, engine fallback on failure
 };
@@ -73,6 +61,7 @@ enum class SchedulerMode : uint8_t {
 class Scheduler;
 class SchedRun;
 struct DecodedProgram;
+struct EngineEnv;
 struct JitArtifact;
 
 /** Null-safe wake of every parked task in a run (runtime/sched.cc). */
@@ -90,12 +79,10 @@ struct RuntimeOptions
     int deadlockTimeoutMs = 10000;
     /** Per-worker dynamic instruction budget (runaway-loop backstop). */
     uint64_t maxInstructions = 4'000'000'000ull;
-    /** Stage execution engine (decoded+batched vs raw interpreter). */
-    EngineMode engine = EngineMode::kAuto;
     /**
-     * Stage execution tier. kAuto resolves through `engine`, then the
-     * PHLOEM_NATIVE_TIER env override, then PHLOEM_NATIVE_ENGINE; an
-     * explicit tier here beats all of those. kJit compiles each stage
+     * Stage execution tier. kAuto resolves through the
+     * PHLOEM_NATIVE_TIER env override, then the engine; an explicit
+     * tier here beats the environment. kJit compiles each stage
      * program before the timed region and falls back per stage to the
      * engine when emission/compilation/loading fails.
      */
@@ -110,17 +97,10 @@ struct RuntimeOptions
     /** Task scheduling: shared pool (default) vs thread-per-stage. */
     SchedulerMode scheduler = SchedulerMode::kAuto;
     /**
-     * Shared-pool size hint; 0 = hardware_concurrency. Honored only by
-     * the run that creates the process-wide pool (one machine, one
-     * pool); use schedulerOverride for a private pool of a chosen size.
-     */
-    int schedWorkers = 0;
-    /** Work stealing between pool workers (shared mode). */
-    bool schedStealing = true;
-    /**
-     * Run on this scheduler instead of the process-wide shared pool.
-     * Tests use it to build private pools of known size; must outlive
-     * the run. Null = the shared pool.
+     * Run on this scheduler instead of the process-wide shared pool
+     * (whose size PHLOEM_SCHED_WORKERS sets). Tests use it to build
+     * private pools of known size; must outlive the run. Null = the
+     * shared pool.
      */
     Scheduler* schedulerOverride = nullptr;
     /**
@@ -138,10 +118,6 @@ struct RuntimeOptions
 struct RunControl
 {
     RuntimeOptions opt;
-    /** Resolved engine choice for this run (opt.engine + env override). */
-    bool useEngine = true;
-    /** Resolved execution tier (never kAuto once the run starts). */
-    TierMode tier = TierMode::kEngine;
 
     /** Bumped on successful queue ops and every few k instructions. */
     std::atomic<uint64_t> progress{0};
@@ -216,37 +192,93 @@ class Backoff
     uint64_t lastChangeNs_;
 };
 
-/** ParkTarget for a producer blocked on a full ring. */
-inline ParkTarget
-makePushTarget(SpscQueue& q, int abs_q)
+/** Which side of a ring a blocked queue op waits on. */
+enum class QueueWait : uint8_t {
+    kEnq,   ///< producer: the ring is full
+    kDeq,   ///< consumer: the ring is empty
+    kPeek,  ///< consumer reading the front without popping
+};
+
+/** "enq", "deq" or "peek": park diagnostics and deadlock reports. */
+inline const char*
+queueWaitName(QueueWait kind)
 {
-    ParkTarget pt;
-    QueueWaiters* w = q.waiters();
-    pt.list = w != nullptr ? &w->producers : nullptr;
-    pt.ready = [](const ParkTarget& p) {
-        const auto* queue = static_cast<const SpscQueue*>(p.obj);
-        return queue->sizeApprox() < static_cast<size_t>(queue->depth());
-    };
-    pt.obj = &q;
-    pt.what = "enq";
-    pt.q = abs_q;
-    return pt;
+    switch (kind) {
+      case QueueWait::kEnq:
+        return "enq";
+      case QueueWait::kDeq:
+        return "deq";
+      case QueueWait::kPeek:
+        break;
+    }
+    return "peek";
 }
 
-/** ParkTarget for a consumer blocked on an empty ring. */
-inline ParkTarget
-makePopTarget(SpscQueue& q, int abs_q, const char* what = "deq")
+/** How a blocked queue op ended (see waitBlocked). */
+enum class WaitStatus : uint8_t {
+    kOk,        ///< the op completed
+    kStopped,   ///< runtime shut down (RA drain) or aborted
+    kDeadlock,  ///< wall-time watchdog fired: caller reports and aborts
+};
+
+/**
+ * The blocked path of every queue op, entered once its inline fast path
+ * failed: count the block on the ring, then retry `attempt` under
+ * Backoff — spinning, then parking on the ring's waiter list on the
+ * pool, or yielding under the watchdog off it — until it succeeds, the
+ * run stops, or the watchdog fires. Success bumps global progress, and
+ * every outcome records the wait as one trace span on `tb` (null when
+ * tracing is off). `stoppable` waits also end on RunControl::stop.
+ * Reporting a deadlock is the caller's job: it knows what to name.
+ */
+template <typename Attempt>
+WaitStatus
+waitBlocked(RunControl& ctl, trace::TraceBuffer* tb, SpscQueue& q, int abs_q,
+            QueueWait kind, bool stoppable, Attempt&& attempt)
 {
+    const bool enq = kind == QueueWait::kEnq;
+    if (enq)
+        q.noteEnqBlocked();
+    else
+        q.noteDeqBlocked();
+    uint64_t t0 = tb != nullptr ? tb->now() : 0;
+
     ParkTarget pt;
-    QueueWaiters* w = q.waiters();
-    pt.list = w != nullptr ? &w->consumers : nullptr;
-    pt.ready = [](const ParkTarget& p) {
-        return static_cast<const SpscQueue*>(p.obj)->sizeApprox() > 0;
-    };
+    if (QueueWaiters* w = q.waiters())
+        pt.list = enq ? &w->producers : &w->consumers;
+    if (enq) {
+        pt.ready = [](const ParkTarget& p) {
+            const auto* ring = static_cast<const SpscQueue*>(p.obj);
+            return ring->sizeApprox() < static_cast<size_t>(ring->depth());
+        };
+    } else {
+        pt.ready = [](const ParkTarget& p) {
+            return static_cast<const SpscQueue*>(p.obj)->sizeApprox() > 0;
+        };
+    }
     pt.obj = &q;
-    pt.what = what;
+    pt.what = queueWaitName(kind);
     pt.q = abs_q;
-    return pt;
+
+    Backoff backoff(ctl);
+    WaitStatus status = WaitStatus::kOk;
+    for (;;) {
+        if (attempt()) {
+            ctl.progress.fetch_add(1, std::memory_order_relaxed);
+            break;
+        }
+        Backoff::Result r = backoff.step(ctl, stoppable, &pt);
+        if (r == Backoff::Result::kRetry)
+            continue;
+        status = r == Backoff::Result::kStopped ? WaitStatus::kStopped
+                                                : WaitStatus::kDeadlock;
+        break;
+    }
+    if (tb != nullptr)
+        tb->record(enq ? trace::EventKind::kEnqBlock
+                       : trace::EventKind::kDeqBlock,
+                   abs_q, t0, tb->now());
+    return status;
 }
 
 /**
@@ -289,7 +321,7 @@ class StageWorker
                 std::vector<SpscQueue*> queues, StageBarrier* barrier,
                 RunControl* ctl);
 
-    /** Thread body: interpret until halt, abort, or watchdog. */
+    /** Thread body: run the stage until halt, abort, or watchdog. */
     void run();
 
     WorkerStats stats;
@@ -300,45 +332,36 @@ class StageWorker
     /**
      * Cached decoded shape of prog_ (set by the runtime when the
      * compilation service pre-decoded it), or null to decode locally.
-     * The engine path copies it and relocates the copy for this
-     * replica, so cache hits skip classification+fusion, not just
-     * flattening. Must outlive the run.
+     * The engine copies it and relocates the copy for this replica, so
+     * cache hits skip classification+fusion, not just flattening. Must
+     * outlive the run.
      */
     const DecodedProgram* shape = nullptr;
 
     /**
-     * JIT tier only: this stage's compiled artifact, or null when the
-     * stage fell back to the engine (compile failure). Shared across
-     * replicas; must outlive the run.
+     * This stage's compiled artifact on the JIT tier, shared across
+     * replicas and outliving the run; null runs the engine (the default
+     * tier, or a stage whose JIT compile failed).
      */
     const JitArtifact* jit = nullptr;
 
     /**
-     * Engine/jit runs only: per-queue counts of values drained into the
-     * consumer batch buffer but never architecturally dequeued (pairs
-     * of absolute queue id, count). The runtime subtracts these from
-     * the ring's deq count and adds them to residual occupancy.
+     * Per-queue counts of values drained into the consumer batch buffer
+     * but never architecturally dequeued (pairs of absolute queue id,
+     * count). The runtime subtracts these from the ring's deq count and
+     * reports them as buffered residue.
      */
     std::vector<std::pair<int, uint64_t>> unconsumed;
 
   private:
-    bool waitPush(int abs_q, const ir::Value& v);
-    bool waitPop(int abs_q, ir::Value& v);
-    bool waitPeek(int abs_q, ir::Value& v);
-    [[noreturn]] void reportDeadlock(const char* what, int abs_q);
-
-    /** Raw sim::Inst interpreter loop (engine off). */
-    void runInterpreter();
-    /** Decode + pre-decoded engine (engine on). */
+    /** Decode + pre-decoded engine (the default tier). */
     void runEngine();
     /** Compiled stage program via the loaded artifact (jit tier). */
     void runJit();
-
-    /** Execute one kOp instruction; false => stop interpreting. */
-    bool execOp(const sim::Inst& inst);
+    /** The borrowed state both tiers execute on. */
+    EngineEnv engineEnv();
 
     const sim::Program* prog_;
-    int replica_;
     int queueOffset_;
     int queueStride_;
     int numReplicas_;
@@ -346,12 +369,8 @@ class StageWorker
     StageBarrier* barrier_;
     RunControl* ctl_;
 
-    int pc_ = 0;
     std::vector<ir::Value> regs_;
     std::vector<sim::ArrayBuffer*> arrayBind_;
-
-    /** Sink for kWork's burned mixes; keeps the work loop observable. */
-    uint64_t workSink_ = 0;
 };
 
 /** One software reference accelerator on one host thread. */

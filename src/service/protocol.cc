@@ -167,12 +167,8 @@ Request::fromJson(const std::string& text, Request* out, std::string* err)
             return false;
         }
         if (j.has("tier")) req.tier = j.at("tier").asString();
-        if (req.tier == "interpreter") req.tier = "interp";
-        if (!req.tier.empty() && req.tier != "jit" &&
-            req.tier != "engine" && req.tier != "interp") {
-            if (err != nullptr) {
-                *err = "tier must be \"jit\", \"engine\", or \"interp\"";
-            }
+        if (!req.tier.empty() && req.tier != "jit" && req.tier != "engine") {
+            if (err != nullptr) *err = "tier must be \"jit\" or \"engine\"";
             return false;
         }
         if (j.at("stages").isNumber()) {

@@ -72,8 +72,8 @@ struct Request
     std::string backend = "native"; ///< "native" | "sim"
     /**
      * Native stage execution tier: "" (server default, resolved from
-     * the daemon's environment) | "jit" | "engine" | "interp". "jit"
-     * pipelines cache their per-stage .so, so hits skip JIT codegen.
+     * the daemon's environment) | "jit" | "engine". "jit" pipelines
+     * cache their per-stage .so, so hits skip JIT codegen.
      */
     std::string tier;
     int stages = 4;              ///< target stage count

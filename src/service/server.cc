@@ -475,8 +475,6 @@ Server::handleRun(const Request& req, double queueWaitNs)
         tier = rt::TierMode::kJit;
     } else if (req.tier == "engine") {
         tier = rt::TierMode::kEngine;
-    } else if (req.tier == "interp") {
-        tier = rt::TierMode::kInterp;
     }
     spec.tier = tier;
 

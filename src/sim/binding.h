@@ -129,7 +129,7 @@ class ArrayBuffer
     /** Raw backing bytes (output-image hashing, snapshots). */
     const uint8_t* rawBytes() const { return data_.data(); }
 
-  private:
+    /** Panic unless idx is in bounds (every load and store checks). */
     void
     checkIndex(int64_t idx) const
     {
@@ -138,6 +138,7 @@ class ArrayBuffer
                       "] (size ", count_, ")");
     }
 
+  private:
     std::string name_;
     ir::ElemType elem_;
     size_t count_;

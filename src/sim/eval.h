@@ -235,7 +235,9 @@ applyMemOp(const Inst& inst, ArrayBuffer& buf, const ir::Value* regs)
         buf.store(idx, regs[static_cast<size_t>(inst.src1)]);
         break;
       case ir::Opcode::kPrefetch:
-        buf.load(idx);  // bounds check; value discarded
+        // Bounds check only: reading the element would race with a
+        // peer stage's store to it on the native backend.
+        buf.checkIndex(idx);
         break;
       case ir::Opcode::kAtomicMin: {
         ir::Value old = buf.load(idx);

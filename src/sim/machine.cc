@@ -690,6 +690,7 @@ ThreadEntity::step()
 
         switch (inst.kind) {
           case Inst::Kind::kBr:
+            stats.branches++;
             pc = inst.target;
             if (timing) {
                 uint64_t d = dispatchPoint();
@@ -706,6 +707,7 @@ ThreadEntity::step()
                 regs[static_cast<size_t>(inst.src0)].asInt() != 0;
             bool taken =
                 inst.kind == Inst::Kind::kBrIf ? truth : !truth;
+            stats.branches++;
             if (timing) {
                 uint64_t d = dispatchPoint();
                 uint64_t issue =
@@ -713,7 +715,6 @@ ThreadEntity::step()
                 issue = machine.core(core).issueAt(issue);
                 uint64_t resolve = issue + 1;
                 bool pred = predict(inst.branchId);
-                stats.branches++;
                 if (pred != taken) {
                     stats.mispredicts++;
                     uint64_t resume =

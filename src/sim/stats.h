@@ -29,8 +29,9 @@ struct ThreadStats
     double issueCycles = 0;      ///< uops / issueWidth
     double queueStallCycles = 0; ///< blocked on full/empty queues + barriers
     double frontendCycles = 0;   ///< mispredict penalties
+    /** Dynamic kBr/kBrIf/kBrIfNot, counted as rt::WorkerStats does. */
     uint64_t branches = 0;
-    uint64_t mispredicts = 0;
+    uint64_t mispredicts = 0;    ///< conditional branches, timing only
 
     uint64_t loads = 0;
     uint64_t stores = 0;

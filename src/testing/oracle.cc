@@ -378,11 +378,7 @@ runCase(const FuzzCase& fc, const OracleOptions& opts)
         rt::RuntimeOptions ro;
         ro.deadlockTimeoutMs = opts.nativeTimeoutMs;
         ro.maxInstructions = opts.maxInstructions;
-        // kAuto (not kOn) when enabled, so PHLOEM_NATIVE_ENGINE=0 can
-        // flip a whole fuzzing run to the interpreter from outside.
-        ro.engine = opts.nativeEngine ? rt::EngineMode::kAuto
-                                      : rt::EngineMode::kOff;
-        // kAuto (not kShared) for the same reason: PHLOEM_SCHED=legacy
+        // kAuto (not kShared) when enabled, so PHLOEM_SCHED=legacy
         // flips a whole fuzzing run off the pool from outside.
         ro.scheduler = opts.nativeSharedScheduler
                            ? rt::SchedulerMode::kAuto

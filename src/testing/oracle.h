@@ -55,14 +55,6 @@ struct OracleOptions
     /** Native deadlock watchdog (ms); generated cases finish in ms. */
     int nativeTimeoutMs = 10000;
     /**
-     * Run the native side with the pre-decoded batching engine (true,
-     * still subject to the PHLOEM_NATIVE_ENGINE=0 env override) or
-     * force the raw interpreter (false). Differential harnesses
-     * exercise both so the engine stays bit-identical to the legacy
-     * path.
-     */
-    bool nativeEngine = true;
-    /**
      * Run the native side on the shared task pool (true) or on legacy
      * thread-per-stage (false). Replaying the corpus in both modes
      * pins the scheduler to bit-identical results — the pool is a

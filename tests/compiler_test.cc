@@ -344,9 +344,12 @@ TEST(Autotune, PicksBestCandidateBySyntheticScore)
     comp::AutotuneOptions opts;
     opts.topK = 4;
     // Synthetic evaluator: prefer exactly 3-stage pipelines.
-    auto result = comp::autotune(
-        *kernel.fn, opts, [](const ir::Pipeline& p) {
-            return p.stages.size() == 3 ? 2.0 : 1.0;
+    auto result = comp::autotuneMeasured(
+        *kernel.fn, opts,
+        [](const ir::Pipeline& p, const comp::SearchPoint&) {
+            comp::CandidateProfile prof;
+            prof.speedup = p.stages.size() == 3 ? 2.0 : 1.0;
+            return prof;
         });
     ASSERT_TRUE(result.best.pipeline != nullptr);
     EXPECT_EQ(result.best.pipeline->stages.size(), 3u);
@@ -362,8 +365,10 @@ TEST(Autotune, RejectsFailingPipelines)
     auto kernel = fe::compileKernel(wl::kBfsSerial);
     comp::AutotuneOptions opts;
     opts.topK = 3;
-    auto result = comp::autotune(*kernel.fn, opts,
-                                 [](const ir::Pipeline&) { return 0.0; });
+    auto result = comp::autotuneMeasured(
+        *kernel.fn, opts, [](const ir::Pipeline&, const comp::SearchPoint&) {
+            return comp::CandidateProfile{};  // speedup 0 rejects
+        });
     EXPECT_EQ(result.best.pipeline, nullptr);
     EXPECT_DOUBLE_EQ(result.bestTrainingSpeedup, 0.0);
     // Regression: rejected candidates used to be pushed into `entries`
@@ -387,8 +392,12 @@ TEST(Autotune, TruncationKeepsAllCutSetSizes)
     opts.topK = 6;
     opts.maxCandidates = 6;
     opts.refineRounds = 0;
-    auto result = comp::autotune(*kernel.fn, opts,
-                                 [](const ir::Pipeline&) { return 1.0; });
+    auto result = comp::autotuneMeasured(
+        *kernel.fn, opts, [](const ir::Pipeline&, const comp::SearchPoint&) {
+            comp::CandidateProfile prof;
+            prof.speedup = 1.0;
+            return prof;
+        });
     bool noted = false;
     for (const auto& n : result.notes)
         noted = noted || n.find("truncated") != std::string::npos;

@@ -35,26 +35,7 @@ TEST(FuzzSmoke, RegressionCorpusReplaysClean)
 }
 
 /**
- * The corpus again with the native engine disabled: the raw-interpreter
- * path must stay a correct oracle backend, and any engine-only bug
- * shows up as a verdict difference between the two replays.
- */
-TEST(FuzzSmoke, RegressionCorpusReplaysCleanWithEngineOff)
-{
-    OracleOptions opts;
-    opts.nativeEngine = false;
-    for (const CorpusEntry& entry : kRegressionCorpus) {
-        FuzzCase fc = generateCase(entry.seed);
-        OracleResult r = runCase(fc, opts);
-        EXPECT_TRUE(r.ok())
-            << "corpus seed 0x" << std::hex << entry.seed << std::dec
-            << " (" << entry.note << ") regressed with engine off: "
-            << verdictName(r.verdict) << ": " << r.detail;
-    }
-}
-
-/**
- * The corpus once more on legacy thread-per-stage scheduling: the
+ * The corpus again on legacy thread-per-stage scheduling: the
  * shared task pool (the default above) and dedicated threads are two
  * interleavings of the same program, so the differential verdict must
  * not depend on which one ran. A scheduler-only bug shows up as a
@@ -79,8 +60,8 @@ TEST(FuzzSmoke, RegressionCorpusReplaysCleanWithLegacyScheduler)
  * The corpus with the JIT tier as a fourth oracle leg: every seed runs
  * serial reference, simulator, native engine, AND native JIT, all
  * diffed bit-for-bit. This is the acceptance bar for the compiled
- * tier — emitted code must agree with the interpreter on every program
- * shape the corpus has ever caught a bug in.
+ * tier — emitted code must agree with the engine and the simulator on
+ * every program shape the corpus has ever caught a bug in.
  */
 TEST(FuzzSmoke, RegressionCorpusReplaysCleanWithJitTier)
 {
@@ -101,7 +82,7 @@ TEST(FuzzSmoke, RegressionCorpusReplaysCleanWithJitTier)
 /**
  * Mid-pipeline fallback: deny a common opcode so some stages of a
  * jit-tier run compile and others downgrade to the engine. A mixed
- * pipeline (compiled stages feeding interpreted ones and vice versa)
+ * pipeline (compiled stages feeding engine ones and vice versa)
  * must still be bit-identical to the serial reference — fallback is a
  * per-stage decision, never a correctness event.
  */

@@ -273,6 +273,17 @@ TEST(Metrics, ReaderRejectsUnknownSchemaVersion)
     EXPECT_FALSE(metrics::parseReport(wrong_schema, &out, &err));
 
     EXPECT_FALSE(metrics::parseReport("{not json", &out, &err));
+
+    // Hostile nesting is a parse error, not a stack overflow: 1 MB of
+    // '[' used to crash phloem-report (and phloemd, which parses every
+    // frame with the same parser).
+    EXPECT_FALSE(metrics::parseReport(std::string(1 << 20, '['), &out, &err));
+    EXPECT_NE(err.find("nesting"), std::string::npos) << err;
+    std::string deep = std::string(metrics::Json::kMaxDepth, '[') +
+                       std::string(metrics::Json::kMaxDepth, ']');
+    metrics::Json j;
+    EXPECT_TRUE(metrics::Json::parse(deep, &j, &err)) << err;
+    EXPECT_FALSE(metrics::Json::parse("[" + deep + "]", &j, &err));
 }
 
 // ---------------------------------------------------------------------

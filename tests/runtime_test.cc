@@ -8,6 +8,7 @@
 
 #include "tests/test_util.h"
 
+#include <cstdio>
 #include <cstdlib>
 #include <thread>
 
@@ -722,10 +723,10 @@ TEST(NativeRuntime, HwCountsArithmetic)
 }
 
 // ---------------------------------------------------------------------
-// Pre-decoded engine vs raw interpreter.
+// Pre-decoded engine vs simulator.
 // ---------------------------------------------------------------------
 
-TEST(NativeRuntime, EngineMatchesInterpreterOnCompiledPipeline)
+TEST(NativeRuntime, EngineMatchesSimulatorOnCompiledPipeline)
 {
     auto kernel = fe::compileKernel(kFilterKernel);
     comp::CompileOptions copts;
@@ -733,31 +734,49 @@ TEST(NativeRuntime, EngineMatchesInterpreterOnCompiledPipeline)
     auto res = comp::compilePipeline(*kernel.fn, copts);
     ASSERT_TRUE(res.ok());
 
-    rt::RuntimeOptions on;
-    on.engine = rt::EngineMode::kOn;
+    rt::RuntimeOptions eo;
+    eo.tier = rt::TierMode::kEngine;
     sim::Binding eb;
     setupFilter(eb);
-    rt::Runtime engine_rt(sim::SysConfig{}, on);
+    rt::Runtime engine_rt(sim::SysConfig{}, eo);
     rt::NativeStats es = engine_rt.runPipeline(*res.pipeline, eb);
     ASSERT_TRUE(es.ok) << es.error;
-    EXPECT_TRUE(es.engine);
+    EXPECT_EQ(es.tier, "engine");
 
-    rt::RuntimeOptions off;
-    off.engine = rt::EngineMode::kOff;
-    sim::Binding ib;
-    setupFilter(ib);
-    rt::Runtime interp_rt(sim::SysConfig{}, off);
-    rt::NativeStats is = interp_rt.runPipeline(*res.pipeline, ib);
-    ASSERT_TRUE(is.ok) << is.error;
-    EXPECT_FALSE(is.engine);
+    sim::Binding sb;
+    setupFilter(sb);
+    sim::Machine machine(test::testConfig());
+    sim::RunStats ss = machine.runPipeline(*res.pipeline, sb);
+    ASSERT_FALSE(ss.deadlock) << ss.deadlockInfo;
 
-    // Bit-identical memory and identical dynamic profiles: the engine
-    // may fuse and batch, but it must retire exactly the same
-    // instruction stream.
-    EXPECT_TRUE(ib.array("out")->contentEquals(*eb.array("out")));
-    EXPECT_EQ(es.totalInstructions(), is.totalInstructions());
-    EXPECT_EQ(es.totalBranches(), is.totalBranches());
-    EXPECT_EQ(es.totalOpCounts(), is.totalOpCounts());
+    // Bit-identical memory and the same dynamic profile: the engine may
+    // fuse and batch, but it must retire exactly the instruction stream
+    // the simulator executes. Loads and stores come from the opcode
+    // profile, classified the way the simulator counts them (prefetch
+    // as a load, atomics as both).
+    EXPECT_TRUE(sb.array("out")->contentEquals(*eb.array("out")));
+    uint64_t loads = 0, stores = 0, queue_ops = 0;
+    std::vector<uint64_t> ops = es.totalOpCounts();
+    for (size_t op = 0; op < ops.size(); ++op) {
+        auto opcode = static_cast<ir::Opcode>(op);
+        if (ir::isMemRead(opcode) || opcode == ir::Opcode::kPrefetch)
+            loads += ops[op];
+        if (ir::isMemWrite(opcode))
+            stores += ops[op];
+    }
+    for (const auto& w : es.workers)
+        queue_ops += w.queueOps;
+    uint64_t sim_branches = 0, sim_loads = 0, sim_stores = 0;
+    for (const auto& t : ss.threads) {
+        sim_branches += t.branches;
+        sim_loads += t.loads;
+        sim_stores += t.stores;
+    }
+    EXPECT_EQ(es.totalInstructions(), ss.totalInstructions());
+    EXPECT_EQ(es.totalBranches(), sim_branches);
+    EXPECT_EQ(loads, sim_loads);
+    EXPECT_EQ(stores, sim_stores);
+    EXPECT_EQ(queue_ops, ss.totalQueueOps());
 
     // The decoder must have found superinstruction sites (every lowered
     // for-loop has a fusable cmp+brIfNot header), and every dequeue ran
@@ -772,75 +791,16 @@ TEST(NativeRuntime, EngineMatchesInterpreterOnCompiledPipeline)
     EXPECT_GT(pop_batches, 0u);
     EXPECT_GE(es.meanPopBatch(), 1.0);
 
-    // Per-worker profile invariant, in both modes: every retired
-    // instruction is either an opcode execution or a branch.
-    for (const rt::NativeStats* st : {&es, &is}) {
-        for (const auto& w : st->workers) {
-            if (!w.isStage)
-                continue;
-            uint64_t sum = w.branches;
-            for (uint64_t c : w.opCounts)
-                sum += c;
-            EXPECT_EQ(sum, w.instructions) << w.name;
-        }
+    // Per-worker profile invariant: every retired instruction is either
+    // an opcode execution or a branch.
+    for (const auto& w : es.workers) {
+        if (!w.isStage)
+            continue;
+        uint64_t sum = w.branches;
+        for (uint64_t c : w.opCounts)
+            sum += c;
+        EXPECT_EQ(sum, w.instructions) << w.name;
     }
-}
-
-TEST(NativeRuntime, EngineEnvToggleAndSerialEquivalence)
-{
-    auto kernel = fe::compileKernel(kFilterKernel);
-
-    sim::Binding b_off;
-    setupFilter(b_off);
-    ::setenv("PHLOEM_NATIVE_ENGINE", "0", 1);
-    rt::Runtime r_off;
-    rt::NativeStats s_off = r_off.runSerial(*kernel.fn, b_off);
-    ::unsetenv("PHLOEM_NATIVE_ENGINE");
-    ASSERT_TRUE(s_off.ok) << s_off.error;
-    EXPECT_FALSE(s_off.engine);
-
-    sim::Binding b_on;
-    setupFilter(b_on);
-    rt::Runtime r_on;
-    rt::NativeStats s_on = r_on.runSerial(*kernel.fn, b_on);
-    ASSERT_TRUE(s_on.ok) << s_on.error;
-    EXPECT_TRUE(s_on.engine) << "kAuto must default to the engine";
-
-    EXPECT_TRUE(b_off.array("out")->contentEquals(*b_on.array("out")));
-    EXPECT_EQ(s_off.totalInstructions(), s_on.totalInstructions());
-    EXPECT_EQ(s_off.totalOpCounts(), s_on.totalOpCounts());
-}
-
-TEST(NativeRuntime, EngineEnvAcceptsWordsAndRejectsGarbageSafely)
-{
-    // The env toggle must understand the words people actually type
-    // ("off", "false", case-insensitively), not just "0" — an operator
-    // setting PHLOEM_NATIVE_ENGINE=off and silently getting the engine
-    // anyway is the bug this pins down. Unrecognized values keep the
-    // default (engine on) rather than disabling it.
-    auto kernel = fe::compileKernel(kFilterKernel);
-    struct Case
-    {
-        const char* env;
-        bool engine;
-    };
-    const Case cases[] = {
-        {"off", false},   {"OFF", false},  {"false", false},
-        {"False", false}, {"0", false},    {"on", true},
-        {"ON", true},     {"true", true},  {"1", true},
-        {"bananas", true},  // warn-once, fall back to the default
-    };
-    for (const Case& c : cases) {
-        sim::Binding b;
-        setupFilter(b);
-        ::setenv("PHLOEM_NATIVE_ENGINE", c.env, 1);
-        rt::Runtime r;
-        rt::NativeStats s = r.runSerial(*kernel.fn, b);
-        ASSERT_TRUE(s.ok) << s.error;
-        EXPECT_EQ(s.engine, c.engine)
-            << "PHLOEM_NATIVE_ENGINE=" << c.env;
-    }
-    ::unsetenv("PHLOEM_NATIVE_ENGINE");
 }
 
 // ---------------------------------------------------------------------
@@ -900,23 +860,20 @@ TEST(NativeRuntime, JitMatchesEngineOnCompiledPipeline)
 
 TEST(NativeRuntime, TierEnvAcceptsWordsAndRejectsGarbageSafely)
 {
-    // PHLOEM_NATIVE_TIER follows the PHLOEM_NATIVE_ENGINE convention:
-    // the spellings people type work case-insensitively, and garbage
-    // warns once then falls through to the engine toggle's resolution
-    // (engine, here, since PHLOEM_NATIVE_ENGINE is unset).
+    // PHLOEM_NATIVE_TIER takes the spellings people type,
+    // case-insensitively; anything else (including the retired
+    // interpreter tier's names) warns once and runs the engine.
     auto kernel = fe::compileKernel(kFilterKernel);
-    ::unsetenv("PHLOEM_NATIVE_ENGINE");
     struct Case
     {
         const char* env;
         const char* tier;
     };
     const Case cases[] = {
-        {"jit", "jit"},       {"JIT", "jit"},
-        {"engine", "engine"}, {"Engine", "engine"},
-        {"interp", "interp"}, {"INTERP", "interp"},
-        {"interpreter", "interp"},
-        {"bananas", "engine"},  // warn-once, fall through
+        {"jit", "jit"},         {"JIT", "jit"},
+        {"engine", "engine"},   {"Engine", "engine"},
+        {"interp", "engine"},   {"interpreter", "engine"},
+        {"bananas", "engine"},
     };
     for (const Case& c : cases) {
         sim::Binding b;
@@ -934,11 +891,11 @@ TEST(NativeRuntime, TierEnvAcceptsWordsAndRejectsGarbageSafely)
     sim::Binding b;
     setupFilter(b);
     rt::RuntimeOptions opt;
-    opt.tier = rt::TierMode::kInterp;
+    opt.tier = rt::TierMode::kEngine;
     rt::Runtime r(sim::SysConfig{}, opt);
     rt::NativeStats s = r.runSerial(*kernel.fn, b);
     ASSERT_TRUE(s.ok) << s.error;
-    EXPECT_EQ(s.tier, "interp");
+    EXPECT_EQ(s.tier, "engine");
     ::unsetenv("PHLOEM_NATIVE_TIER");
 }
 
@@ -1239,8 +1196,24 @@ TEST(NativeRuntime, WatchdogPostMortemAttributesTheStall)
         if (q.id == 0) {
             found = true;
             EXPECT_GE(q.residual, static_cast<uint64_t>(kDepth));
+            EXPECT_LE(q.residual - q.buffered,
+                      static_cast<uint64_t>(kDepth));
         }
     EXPECT_TRUE(found);
+
+    // Ring residue prints apart from values drained into the consumer's
+    // batch buffer, so the ring's share never exceeds its depth (the
+    // folded sum used to print e.g. "27/24").
+    size_t at = stats.error.find("q0: ring ");
+    ASSERT_NE(at, std::string::npos) << stats.error;
+    unsigned long ring = 0, depth = 0, buffered = 0;
+    ASSERT_EQ(std::sscanf(stats.error.c_str() + at,
+                          "q0: ring %lu/%lu, consumer buffer %lu", &ring,
+                          &depth, &buffered),
+              3)
+        << stats.error;
+    EXPECT_EQ(depth, static_cast<unsigned long>(kDepth));
+    EXPECT_LE(ring, depth) << stats.error;
 }
 
 TEST(NativeRuntime, WatchdogLegacyModeStillAborts)

@@ -17,8 +17,10 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <cstring>
 #include <sys/socket.h>
 #include <sys/stat.h>
+#include <sys/un.h>
 #include <thread>
 #include <vector>
 
@@ -309,12 +311,14 @@ TEST(ServiceProtocol, RequestRoundTripsThroughJson)
     EXPECT_TRUE(back.noCache);
     EXPECT_EQ(back.tier, "jit");
 
-    // "interpreter" is normalized to the canonical "interp" at parse.
-    ASSERT_TRUE(svc::Request::fromJson(
-        R"({"op":"run","source":"x","tier":"interpreter"})", &back,
-        &err))
-        << err;
-    EXPECT_EQ(back.tier, "interp");
+    // The retired interpreter tier is an unknown tier now, under
+    // either spelling.
+    for (const char* t : {"interp", "interpreter"}) {
+        std::string text =
+            std::string(R"({"op":"run","source":"x","tier":")") + t + "\"}";
+        EXPECT_FALSE(svc::Request::fromJson(text, &back, &err)) << t;
+        EXPECT_NE(err.find("tier"), std::string::npos) << err;
+    }
 }
 
 TEST(ServiceProtocol, RejectsMalformedRequests)
@@ -559,6 +563,35 @@ TEST(ServiceServer, ReportsCompileErrorsWithoutDying)
     ping.op = "ping";
     ASSERT_TRUE(client.call(ping, &resp, &err)) << err;
     EXPECT_TRUE(resp.ok);
+
+    // A hostile frame: 1 MB of '[' used to overflow the recursive JSON
+    // parser's stack and take the daemon down. It must be an ordinary
+    // bad-request error, with the same connection still serving. (The
+    // one server worker serves one connection at a time, so the client
+    // above hangs up first.)
+    client.close();
+    int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    ASSERT_GE(fd, 0);
+    sockaddr_un addr{};
+    addr.sun_family = AF_UNIX;
+    std::strncpy(addr.sun_path, opts.socketPath.c_str(),
+                 sizeof(addr.sun_path) - 1);
+    ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr),
+              0);
+    auto raw_call = [&](const std::string& payload) {
+        std::string reply;
+        EXPECT_TRUE(svc::writeFrame(fd, payload, &err)) << err;
+        EXPECT_EQ(svc::readFrame(fd, &reply, &err), svc::ReadResult::kOk)
+            << err;
+        svc::Response r;
+        EXPECT_TRUE(svc::Response::fromJson(reply, &r, &err)) << err;
+        return r;
+    };
+    resp = raw_call(std::string(1 << 20, '['));
+    EXPECT_FALSE(resp.ok);
+    EXPECT_NE(resp.error.find("nesting"), std::string::npos) << resp.error;
+    EXPECT_TRUE(raw_call(ping.toJson()).ok);
+    ::close(fd);
 
     server.stop();
 }

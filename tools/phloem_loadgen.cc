@@ -73,7 +73,7 @@ struct Options
     int kernels = 4;    ///< distinct kernels in the pool
     int stages = 0;     ///< 0 = per-kernel default; else force this many
     std::string backend = "native";
-    std::string tier;   ///< "" = server default; jit | engine | interp
+    std::string tier;   ///< "" = server default; jit | engine
     int64_t size = 2048;
     uint64_t seed = 1;
     std::string reportPath;
@@ -195,7 +195,7 @@ usage()
         "  --stages=N       force every kernel to N stages (default: "
         "per-kernel)\n"
         "  --backend=B      native | sim (default native)\n"
-        "  --tier=T         native stage tier: jit | engine | interp\n"
+        "  --tier=T         native stage tier: jit | engine\n"
         "                   (default: the daemon's environment)\n"
         "  --size=N         synthetic input size (default 2048)\n"
         "  --seed=N         base seed for fuzz kernels (default 1)\n"
@@ -266,8 +266,7 @@ main(int argc, char** argv)
             }
         } else if (const char* v = val("--tier")) {
             opt.tier = v;
-            if (opt.tier != "jit" && opt.tier != "engine" &&
-                opt.tier != "interp") {
+            if (opt.tier != "jit" && opt.tier != "engine") {
                 std::fprintf(stderr, "loadgen: bad --tier\n");
                 return 2;
             }

@@ -136,6 +136,9 @@ printSimBreakdown(const metrics::Run& run)
 void
 printNativeSummary(const metrics::Run& run)
 {
+    auto tier = run.labels.find("tier");
+    std::string tier_note =
+        tier != run.labels.end() ? " (" + tier->second + ")" : "";
     std::printf("  wall %.3f ms, %llu stage threads + %llu RAs, "
                 "%llu instructions%s\n",
                 gaugeOr(run.top, "wall_ns") / 1e6,
@@ -145,7 +148,7 @@ printNativeSummary(const metrics::Run& run)
                     counterOr(run.top, "ra_workers")),
                 static_cast<unsigned long long>(
                     counterOr(run.top, "instructions")),
-                counterOr(run.top, "engine") > 0 ? " (engine)" : "");
+                tier_note.c_str());
     auto fam = run.families.find("queue");
     if (fam == run.families.end())
         return;

@@ -25,12 +25,11 @@
  *                   (cycle-approximate simulator), or both (run both and
  *                   compare outputs bit-for-bit)
  *   --tier=T        native stage execution tier: jit (compile each
- *                   stage's DInst program to a native .so), engine
- *                   (pre-decoded handler engine), or interp (raw
- *                   interpreter). Default resolves from
- *                   PHLOEM_NATIVE_TIER / PHLOEM_NATIVE_ENGINE. All
- *                   tiers produce bit-identical results; stages the
- *                   JIT cannot handle fall back to the engine.
+ *                   stage's DInst program to a native .so) or engine
+ *                   (pre-decoded handler engine). Default resolves from
+ *                   PHLOEM_NATIVE_TIER, else the engine. Both tiers
+ *                   produce bit-identical results; stages the JIT
+ *                   cannot handle fall back to the engine.
  *   --size N        synthetic input size for --run (default 4096)
  *   --profile       with --run=native: per-opcode dynamic instruction
  *                   counts and per-queue batch-size statistics
@@ -94,7 +93,7 @@ usage()
                  "[--no-dce] [--no-handlers]\n"
                  "               [--kernel NAME] [--ir-only] [--quiet]\n"
                  "               [--run[=native|sim|both]] "
-                 "[--tier=jit|engine|interp] [--size N]\n"
+                 "[--tier=jit|engine] [--size N]\n"
                  "               [--profile] [--trace=PATH]\n"
                  "               [--report=PATH] "
                  "[--autotune[=native|sim]] <file.c>\n"
@@ -144,7 +143,7 @@ optionOperand(const char* flag, int argc, char** argv, int* i)
 void
 printProfile(const rt::NativeStats& st)
 {
-    std::printf("profile: engine %s\n", st.engine ? "on" : "off");
+    std::printf("profile: tier %s\n", st.tier.c_str());
 
     std::vector<uint64_t> counts = st.totalOpCounts();
     std::vector<std::pair<uint64_t, int>> order;
@@ -736,12 +735,10 @@ main(int argc, char** argv)
                 tier = rt::TierMode::kJit;
             } else if (v == "engine") {
                 tier = rt::TierMode::kEngine;
-            } else if (v == "interp" || v == "interpreter") {
-                tier = rt::TierMode::kInterp;
             } else {
                 std::fprintf(stderr,
-                             "phloemc: --tier needs jit, engine, or "
-                             "interp, got '%s'\n",
+                             "phloemc: --tier needs jit or engine, got "
+                             "'%s'\n",
                              v.c_str());
                 return usage();
             }
