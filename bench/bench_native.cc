@@ -342,147 +342,6 @@ benchGatherSum(int64_t rows, int64_t degree)
     return speedup > 1.0 && pipe.numStageThreads >= 2;
 }
 
-/**
- * Part 3: JIT-vs-engine on a scalar-heavy stage. The consumer does ~70
- * straight-line scalar ops per dequeued element — the shape where the
- * engine pays one indirect handler dispatch per DInst and the JIT pays
- * none. Both tiers must produce bit-identical output; the report row
- * carries engine_ms / jit_ms / jit_speedup for the perf gate.
- */
-ir::PipelinePtr
-buildScalarTierPipeline()
-{
-    constexpr ir::QueueId kQ = 0;
-
-    auto pipeline = std::make_unique<ir::Pipeline>();
-    pipeline->name = "scalar_tier-native";
-
-    {
-        ir::FunctionBuilder b("mix.feed");
-        ir::ArrayId a = b.arrayParam("a", ir::ElemType::kI64, false);
-        b.arrayParam("out", ir::ElemType::kI64, true);
-        ir::RegId n = b.scalarParam("n");
-        b.forRange(b.constI(0), n, [&](ir::RegId i) {
-            b.enq(kQ, b.load(a, i, "v"));
-        });
-        pipeline->stages.push_back(b.finish());
-    }
-
-    {
-        ir::FunctionBuilder b("mix.crunch");
-        b.arrayParam("a", ir::ElemType::kI64, false);
-        ir::ArrayId out = b.arrayParam("out", ir::ElemType::kI64, true);
-        ir::RegId n = b.scalarParam("n");
-        ir::RegId v = b.newReg("v");
-        ir::RegId c13 = b.constI(13);
-        ir::RegId c7 = b.constI(7);
-        ir::RegId c17 = b.constI(17);
-        ir::RegId cmul = b.constI(0x9E3779B97F4A7C15ll);
-        ir::RegId cmask = b.constI(0x5555555555555555ll);
-        b.forRange(b.constI(0), n, [&](ir::RegId i) {
-            b.deqTo(kQ, v);
-            ir::RegId h = b.xor_(v, i);
-            // Ten xorshift-style rounds, all plain scalar DInsts: no
-            // loads, no queue ops, nothing the JIT hands back to the
-            // host — pure straight-line emitted C.
-            for (int round = 0; round < 10; ++round) {
-                h = b.xor_(h, b.shl(h, c13));
-                h = b.xor_(h, b.shr(h, c7));
-                h = b.xor_(h, b.shl(h, c17));
-                h = b.mul(h, cmul);
-                h = b.add(h, b.and_(h, cmask));
-                h = b.max(h, b.sub(h, c7));
-            }
-            b.store(out, i, h);
-        });
-        pipeline->stages.push_back(b.finish());
-    }
-
-    ir::QueueConfig qc;
-    qc.id = kQ;
-    qc.depth = 4096;
-    pipeline->queues.push_back(qc);
-    return pipeline;
-}
-
-void
-benchScalarTier(int64_t rows)
-{
-    ir::PipelinePtr pipeline = buildScalarTierPipeline();
-
-    auto make_binding = [&](sim::Binding& b) {
-        auto* a = b.makeArray("a", ir::ElemType::kI64,
-                              static_cast<size_t>(rows));
-        b.makeArray("out", ir::ElemType::kI64,
-                    static_cast<size_t>(rows));
-        uint64_t state = 987654321;
-        for (int64_t i = 0; i < rows; ++i) {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            a->setInt(i, static_cast<int64_t>(state));
-        }
-        b.setScalarInt("n", rows);
-    };
-
-    auto run_tier = [&](rt::TierMode tier, sim::Binding& b) {
-        rt::RuntimeOptions ro;
-        ro.tier = tier;
-        rt::Runtime runtime{sim::SysConfig{}, ro};
-        return runtime.runPipeline(*pipeline, b);
-    };
-
-    sim::Binding engine_binding, jit_binding;
-    make_binding(engine_binding);
-    make_binding(jit_binding);
-    rt::NativeStats eng = run_tier(rt::TierMode::kEngine, engine_binding);
-    rt::NativeStats jit = run_tier(rt::TierMode::kJit, jit_binding);
-
-    std::string input_name = std::to_string(rows) + "x10rounds";
-    Row row;
-    row.name = "scalar_tier";
-    row.input = input_name;
-    if (!eng.ok || !jit.ok) {
-        row.error = !eng.ok ? eng.error : jit.error;
-        g_rows.push_back(row);
-        reportFailure(row.name, row.input);
-        std::printf("scalar_tier: run failed: %s\n", row.error.c_str());
-        return;
-    }
-    if (!engine_binding.array("out")->contentEquals(
-            *jit_binding.array("out"))) {
-        row.error = "output mismatch between engine and jit tiers";
-        g_rows.push_back(row);
-        reportFailure(row.name, row.input);
-        std::printf("scalar_tier: MISMATCH between engine and jit\n");
-        return;
-    }
-    row.ok = true;
-    g_rows.push_back(row);
-
-    double speedup = jit.wallMs() > 0.0 ? eng.wallMs() / jit.wallMs() : 0.0;
-    std::printf("%-12s %-12s engine %8.2f ms   jit      %8.2f ms   "
-                "speedup %5.2fx   (%d jit stage%s, %d fallback%s)\n",
-                "scalar_tier", input_name.c_str(), eng.wallMs(),
-                jit.wallMs(), speedup, jit.jitStages,
-                jit.jitStages == 1 ? "" : "s", jit.jitFallbacks,
-                jit.jitFallbacks == 1 ? "" : "s");
-    std::printf("  jit pipeline: emit %.2f ms, cc %.2f ms, dlopen %.2f ms "
-                "(outside the timed region)\n",
-                jit.jitEmitNs / 1e6, jit.jitCompileNs / 1e6,
-                jit.jitLoadNs / 1e6);
-
-    if (bench::report() != nullptr) {
-        metrics::Run r = metrics::nativeRunToMetrics("scalar_tier", jit);
-        r.labels["bench"] = "bench_native";
-        r.labels["input"] = input_name;
-        r.top.setGauge("engine_ms", eng.wallMs());
-        r.top.setGauge("jit_ms", jit.wallMs());
-        r.top.setGauge("jit_speedup", speedup);
-        *bench::reportRun(r.name, r.labels) = std::move(r);
-    }
-}
-
 } // namespace
 
 int
@@ -550,10 +409,6 @@ main(int argc, char** argv)
 
     std::printf("\n=== RA-offload configuration (deep queues) ===\n");
     bool won = benchGatherSum(rows, degree);
-
-    std::printf("\n=== execution tiers: jit vs engine (scalar-heavy) "
-                "===\n");
-    benchScalarTier(rows);
     std::printf(won ? "native pipeline beats native serial: yes\n"
                     : "native pipeline beats native serial: no "
                       "(host-dependent)\n");

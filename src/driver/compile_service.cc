@@ -4,7 +4,6 @@
 
 #include "metrics/collect.h"
 #include "runtime/decode.h"
-#include "runtime/jit.h"
 #include "runtime/runtime.h"
 #include "sim/energy.h"
 #include "sim/machine.h"
@@ -85,18 +84,6 @@ compileSource(const CompileSpec& spec, std::string* err)
             cp->shapes.reserve(cp->programs.size());
             for (const auto& prog : cp->programs)
                 cp->shapes.push_back(rt::decodeShape(prog));
-            // JIT tier: emit + compile each stage's native artifact up
-            // front so cached pipelines carry their .so. Failures are
-            // recorded in the artifact, not here — the runtime
-            // downgrades those stages to the engine.
-            cp->tier = spec.tier;
-            if (spec.tier == rt::TierMode::kJit) {
-                cp->jit.reserve(cp->programs.size());
-                for (size_t s = 0; s < cp->programs.size(); ++s)
-                    cp->jit.push_back(rt::jitCompileStage(
-                        cp->programs[s], cp->shapes[s],
-                        cp->compiled.pipeline->stages[s]->name));
-            }
         }
     } catch (const std::exception& e) {
         cp->error = e.what();
@@ -156,18 +143,12 @@ runCompiled(const CompiledPipeline& cp, const RunSpec& spec,
         ropts.deadlockTimeoutMs = spec.deadlockTimeoutMs;
         ropts.maxInstructions = spec.maxInstructions;
         ropts.tracer = spec.tracer;
-        ropts.tier = spec.tier;
         ropts.requestId = spec.requestId;
         rt::Runtime runtime{spec.cfg, ropts};
         rt::PreparedPrograms prep;
         prep.programs = &cp.programs;
         if (cp.shapes.size() == cp.programs.size())
             prep.shapes = &cp.shapes;
-        // Cached artifacts only apply when this run actually wants the
-        // JIT tier; a mismatched tier just recompiles at run setup.
-        if (spec.tier == rt::TierMode::kJit &&
-            cp.jit.size() == cp.programs.size())
-            prep.jit = &cp.jit;
         out.native = runtime.runPipeline(*cp.compiled.pipeline, binding,
                                          prep);
         out.runNs = elapsedNs(t0, Clock::now());

@@ -43,14 +43,6 @@ struct CompileSpec
     std::string kernelName;
     /** Pass/stage knobs. Pragma annotations are applied on top. */
     comp::CompileOptions opts;
-    /**
-     * Execution tier the pipeline is being prepared for. kJit makes
-     * compileSource also emit + compile each stage's native artifact
-     * (the .so is cached alongside the pipeline, so service cache hits
-     * skip JIT codegen too). kAuto/kEngine prepare nothing extra; the
-     * tier is resolved again at run time.
-     */
-    rt::TierMode tier = rt::TierMode::kAuto;
 };
 
 /**
@@ -73,14 +65,6 @@ struct CompiledPipeline
      * flattening (workers copy + relocate the shape per replica).
      */
     std::vector<rt::DecodedProgram> shapes;
-    /**
-     * Per-stage JIT artifacts, non-empty only when the spec asked for
-     * TierMode::kJit. Failed entries are kept (the runtime downgrades
-     * those stages to the engine and reports the error in its stats).
-     */
-    std::vector<rt::JitArtifactPtr> jit;
-    /** Tier this pipeline was prepared for (CompileSpec::tier). */
-    rt::TierMode tier = rt::TierMode::kAuto;
     /** Wall time of frontend + passes + flatten, in nanoseconds. */
     double compileNs = 0.0;
     /**
@@ -122,13 +106,6 @@ struct RunSpec
     uint64_t maxInstructions = 4'000'000'000ull;
     /** Optional stall-attribution tracer (must outlive the run). */
     trace::Tracer* tracer = nullptr;
-    /**
-     * Stage execution tier (native backend only). kAuto defers to the
-     * PHLOEM_NATIVE_TIER environment. When kJit
-     * and the pipeline was compiled with tier kJit, the cached
-     * artifacts are reused; otherwise the run compiles them on entry.
-     */
-    rt::TierMode tier = rt::TierMode::kAuto;
     /**
      * Request id threaded from the service (RuntimeOptions.requestId):
      * tags watchdog errors and trace metadata so service spans and

@@ -19,6 +19,17 @@
 
 namespace phloem::fe {
 
+/**
+ * Deepest nesting the frontend accepts: no statement or expression sits
+ * more than this many levels deep in a function body, counting both how
+ * deeply the source nests and the height of the tree built from it (a
+ * `1+1+...+1` chain nests shallowly but builds a left-deep tree). The
+ * parser, the inliner and lowering all recurse over these trees, so
+ * deeper input is a frontend error rather than a stack overflow. A fixed
+ * constant, like metrics::Json::kMaxDepth.
+ */
+constexpr int kMaxNesting = 256;
+
 /** Scalar expression types. */
 enum class Ty : uint8_t { kInt, kDouble };
 
@@ -47,6 +58,8 @@ struct Expr
     std::string name;
     Tok op = Tok::kEof;
     std::vector<ExprPtr> kids;
+    /** Height of this subtree (a leaf is 1), kept current by the parser. */
+    int height = 1;
 };
 
 struct AstStmt;

@@ -16,6 +16,7 @@
  * routines in kernel code take). Recursion is rejected.
  */
 
+#include <algorithm>
 #include <map>
 #include <set>
 
@@ -36,9 +37,35 @@ cloneExpr(const Expr& e)
     out->floatValue = e.floatValue;
     out->name = e.name;
     out->op = e.op;
+    out->height = e.height;
     for (const auto& k : e.kids)
         out->kids.push_back(cloneExpr(*k));
     return out;
+}
+
+/**
+ * Height of a statement's tree, its expressions included. Recursing is
+ * safe: every tree here was built within kMaxNesting (the parser's
+ * bound, or a splice this pass already checked).
+ */
+int
+stmtHeight(const AstStmt& s)
+{
+    int h = 0;
+    for (const auto& [name, init] : s.decls)
+        if (init)
+            h = std::max(h, init->height);
+    if (s.expr)
+        h = std::max(h, s.expr->height);
+    if (s.init)
+        h = std::max(h, stmtHeight(*s.init));
+    if (s.inc)
+        h = std::max(h, s.inc->height);
+    for (const auto& k : s.body)
+        h = std::max(h, stmtHeight(*k));
+    for (const auto& k : s.elseBody)
+        h = std::max(h, stmtHeight(*k));
+    return h + 1;
 }
 
 AstStmtPtr
@@ -156,22 +183,23 @@ class Inliner
     {
         for (auto& fn : tu_.functions) {
             std::set<std::string> stack{fn->name};
-            inlineRegion(fn->body, stack);
+            inlineRegion(fn->body, stack, /*depth=*/1);
         }
     }
 
   private:
+    /** `depth`: how deep the statements of `body` sit (top level = 1). */
     void
     inlineRegion(std::vector<AstStmtPtr>& body,
-                 std::set<std::string>& stack)
+                 std::set<std::string>& stack, int depth)
     {
         for (size_t i = 0; i < body.size(); ++i) {
             AstStmt& s = *body[i];
             // Recurse into nested regions first.
             if (s.init)
-                inlineRegionOne(*s.init, stack);
-            inlineRegion(s.body, stack);
-            inlineRegion(s.elseBody, stack);
+                inlineRegionOne(*s.init, stack, depth + 1);
+            inlineRegion(s.body, stack, depth + 1);
+            inlineRegion(s.elseBody, stack, depth + 1);
 
             if (s.kind != AstStmt::Kind::kExpr || !s.expr ||
                 s.expr->kind != Expr::Kind::kCall) {
@@ -236,9 +264,17 @@ class Inliner
             for (auto& st : body_part)
                 cloned.push_back(std::move(st));
 
+            // The spliced statements sit at the call's depth: a callee
+            // that fits on its own can still nest too deep here.
+            for (const auto& st : cloned)
+                if (depth - 1 + stmtHeight(*st) > kMaxNesting)
+                    phloem_fatal("inlining ", callee_name, " at line ",
+                                 s.line, " nests deeper than ",
+                                 kMaxNesting, " levels");
+
             // Recursively inline within the spliced body.
             stack.insert(callee_name);
-            inlineRegion(cloned, stack);
+            inlineRegion(cloned, stack, depth);
             stack.erase(callee_name);
 
             body.erase(body.begin() + static_cast<long>(i));
@@ -251,10 +287,10 @@ class Inliner
     }
 
     void
-    inlineRegionOne(AstStmt& s, std::set<std::string>& stack)
+    inlineRegionOne(AstStmt& s, std::set<std::string>& stack, int depth)
     {
-        inlineRegion(s.body, stack);
-        inlineRegion(s.elseBody, stack);
+        inlineRegion(s.body, stack, depth);
+        inlineRegion(s.elseBody, stack, depth);
     }
 
     TranslationUnit& tu_;

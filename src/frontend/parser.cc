@@ -1,5 +1,7 @@
 #include "frontend/parser.h"
 
+#include <algorithm>
+
 #include "base/logging.h"
 #include "frontend/lexer.h"
 
@@ -74,6 +76,56 @@ class Parser
                t == Tok::kFloat;
     }
 
+    [[noreturn]] void
+    tooDeep()
+    {
+        phloem_fatal("parse error at line ", peek().line,
+                     ": nesting deeper than ", kMaxNesting, " levels");
+    }
+
+    /**
+     * One level of nesting, held while a nested statement or operand
+     * parses: every recursive path of the parser passes through one, so
+     * the recursion stops at kMaxNesting levels, long before the stack.
+     */
+    class Nest
+    {
+      public:
+        explicit Nest(Parser& p) : p_(p)
+        {
+            if (++p_.depth_ > kMaxNesting)
+                p_.tooDeep();
+        }
+        ~Nest() { --p_.depth_; }
+        Nest(const Nest&) = delete;
+        Nest& operator=(const Nest&) = delete;
+
+      private:
+        Parser& p_;
+    };
+
+    /**
+     * Append a child, keeping e.height current. Loops build tall trees
+     * without recursing (`1+1+...+1` is left-deep), so the tree's height
+     * is bounded here as well as the recursion by Nest.
+     */
+    void
+    adopt(Expr& e, ExprPtr kid)
+    {
+        e.height = std::max(e.height, kid->height + 1);
+        if (depth_ + e.height > kMaxNesting)
+            tooDeep();
+        e.kids.push_back(std::move(kid));
+    }
+
+    /** Parse a right-recursive operand one nesting level deeper. */
+    ExprPtr
+    nested(ExprPtr (Parser::*parse)())
+    {
+        Nest nest(*this);
+        return (this->*parse)();
+    }
+
     std::unique_ptr<FunctionDecl>
     parseFunction()
     {
@@ -131,6 +183,7 @@ class Parser
     AstStmtPtr
     parseStmt()
     {
+        Nest nest(*this);
         switch (peek().kind) {
           case Tok::kPragma: {
             auto s = makeStmt(AstStmt::Kind::kPragma);
@@ -270,8 +323,8 @@ class Parser
             k == Tok::kOrAssign || k == Tok::kAndAssign) {
             auto e = makeExpr(Expr::Kind::kAssign);
             e->op = advance().kind;
-            e->kids.push_back(std::move(lhs));
-            e->kids.push_back(parseAssign());
+            adopt(*e, std::move(lhs));
+            adopt(*e, nested(&Parser::parseAssign));
             return e;
         }
         return lhs;
@@ -284,10 +337,10 @@ class Parser
         if (peek().kind == Tok::kQuestion) {
             auto e = makeExpr(Expr::Kind::kCond);
             advance();
-            e->kids.push_back(std::move(c));
-            e->kids.push_back(parseExpr());
+            adopt(*e, std::move(c));
+            adopt(*e, nested(&Parser::parseExpr));
             expect(Tok::kColon, "conditional expression");
-            e->kids.push_back(parseCond());
+            adopt(*e, nested(&Parser::parseCond));
             return e;
         }
         return c;
@@ -329,8 +382,8 @@ class Parser
                 return lhs;
             auto e = makeExpr(Expr::Kind::kBinary);
             e->op = advance().kind;
-            e->kids.push_back(std::move(lhs));
-            e->kids.push_back(parseBinary(prec + 1));
+            adopt(*e, std::move(lhs));
+            adopt(*e, parseBinary(prec + 1));
             lhs = std::move(e);
         }
     }
@@ -338,17 +391,18 @@ class Parser
     ExprPtr
     parseUnary()
     {
+        Nest nest(*this);
         Tok k = peek().kind;
         if (k == Tok::kMinus || k == Tok::kBang || k == Tok::kTilde) {
             auto e = makeExpr(Expr::Kind::kUnary);
             e->op = advance().kind;
-            e->kids.push_back(parseUnary());
+            adopt(*e, parseUnary());
             return e;
         }
         if (k == Tok::kPlusPlus || k == Tok::kMinusMinus) {
             auto e = makeExpr(Expr::Kind::kIncDec);
             e->op = advance().kind;
-            e->kids.push_back(parseUnary());
+            adopt(*e, parseUnary());
             return e;
         }
         return parsePostfix();
@@ -362,15 +416,15 @@ class Parser
             if (peek().kind == Tok::kLBracket) {
                 advance();
                 auto idx = makeExpr(Expr::Kind::kIndex);
-                idx->kids.push_back(std::move(e));
-                idx->kids.push_back(parseExpr());
+                adopt(*idx, std::move(e));
+                adopt(*idx, parseExpr());
                 expect(Tok::kRBracket, "array index");
                 e = std::move(idx);
             } else if (peek().kind == Tok::kPlusPlus ||
                        peek().kind == Tok::kMinusMinus) {
                 auto inc = makeExpr(Expr::Kind::kIncDec);
                 inc->op = advance().kind;
-                inc->kids.push_back(std::move(e));
+                adopt(*inc, std::move(e));
                 e = std::move(inc);
             } else {
                 return e;
@@ -402,7 +456,7 @@ class Parser
                 e->name = (base == Tok::kDouble || base == Tok::kFloat)
                               ? "__cast_double"
                               : "__cast_int";
-                e->kids.push_back(parseUnary());
+                adopt(*e, parseUnary());
                 return e;
             }
             ExprPtr e = parseExpr();
@@ -416,7 +470,7 @@ class Parser
                 expect(Tok::kLParen, "call");
                 if (!accept(Tok::kRParen)) {
                     do {
-                        e->kids.push_back(parseExpr());
+                        adopt(*e, parseExpr());
                     } while (accept(Tok::kComma));
                     expect(Tok::kRParen, "call arguments");
                 }
@@ -434,6 +488,8 @@ class Parser
 
     std::vector<Token> toks_;
     size_t pos_ = 0;
+    /** Nesting levels currently held (see Nest). */
+    int depth_ = 0;
 };
 
 } // namespace

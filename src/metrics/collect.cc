@@ -208,19 +208,6 @@ nativeRunToMetrics(const std::string& name, const rt::NativeStats& stats)
     top.addCounter("ra_workers",
                    static_cast<uint64_t>(stats.numRAWorkers));
     top.addCounter("failures", stats.ok ? 0 : 1);
-    // Resolved stage execution tier, plus the JIT pipeline's own costs
-    // when it ran: stages compiled vs. downgraded, and where the
-    // compile time went (emit C / cc / dlopen).
-    if (!stats.tier.empty()) run.labels["tier"] = stats.tier;
-    if (stats.tier == "jit") {
-        top.addCounter("jit_stages",
-                       static_cast<uint64_t>(stats.jitStages));
-        top.addCounter("jit_fallbacks",
-                       static_cast<uint64_t>(stats.jitFallbacks));
-        top.setGauge("jit_emit_ns", stats.jitEmitNs);
-        top.setGauge("jit_compile_ns", stats.jitCompileNs);
-        top.setGauge("jit_load_ns", stats.jitLoadNs);
-    }
     top.addCounter("instructions", stats.totalInstructions());
     top.addCounter("branches", stats.totalBranches());
     top.addCounter("enq_blocks", stats.totalEnqBlocks());
@@ -290,10 +277,6 @@ nativeRunToMetrics(const std::string& name, const rt::NativeStats& stats)
         ms.addCounter("queue_ops", w.queueOps);
         ms.addCounter("branches", w.branches);
         ms.addCounter("fused_sites", w.fusedSites);
-        // Stage tier outcome: ran JIT-compiled code (1) vs. fell back
-        // to the engine (0 with jit_fallback=1). Absent off-JIT runs.
-        if (w.tier == "jit") ms.addCounter("jit", 1);
-        if (!w.jitFallback.empty()) ms.addCounter("jit_fallback", 1);
         if (!w.isStage) {
             ms.addCounter("elements", w.raElements);
             ms.addCounter("ctrl_forwarded", w.raCtrlForwarded);
@@ -319,7 +302,10 @@ nativeRunToMetrics(const std::string& name, const rt::NativeStats& stats)
             ms.addCounter("deq", q.deq);
             ms.addCounter("enq_blocks", q.enqBlocks);
             ms.addCounter("deq_blocks", q.deqBlocks);
+            // residual is ring + consumer-buffer residue; only the ring
+            // share (residual - residual_buffered) is bounded by depth.
             ms.addCounter("residual", q.residual);
+            ms.addCounter("residual_buffered", q.buffered);
             ms.setGauge("max_occupancy",
                         static_cast<double>(q.maxOccupancy));
             // Rebuild the distributions from the log2 histograms: bucket

@@ -104,7 +104,7 @@ struct DInst
      * Replica-relative queue id (the raw instruction's queue operand);
      * -1 when no queue. Survives relocation, so one decoded shape can
      * be re-based for any replica or run (the compilation service
-     * caches shapes and the JIT bakes this id into emitted code).
+     * caches shapes).
      */
     int32_t queueRel = -1;
     /** Absolute (replica-resolved) queue id; -1 until relocated. */

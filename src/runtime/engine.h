@@ -8,12 +8,12 @@
  * superinstructions retiring the flattener's dominant pairs in one
  * dispatch.
  *
- * Dequeues additionally drain the ring in batches (StageQueues below,
- * shared with the JIT tier). Buffering is consumer-side only: values a
- * stage *produces* are always published immediately (blocking
- * semantics and the deadlock watchdog depend on enqueued values being
- * visible to peers), while values already published by a peer may be
- * drained eagerly without changing any observable ordering.
+ * Dequeues additionally drain the ring in batches (StageQueues below).
+ * Buffering is consumer-side only: values a stage *produces* are always
+ * published immediately (blocking semantics and the deadlock watchdog
+ * depend on enqueued values being visible to peers), while values
+ * already published by a peer may be drained eagerly without changing
+ * any observable ordering.
  *
  * Semantics are bit-identical to the simulator: both run the same
  * sim/eval.h functional core, and dynamic instruction counts match
@@ -52,13 +52,12 @@ struct EngineEnv
 };
 
 /**
- * A stage's blocking queue ops, shared by the engine and the JIT host:
- * pushes publish immediately; pops drain the ring in batches. A pop
- * that finds its per-queue buffer empty refills it with
- * SpscQueue::popBatch — one acquire/release pair per run of values
- * instead of one per element — and later pops and peeks are served
- * from the buffer. Values drained but never architecturally dequeued
- * when the stage halts are reported by unconsumed(), so queue
+ * A stage's blocking queue ops: pushes publish immediately; pops drain
+ * the ring in batches. A pop that finds its per-queue buffer empty
+ * refills it with SpscQueue::popBatch — one acquire/release pair per
+ * run of values instead of one per element — and later pops and peeks
+ * are served from the buffer. Values drained but never architecturally
+ * dequeued when the stage halts are reported by unconsumed(), so queue
  * statistics (deq counts, residual occupancy) stay truthful.
  *
  * The fast paths (a buffer hit, the first tryPush/popBatch/tryPeek)

@@ -13,7 +13,6 @@
 #include "base/thread_name.h"
 #include "ir/op.h"
 #include "runtime/hwcount.h"
-#include "runtime/jit.h"
 #include "runtime/sched.h"
 #include "sim/program.h"
 
@@ -79,63 +78,6 @@ resolveScheduler(SchedulerMode mode)
                     "\" (expected legacy/threads/off/0 or "
                     "shared/pool/on/1); shared scheduler stays enabled");
     return true;
-}
-
-/**
- * Resolve the stage execution tier. Precedence: explicit opt.tier, then
- * the PHLOEM_NATIVE_TIER env override, then the engine. Accepted
- * PHLOEM_NATIVE_TIER spellings (case-insensitive): jit, engine.
- * Anything else warns once and runs the engine.
- */
-TierMode
-resolveTier(const RuntimeOptions& opt)
-{
-    if (opt.tier != TierMode::kAuto)
-        return opt.tier;
-    const char* env = std::getenv("PHLOEM_NATIVE_TIER");
-    if (env == nullptr || *env == '\0')
-        return TierMode::kEngine;
-    std::string v(env);
-    for (char& c : v)
-        c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-    if (v == "jit")
-        return TierMode::kJit;
-    if (v != "engine") {
-        static std::atomic<bool> warned{false};
-        if (!warned.exchange(true))
-            phloem_warn("unrecognized PHLOEM_NATIVE_TIER value \"", env,
-                        "\" (expected jit or engine); running the engine");
-    }
-    return TierMode::kEngine;
-}
-
-const char*
-tierName(TierMode t)
-{
-    return t == TierMode::kJit ? "jit" : "engine";
-}
-
-/**
- * Build (or fail) the JIT artifact for one stage program. Never
- * throws: a decode/emission/compile problem becomes a failed artifact,
- * and the stage falls back to the engine — which will surface the same
- * underlying problem through the normal worker-failure path if it is a
- * real program defect rather than a JIT limitation.
- */
-JitArtifactPtr
-buildStageArtifact(const sim::Program& prog, const DecodedProgram* shape,
-                   const std::string& name)
-{
-    try {
-        if (shape != nullptr)
-            return jitCompileStage(prog, *shape, name);
-        DecodedProgram local = decodeShape(prog);
-        return jitCompileStage(prog, local, name);
-    } catch (const std::exception& e) {
-        auto failed = std::make_shared<JitArtifact>();
-        failed->error = std::string("jit setup failed: ") + e.what();
-        return failed;
-    }
 }
 
 } // namespace
@@ -234,31 +176,6 @@ Runtime::runPipeline(const ir::Pipeline& pipeline, sim::Binding& binding,
 
     RunControl ctl;
     ctl.opt = opt_;
-    const TierMode tier = resolveTier(opt_);
-
-    // JIT tier: build (or reuse) one artifact per stage program before
-    // the timed region — replicas share artifacts, and a cache hit in
-    // the compilation service skips this entirely. A failed artifact
-    // just downgrades that stage to the engine (recorded per worker).
-    std::vector<JitArtifactPtr> local_jit;
-    const std::vector<JitArtifactPtr>* jit_arts = nullptr;
-    if (tier == TierMode::kJit) {
-        if (prep.jit != nullptr) {
-            phloem_assert(prep.jit->size() == programs.size(),
-                          "jit artifact count (", prep.jit->size(),
-                          ") does not match pipeline stages (",
-                          programs.size(), ")");
-            jit_arts = prep.jit;
-        } else {
-            local_jit.reserve(programs.size());
-            for (size_t s = 0; s < programs.size(); ++s)
-                local_jit.push_back(buildStageArtifact(
-                    programs[s],
-                    shapes != nullptr ? &(*shapes)[s] : nullptr,
-                    pipeline.stages[s]->name));
-            jit_arts = &local_jit;
-        }
-    }
 
     StageBarrier barrier(total_threads);
 
@@ -272,17 +189,9 @@ Runtime::runPipeline(const ir::Pipeline& pipeline, sim::Binding& binding,
                 std::move(name), &programs[static_cast<size_t>(s)],
                 binding, r, /*queue_offset=*/r * stride, stride, replicas,
                 queue_ptrs, &barrier, &ctl));
-            StageWorker& w = *stage_workers.back();
             if (shapes != nullptr)
-                w.shape = &(*shapes)[static_cast<size_t>(s)];
-            if (jit_arts != nullptr) {
-                const JitArtifact& art =
-                    *(*jit_arts)[static_cast<size_t>(s)];
-                if (art.ok())
-                    w.jit = &art;
-                else
-                    w.stats.jitFallback = art.error;
-            }
+                stage_workers.back()->shape =
+                    &(*shapes)[static_cast<size_t>(s)];
         }
     }
 
@@ -477,22 +386,6 @@ Runtime::runPipeline(const ir::Pipeline& pipeline, sim::Binding& binding,
     out.wallNs = elapsedNs(t0, t1);
     out.numStageThreads = total_threads;
     out.numRAWorkers = static_cast<int>(ra_workers.size());
-    out.tier = tierName(tier);
-    if (jit_arts != nullptr) {
-        for (const JitArtifactPtr& a : *jit_arts) {
-            out.jitEmitNs += a->emitNs;
-            out.jitCompileNs += a->compileNs;
-            out.jitLoadNs += a->loadNs;
-            if (!a->ok() && out.jitError.empty())
-                out.jitError = a->error;
-        }
-        for (auto& w : stage_workers) {
-            if (w->jit != nullptr)
-                out.jitStages++;
-            else
-                out.jitFallbacks++;
-        }
-    }
     out.sched = sched_stats;
     out.hwLanes = std::move(hw_lanes);
     for (const auto& lane : out.hwLanes)
@@ -583,19 +476,10 @@ Runtime::runSerial(const ir::Function& fn, sim::Binding& binding)
 
     RunControl ctl;
     ctl.opt = opt_;
-    const TierMode tier = resolveTier(opt_);
     StageBarrier barrier(1);
     StageWorker worker(fn.name, &prog, binding, /*replica=*/0,
                        /*queue_offset=*/0, /*queue_stride=*/0,
                        /*num_replicas=*/1, {}, &barrier, &ctl);
-    JitArtifactPtr jit_art;
-    if (tier == TierMode::kJit) {
-        jit_art = buildStageArtifact(prog, nullptr, fn.name);
-        if (jit_art->ok())
-            worker.jit = jit_art.get();
-        else
-            worker.stats.jitFallback = jit_art->error;
-    }
     if (opt_.tracer != nullptr)
         worker.traceBuf = opt_.tracer->addWorker(fn.name,
                                                  /*is_stage=*/true);
@@ -617,18 +501,6 @@ Runtime::runSerial(const ir::Function& fn, sim::Binding& binding)
         out.hwValid = true;
     }
     out.rusage = ResourceUsage::processNow().minus(ru0);
-    out.tier = tierName(tier);
-    if (jit_art != nullptr) {
-        out.jitEmitNs = jit_art->emitNs;
-        out.jitCompileNs = jit_art->compileNs;
-        out.jitLoadNs = jit_art->loadNs;
-        if (worker.jit != nullptr)
-            out.jitStages = 1;
-        else {
-            out.jitFallbacks = 1;
-            out.jitError = jit_art->error;
-        }
-    }
     out.workers.push_back(worker.stats);
     if (ctl.aborted()) {
         out.ok = false;

@@ -24,7 +24,6 @@
 #ifndef PHLOEM_RUNTIME_RUNTIME_H
 #define PHLOEM_RUNTIME_RUNTIME_H
 
-#include <memory>
 #include <vector>
 
 #include "ir/pipeline.h"
@@ -36,9 +35,6 @@
 
 namespace phloem::rt {
 
-struct JitArtifact;
-using JitArtifactPtr = std::shared_ptr<const JitArtifact>;
-
 /**
  * Caller-supplied pre-compiled stage state, all optional and all only
  * read (a compilation service shares one pipeline across concurrent
@@ -47,16 +43,12 @@ using JitArtifactPtr = std::shared_ptr<const JitArtifact>;
  *    (null = flatten per run);
  *  - shapes: decoded replica-independent DInst shapes matching
  *    `programs` (null = decode per worker); cache hits then skip
- *    decode, not just flattening;
- *  - jit: per-stage compiled artifacts for the JIT tier, failed
- *    entries included (null = compile at run setup when the tier is
- *    kJit). Ignored on other tiers.
+ *    decode, not just flattening.
  */
 struct PreparedPrograms
 {
     const std::vector<sim::Program>* programs = nullptr;
     const std::vector<DecodedProgram>* shapes = nullptr;
-    const std::vector<JitArtifactPtr>* jit = nullptr;
 };
 
 class Runtime
@@ -71,8 +63,8 @@ class Runtime
     /**
      * Execute a pipeline to completion on host threads. Mutates the
      * bound arrays exactly as Machine::runPipeline would. `prep`
-     * optionally supplies pre-flattened programs, cached decoded
-     * shapes, and pre-built JIT artifacts (see PreparedPrograms). On
+     * optionally supplies pre-flattened programs and cached decoded
+     * shapes (see PreparedPrograms). On
      * failure (deadlock watchdog, worker exception) the returned stats
      * have ok=false and the array contents are unspecified.
      */

@@ -102,14 +102,6 @@ struct WorkerStats
     uint64_t branches = 0;
     /** Static superinstruction sites found by the decoder. */
     uint64_t fusedSites = 0;
-
-    /** Tier this worker actually ran: "engine" or "jit". */
-    std::string tier;
-    /**
-     * JIT-tier runs where this stage fell back to the engine: the
-     * compile/load error that caused it ("" = ran as requested).
-     */
-    std::string jitFallback;
 };
 
 /** Scheduler-side counters for one run (shared task pool only). */
@@ -148,18 +140,6 @@ struct NativeStats
     double wallNs = 0.0;
     int numStageThreads = 0;
     int numRAWorkers = 0;
-    /** Resolved stage tier: "engine" or "jit". */
-    std::string tier = "engine";
-    /** JIT tier: stage workers that ran compiled code. */
-    int jitStages = 0;
-    /** JIT tier: stage workers that fell back to the engine. */
-    int jitFallbacks = 0;
-    /** First per-stage compile/load error behind a fallback ("" = none). */
-    std::string jitError;
-    /** JIT pipeline latencies summed over stage programs (ns). */
-    double jitEmitNs = 0.0;
-    double jitCompileNs = 0.0;
-    double jitLoadNs = 0.0;
     /** Task-pool scheduling counters (sched.shared false in legacy mode). */
     SchedStats sched;
 

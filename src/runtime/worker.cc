@@ -6,7 +6,6 @@
 #include "ir/op.h"
 #include "runtime/decode.h"
 #include "runtime/engine.h"
-#include "runtime/jit.h"
 #include "runtime/sched.h"
 
 namespace phloem::rt {
@@ -163,38 +162,13 @@ StageWorker::StageWorker(std::string name, const sim::Program* prog,
 void
 StageWorker::run()
 {
-    if (jit != nullptr) {
-        stats.tier = "jit";
-        runJit();
-    } else {
-        // Includes per-stage JIT fallback: a stage whose artifact
-        // failed to build runs on the engine (stats.jitFallback says
-        // why; the runtime set it alongside a null `jit`).
-        stats.tier = "engine";
-        runEngine();
-    }
+    runEngine();
     // Abnormal exits (watchdog, budget) throw past this point; they
     // already recorded the block span they died in.
     if (traceBuf) {
         uint64_t t = traceBuf->now();
         traceBuf->record(trace::EventKind::kHalt, -1, t, t);
     }
-}
-
-EngineEnv
-StageWorker::engineEnv()
-{
-    EngineEnv env;
-    env.regs = regs_.data();
-    env.arrayBind = arrayBind_.data();
-    env.queues = &queues_;
-    env.barrier = barrier_;
-    env.ctl = ctl_;
-    env.stats = &stats;
-    env.trace = traceBuf;
-    env.queueStride = queueStride_;
-    env.numReplicas = numReplicas_;
-    return env;
 }
 
 void
@@ -206,7 +180,17 @@ StageWorker::runEngine()
     relocateProgram(dec, queueOffset_, queues_);
     stats.fusedSites = static_cast<uint64_t>(dec.fusedSites);
 
-    Engine engine(dec, engineEnv());
+    EngineEnv env;
+    env.regs = regs_.data();
+    env.arrayBind = arrayBind_.data();
+    env.queues = &queues_;
+    env.barrier = barrier_;
+    env.ctl = ctl_;
+    env.stats = &stats;
+    env.trace = traceBuf;
+    env.queueStride = queueStride_;
+    env.numReplicas = numReplicas_;
+    Engine engine(dec, env);
     try {
         engine.run();
     } catch (...) {
@@ -216,21 +200,6 @@ StageWorker::runEngine()
         throw;
     }
     unconsumed = engine.queues().unconsumed();
-}
-
-void
-StageWorker::runJit()
-{
-    stats.fusedSites = static_cast<uint64_t>(jit->fusedSites);
-
-    JitHost host(*prog_, engineEnv(), queueOffset_);
-    try {
-        host.run(*jit);
-    } catch (...) {
-        unconsumed = host.queues().unconsumed();
-        throw;
-    }
-    unconsumed = host.queues().unconsumed();
 }
 
 // ---------------------------------------------------------------------

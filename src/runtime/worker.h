@@ -3,10 +3,10 @@
  * Native-runtime workers: the per-stage task and the software
  * reference accelerator.
  *
- * A StageWorker runs one stage's sim::flatten instruction stream —
- * pre-decoded by the engine (runtime/engine.h) or compiled by the JIT
- * tier (runtime/jit.h) — through the same functional core the
- * simulator uses (sim/eval.h), so the two backends agree bit-for-bit.
+ * A StageWorker runs one stage's sim::flatten instruction stream,
+ * pre-decoded by the engine (runtime/engine.h), through the same
+ * functional core the simulator uses (sim/eval.h), so the two backends
+ * agree bit-for-bit.
  * Queue ops block on the SPSC rings through waitBlocked() below;
  * control values arriving at a kDeq with a handler transfer to the
  * handler pc exactly as the simulated hardware does.
@@ -40,14 +40,6 @@ namespace phloem::rt {
 /** Bump the global progress counter every this many instructions. */
 constexpr uint64_t kHeartbeatInterval = 4096;
 
-/** Stage execution tier (see runtime/jit.h). */
-enum class TierMode : uint8_t {
-    /** The PHLOEM_NATIVE_TIER env override, else the engine. */
-    kAuto,
-    kEngine,  ///< pre-decoded batching engine (the default)
-    kJit,     ///< per-stage compiled code, engine fallback on failure
-};
-
 /** How stage/RA workers map onto host threads (see runtime/sched.h). */
 enum class SchedulerMode : uint8_t {
     /** Shared pool unless the PHLOEM_SCHED=legacy env override. */
@@ -61,8 +53,6 @@ enum class SchedulerMode : uint8_t {
 class Scheduler;
 class SchedRun;
 struct DecodedProgram;
-struct EngineEnv;
-struct JitArtifact;
 
 /** Null-safe wake of every parked task in a run (runtime/sched.cc). */
 void schedWakeAll(SchedRun* run);
@@ -79,14 +69,6 @@ struct RuntimeOptions
     int deadlockTimeoutMs = 10000;
     /** Per-worker dynamic instruction budget (runaway-loop backstop). */
     uint64_t maxInstructions = 4'000'000'000ull;
-    /**
-     * Stage execution tier. kAuto resolves through the
-     * PHLOEM_NATIVE_TIER env override, then the engine; an explicit
-     * tier here beats the environment. kJit compiles each stage
-     * program before the timed region and falls back per stage to the
-     * engine when emission/compilation/loading fails.
-     */
-    TierMode tier = TierMode::kAuto;
     /**
      * Stall-attribution tracer (trace.h), or null for no tracing. Must
      * outlive the run; the runtime registers one buffer per worker and
@@ -339,13 +321,6 @@ class StageWorker
     const DecodedProgram* shape = nullptr;
 
     /**
-     * This stage's compiled artifact on the JIT tier, shared across
-     * replicas and outliving the run; null runs the engine (the default
-     * tier, or a stage whose JIT compile failed).
-     */
-    const JitArtifact* jit = nullptr;
-
-    /**
      * Per-queue counts of values drained into the consumer batch buffer
      * but never architecturally dequeued (pairs of absolute queue id,
      * count). The runtime subtracts these from the ring's deq count and
@@ -354,12 +329,8 @@ class StageWorker
     std::vector<std::pair<int, uint64_t>> unconsumed;
 
   private:
-    /** Decode + pre-decoded engine (the default tier). */
+    /** Decode (or copy the cached shape) and run the engine. */
     void runEngine();
-    /** Compiled stage program via the loaded artifact (jit tier). */
-    void runJit();
-    /** The borrowed state both tiers execute on. */
-    EngineEnv engineEnv();
 
     const sim::Program* prog_;
     int queueOffset_;

@@ -52,13 +52,9 @@ hashOptions(const std::string& kernel_name, const comp::CompileOptions& o)
 std::string
 cacheKey(const sim::SysConfig& cfg, const driver::CompileSpec& spec)
 {
-    // The tier is part of the key because a kJit compilation carries
-    // per-stage native artifacts: the same source requested at a
-    // different tier must miss rather than serve (or lack) the .so.
     return metrics::configFingerprint(cfg) + ":" +
            hex(driver::fnv1a(spec.source)) + ":" +
-           hex(hashOptions(spec.kernelName, spec.opts)) + ":t" +
-           std::to_string(static_cast<int>(spec.tier));
+           hex(hashOptions(spec.kernelName, spec.opts));
 }
 
 driver::CompiledPipelinePtr

@@ -11,7 +11,6 @@
  *   key = configFingerprint(SysConfig)        (FNV-1a, Table III knobs)
  *       + FNV-1a(source text)
  *       + FNV-1a(kernel name + compile options)
- *       + execution tier (kJit entries carry per-stage .so artifacts)
  *
  * The SysConfig fingerprint is part of the key because the machine
  * configuration feeds queue depths and run behavior: the same source

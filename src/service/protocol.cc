@@ -123,7 +123,6 @@ Request::toJson() const
         j.set("source", Json::str(source));
         if (!kernel.empty()) j.set("kernel", Json::str(kernel));
         j.set("backend", Json::str(backend));
-        if (!tier.empty()) j.set("tier", Json::str(tier));
         j.set("stages", Json::integer(stages));
         j.set("size", Json::integer(size));
         j.set("timeout_ms", Json::integer(timeoutMs));
@@ -164,11 +163,6 @@ Request::fromJson(const std::string& text, Request* out, std::string* err)
             if (err != nullptr) {
                 *err = "backend must be \"native\" or \"sim\"";
             }
-            return false;
-        }
-        if (j.has("tier")) req.tier = j.at("tier").asString();
-        if (!req.tier.empty() && req.tier != "jit" && req.tier != "engine") {
-            if (err != nullptr) *err = "tier must be \"jit\" or \"engine\"";
             return false;
         }
         if (j.at("stages").isNumber()) {

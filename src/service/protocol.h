@@ -70,12 +70,6 @@ struct Request
     std::string source;          ///< mini-C kernel text
     std::string kernel;          ///< function name; empty = first
     std::string backend = "native"; ///< "native" | "sim"
-    /**
-     * Native stage execution tier: "" (server default, resolved from
-     * the daemon's environment) | "jit" | "engine". "jit" pipelines
-     * cache their per-stage .so, so hits skip JIT codegen.
-     */
-    std::string tier;
     int stages = 4;              ///< target stage count
     int64_t size = 4096;         ///< synthetic input size
     int timeoutMs = 10000;       ///< per-request watchdog bound

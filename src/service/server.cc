@@ -466,17 +466,6 @@ Server::handleRun(const Request& req, double queueWaitNs)
     spec.opts.numStages = req.stages;
     spec.opts.maxRAs = opts_.cfg.maxRAs;
     spec.opts.maxQueues = opts_.cfg.maxQueues;
-    // Protocol tier -> runtime tier. "" stays kAuto: the daemon's
-    // environment decides, and no artifacts are attached to the cache
-    // entry. An explicit "jit" makes the compile carry the per-stage
-    // .so, so cache hits skip JIT codegen too (the key includes it).
-    rt::TierMode tier = rt::TierMode::kAuto;
-    if (req.tier == "jit") {
-        tier = rt::TierMode::kJit;
-    } else if (req.tier == "engine") {
-        tier = rt::TierMode::kEngine;
-    }
-    spec.tier = tier;
 
     std::string key = cacheKey(opts_.cfg, spec);
     driver::CompiledPipelinePtr cp;
@@ -545,7 +534,6 @@ Server::handleRun(const Request& req, double queueWaitNs)
     run.size = std::min<int64_t>(req.size, opts_.maxRunSize);
     run.cfg = opts_.cfg;
     run.deadlockTimeoutMs = std::min(req.timeoutMs, opts_.maxTimeoutMs);
-    run.tier = tier;
     run.requestId = resp.requestId;
     run.tracer = tracer.get();
     if (run.backend == driver::Backend::kSim) {

@@ -124,7 +124,7 @@ class Server
     /**
      * The stats-verb payload: a serialized metrics::Report holding the
      * rolling-window and cumulative latency distributions per cache
-     * verdict, hit rates, scheduler/JIT counters, and the in-flight /
+     * verdict, hit rates, scheduler counters, and the in-flight /
      * queued gauges. Safe to call while the server is live (see
      * ServerStats); also used for the final drain report.
      */

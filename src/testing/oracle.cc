@@ -408,38 +408,6 @@ runCase(const FuzzCase& fc, const OracleOptions& opts)
         return res;
     }
 
-    // --- 4. Native runtime, JIT tier (optional) -----------------------
-    sim::Binding jit_binding;
-    if (opts.nativeJit) {
-        synthesizeBinding(fc, jit_binding, replicas);
-        try {
-            rt::RuntimeOptions ro;
-            ro.deadlockTimeoutMs = opts.nativeTimeoutMs;
-            ro.maxInstructions = opts.maxInstructions;
-            // Explicit kJit, not kAuto: this leg exists to pin the JIT
-            // tier specifically, whatever the environment says.
-            ro.tier = rt::TierMode::kJit;
-            ro.scheduler = opts.nativeSharedScheduler
-                               ? rt::SchedulerMode::kAuto
-                               : rt::SchedulerMode::kLegacy;
-            rt::Runtime runtime(cfg, ro);
-            rt::NativeStats st =
-                runtime.runPipeline(*cr.pipeline, jit_binding);
-            if (!st.ok) {
-                res.verdict =
-                    st.error.find("deadlock") != std::string::npos
-                        ? Verdict::kDeadlock
-                        : Verdict::kCrash;
-                res.detail = "native-jit: " + st.error;
-                return res;
-            }
-        } catch (const std::exception& e) {
-            res.verdict = Verdict::kCrash;
-            res.detail = std::string("native-jit: ") + e.what();
-            return res;
-        }
-    }
-
     if (opts.injectDivergence) {
         sim::ArrayBuffer* out = nullptr;
         for (const auto& [name, arr] : native_binding.globalArrays())
@@ -460,12 +428,6 @@ runCase(const FuzzCase& fc, const OracleOptions& opts)
         return res;
     }
     if (!compareImages(ref_binding, native_binding, "native", &detail)) {
-        res.verdict = Verdict::kMismatch;
-        res.detail = detail;
-        return res;
-    }
-    if (opts.nativeJit &&
-        !compareImages(ref_binding, jit_binding, "native-jit", &detail)) {
         res.verdict = Verdict::kMismatch;
         res.detail = detail;
         return res;

@@ -9,10 +9,7 @@
  *      interprets the unsplit function straight through sim/eval.h;
  *   2. cycle simulator  — Machine::runPipeline on the compiled pipeline
  *      (timing model on or off per the case's knobs);
- *   3. native runtime   — rt::Runtime::runPipeline on host threads;
- *   4. (optional) the native runtime again with the JIT tier forced,
- *      so serial / sim / engine / jit all agree (OracleOptions::
- *      nativeJit).
+ *   3. native runtime   — rt::Runtime::runPipeline on host threads.
  *
  * All bound arrays must be bit-for-bit identical across the
  * memory images afterwards. Any difference, deadlock, or crash is a
@@ -62,16 +59,6 @@ struct OracleOptions
      * answer.
      */
     bool nativeSharedScheduler = true;
-    /**
-     * Fourth leg: run the native side again with the JIT tier forced
-     * (rt::TierMode::kJit) and require that image to match the serial
-     * reference bit-for-bit too — serial / sim / engine / jit all
-     * agree. Stages the emitter rejects (or whose compile fails) fall
-     * back to the engine mid-pipeline, which must not change results.
-     * Off by default: each enabled case pays a cc(1) invocation per
-     * stage, so fuzzing loops leave it to corpus replays and CI.
-     */
-    bool nativeJit = false;
 };
 
 struct OracleResult

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "compiler/compiler.h"
 #include "frontend/frontend.h"
 #include "frontend/lexer.h"
@@ -26,6 +28,33 @@ runKernel(const std::string& src, sim::Binding& binding)
     auto stats = m.runSerial(*kernel.fn, binding);
     EXPECT_FALSE(stats.deadlock);
     return binding.array("out");
+}
+
+/** `s` repeated n times. */
+std::string
+repeat(const std::string& s, int n)
+{
+    std::string out;
+    out.reserve(s.size() * static_cast<size_t>(n));
+    for (int i = 0; i < n; ++i)
+        out += s;
+    return out;
+}
+
+/** Expect `fn` to throw a frontend error that names the nesting limit. */
+template <typename F>
+void
+expectTooDeep(F&& fn, const char* what)
+{
+    const std::string limit =
+        "deeper than " + std::to_string(fe::kMaxNesting) + " levels";
+    try {
+        fn();
+        ADD_FAILURE() << what << ": accepted";
+    } catch (const std::exception& e) {
+        EXPECT_NE(std::string(e.what()).find(limit), std::string::npos)
+            << what << ": " << e.what();
+    }
 }
 
 TEST(Lexer, TokenKinds)
@@ -65,6 +94,42 @@ TEST(Parser, RejectsSyntaxErrors)
     EXPECT_THROW(fe::parse("void f( { }"), std::exception);
     EXPECT_THROW(fe::parse("void f() { int x = ; }"), std::exception);
     EXPECT_THROW(fe::parse("void f() { if x { } }"), std::exception);
+
+    // Hostile nesting, 200k levels deep: each of these used to overflow
+    // the parser's stack. The `+` chain is built by a loop, not by
+    // recursion, but its left-deep tree is just as tall.
+    constexpr int kDeep = 200000;
+    const std::string head =
+        "void k(const long* restrict a, long* restrict out, int n) {\n";
+    const std::pair<const char*, std::string> deep[] = {
+        {"parens", head + "out[0] = " + repeat("(", kDeep) + "1" +
+                       repeat(")", kDeep) + ";\n}"},
+        {"braces", head + repeat("{", kDeep) + "out[0] = 1;" +
+                       repeat("}", kDeep) + "\n}"},
+        {"if", head + repeat("if (n) ", kDeep) + "out[0] = 1;\n}"},
+        {"unary minus", head + "out[0] = " + repeat("- ", kDeep) + "1;\n}"},
+        {"index", head + "out[0] = " + repeat("a[", kDeep) + "0" +
+                      repeat("]", kDeep) + ";\n}"},
+        {"plus chain",
+         head + "out[0] = 1" + repeat("+1", kDeep - 1) + ";\n}"},
+    };
+    for (const auto& [what, src] : deep)
+        expectTooDeep([&src = src] { fe::parse(src); }, what);
+
+    // Just under the limit still compiles and runs: a chain and a block
+    // nest, each a few levels short of kMaxNesting.
+    constexpr int kNearLimit = fe::kMaxNesting - 8;
+    const std::string near = "void k(long* restrict out, int n) {\n"
+                             "out[0] = 1" +
+                             repeat("+1", kNearLimit - 1) + ";\n" +
+                             repeat("{", kNearLimit) + "out[1] = 2;" +
+                             repeat("}", kNearLimit) + "\n}";
+    sim::Binding b;
+    b.makeArray("out", ir::ElemType::kI64, 2);
+    b.setScalarInt("n", 0);
+    auto* out = runKernel(near, b);
+    EXPECT_EQ(out->atInt(0), kNearLimit);
+    EXPECT_EQ(out->atInt(1), 2);
 }
 
 TEST(Lowering, ArithmeticAndPrecedence)
@@ -344,6 +409,24 @@ void kernel(long* restrict out, int n) {
     for (int i = 0; i < 4; ++i)
         EXPECT_EQ(out->atInt(i), i + 1);
     EXPECT_EQ(out->atInt(4), 100);  // the caller's t was not clobbered
+}
+
+TEST(Inlining, ComposedNestingPastTheLimitIsAnError)
+{
+    // Every function nests 250 blocks deep, under the limit on its own;
+    // inlining the 60-deep call chain would compose 15k levels.
+    std::string src = "#pragma phloem\n";
+    constexpr int kFns = 60, kBlocks = 250;
+    for (int f = 0; f < kFns; ++f) {
+        std::string call = f + 1 < kFns ? "f" + std::to_string(f + 1) +
+                                              "(out, n);"
+                                        : "out[0] = 1;";
+        src += "void f" + std::to_string(f) +
+               "(long* restrict out, int n) {\n" + repeat("{", kBlocks) +
+               call + repeat("}", kBlocks) + "\n}\n";
+    }
+    EXPECT_NO_THROW(fe::parse(src));
+    expectTooDeep([&] { fe::compileC(src); }, "inlined chain");
 }
 
 TEST(Inlining, InlinedKernelStillPipelines)

@@ -9,8 +9,6 @@
  * ASan+UBSan; the open-ended hunting runs live in tools/phloem-fuzz.
  */
 
-#include <cstdlib>
-
 #include <gtest/gtest.h>
 
 #include "testing/corpus.h"
@@ -54,58 +52,6 @@ TEST(FuzzSmoke, RegressionCorpusReplaysCleanWithLegacyScheduler)
             << ") regressed on the legacy scheduler: "
             << verdictName(r.verdict) << ": " << r.detail;
     }
-}
-
-/**
- * The corpus with the JIT tier as a fourth oracle leg: every seed runs
- * serial reference, simulator, native engine, AND native JIT, all
- * diffed bit-for-bit. This is the acceptance bar for the compiled
- * tier — emitted code must agree with the engine and the simulator on
- * every program shape the corpus has ever caught a bug in.
- */
-TEST(FuzzSmoke, RegressionCorpusReplaysCleanWithJitTier)
-{
-    OracleOptions opts;
-    opts.nativeJit = true;
-    for (const CorpusEntry& entry : kRegressionCorpus) {
-        FuzzCase fc = generateCase(entry.seed);
-        OracleResult r = runCase(fc, opts);
-        EXPECT_TRUE(r.ok())
-            << "corpus seed 0x" << std::hex << entry.seed << std::dec
-            << " (" << entry.note << ") regressed on the jit tier: "
-            << verdictName(r.verdict) << ": " << r.detail
-            << "\nreplay: phloem-fuzz --seed=0x" << std::hex
-            << entry.seed << std::dec << " --tier=jit";
-    }
-}
-
-/**
- * Mid-pipeline fallback: deny a common opcode so some stages of a
- * jit-tier run compile and others downgrade to the engine. A mixed
- * pipeline (compiled stages feeding engine ones and vice versa)
- * must still be bit-identical to the serial reference — fallback is a
- * per-stage decision, never a correctness event.
- */
-TEST(FuzzSmoke, JitMidPipelineFallbackStaysBitIdentical)
-{
-    OracleOptions opts;
-    opts.nativeJit = true;
-    ::setenv("PHLOEM_JIT_DENY_OPS", "mul,load", 1);
-    int replayed = 0;
-    for (const CorpusEntry& entry : kRegressionCorpus) {
-        if (replayed >= 8)
-            break;  // bounded: the full-corpus jit replay runs above
-        ++replayed;
-        FuzzCase fc = generateCase(entry.seed);
-        OracleResult r = runCase(fc, opts);
-        EXPECT_TRUE(r.ok())
-            << "corpus seed 0x" << std::hex << entry.seed << std::dec
-            << " (" << entry.note
-            << ") diverged under forced jit fallback: "
-            << verdictName(r.verdict) << ": " << r.detail;
-    }
-    ::unsetenv("PHLOEM_JIT_DENY_OPS");
-    EXPECT_EQ(replayed, 8);
 }
 
 /** Bounded random sweep: the CI analogue of `phloem-fuzz --smoke`. */

@@ -9,11 +9,11 @@
 #include "tests/test_util.h"
 
 #include <cstdio>
-#include <cstdlib>
 #include <thread>
 
 #include "base/rng.h"
 #include "ir/builder.h"
+#include "metrics/collect.h"
 #include "runtime/queue.h"
 #include "runtime/runtime.h"
 #include "runtime/sched.h"
@@ -734,14 +734,11 @@ TEST(NativeRuntime, EngineMatchesSimulatorOnCompiledPipeline)
     auto res = comp::compilePipeline(*kernel.fn, copts);
     ASSERT_TRUE(res.ok());
 
-    rt::RuntimeOptions eo;
-    eo.tier = rt::TierMode::kEngine;
     sim::Binding eb;
     setupFilter(eb);
-    rt::Runtime engine_rt(sim::SysConfig{}, eo);
+    rt::Runtime engine_rt;
     rt::NativeStats es = engine_rt.runPipeline(*res.pipeline, eb);
     ASSERT_TRUE(es.ok) << es.error;
-    EXPECT_EQ(es.tier, "engine");
 
     sim::Binding sb;
     setupFilter(sb);
@@ -801,202 +798,6 @@ TEST(NativeRuntime, EngineMatchesSimulatorOnCompiledPipeline)
             sum += c;
         EXPECT_EQ(sum, w.instructions) << w.name;
     }
-}
-
-// ---------------------------------------------------------------------
-// JIT execution tier.
-// ---------------------------------------------------------------------
-
-TEST(NativeRuntime, JitMatchesEngineOnCompiledPipeline)
-{
-    auto kernel = fe::compileKernel(kFilterKernel);
-    comp::CompileOptions copts;
-    copts.numStages = 4;
-    auto res = comp::compilePipeline(*kernel.fn, copts);
-    ASSERT_TRUE(res.ok());
-
-    rt::RuntimeOptions eo;
-    eo.tier = rt::TierMode::kEngine;
-    sim::Binding eb;
-    setupFilter(eb);
-    rt::Runtime engine_rt(sim::SysConfig{}, eo);
-    rt::NativeStats es = engine_rt.runPipeline(*res.pipeline, eb);
-    ASSERT_TRUE(es.ok) << es.error;
-    EXPECT_EQ(es.tier, "engine");
-
-    rt::RuntimeOptions jo;
-    jo.tier = rt::TierMode::kJit;
-    sim::Binding jb;
-    setupFilter(jb);
-    rt::Runtime jit_rt(sim::SysConfig{}, jo);
-    rt::NativeStats js = jit_rt.runPipeline(*res.pipeline, jb);
-    ASSERT_TRUE(js.ok) << js.error;
-    EXPECT_EQ(js.tier, "jit");
-    EXPECT_GT(js.jitStages, 0) << js.jitError;
-    EXPECT_EQ(js.jitFallbacks, 0) << js.jitError;
-    EXPECT_GT(js.jitEmitNs, 0.0);
-    EXPECT_GT(js.jitCompileNs, 0.0);
-    EXPECT_GT(js.jitLoadNs, 0.0);
-
-    // Bit-identical memory and identical dynamic profiles: compiled
-    // code must retire exactly the instruction stream the engine does.
-    EXPECT_TRUE(jb.array("out")->contentEquals(*eb.array("out")));
-    EXPECT_EQ(js.totalInstructions(), es.totalInstructions());
-    EXPECT_EQ(js.totalBranches(), es.totalBranches());
-    EXPECT_EQ(js.totalOpCounts(), es.totalOpCounts());
-
-    for (const auto& w : js.workers) {
-        if (!w.isStage)
-            continue;
-        EXPECT_EQ(w.tier, "jit") << w.name;
-        EXPECT_TRUE(w.jitFallback.empty()) << w.name;
-        // Profile invariant holds for emitted code too.
-        uint64_t sum = w.branches;
-        for (uint64_t c : w.opCounts)
-            sum += c;
-        EXPECT_EQ(sum, w.instructions) << w.name;
-    }
-}
-
-TEST(NativeRuntime, TierEnvAcceptsWordsAndRejectsGarbageSafely)
-{
-    // PHLOEM_NATIVE_TIER takes the spellings people type,
-    // case-insensitively; anything else (including the retired
-    // interpreter tier's names) warns once and runs the engine.
-    auto kernel = fe::compileKernel(kFilterKernel);
-    struct Case
-    {
-        const char* env;
-        const char* tier;
-    };
-    const Case cases[] = {
-        {"jit", "jit"},         {"JIT", "jit"},
-        {"engine", "engine"},   {"Engine", "engine"},
-        {"interp", "engine"},   {"interpreter", "engine"},
-        {"bananas", "engine"},
-    };
-    for (const Case& c : cases) {
-        sim::Binding b;
-        setupFilter(b);
-        ::setenv("PHLOEM_NATIVE_TIER", c.env, 1);
-        rt::Runtime r;
-        rt::NativeStats s = r.runSerial(*kernel.fn, b);
-        ASSERT_TRUE(s.ok) << s.error;
-        EXPECT_EQ(s.tier, c.tier) << "PHLOEM_NATIVE_TIER=" << c.env;
-    }
-    ::unsetenv("PHLOEM_NATIVE_TIER");
-
-    // An explicit option always beats the environment.
-    ::setenv("PHLOEM_NATIVE_TIER", "jit", 1);
-    sim::Binding b;
-    setupFilter(b);
-    rt::RuntimeOptions opt;
-    opt.tier = rt::TierMode::kEngine;
-    rt::Runtime r(sim::SysConfig{}, opt);
-    rt::NativeStats s = r.runSerial(*kernel.fn, b);
-    ASSERT_TRUE(s.ok) << s.error;
-    EXPECT_EQ(s.tier, "engine");
-    ::unsetenv("PHLOEM_NATIVE_TIER");
-}
-
-TEST(NativeRuntime, JitEmitterDenyFallsBackBitIdentical)
-{
-    // An op the emitter rejects downgrades just that stage to the
-    // engine; the run completes, reports the fallback, and stays
-    // bit-identical. kFilterKernel's phloem_work lowers to the "work"
-    // opcode, so denying it forces a real mid-pipeline fallback.
-    auto kernel = fe::compileKernel(kFilterKernel);
-    comp::CompileOptions copts;
-    copts.numStages = 4;
-    auto res = comp::compilePipeline(*kernel.fn, copts);
-    ASSERT_TRUE(res.ok());
-
-    sim::Binding eb;
-    setupFilter(eb);
-    rt::RuntimeOptions eo;
-    eo.tier = rt::TierMode::kEngine;
-    rt::Runtime engine_rt(sim::SysConfig{}, eo);
-    rt::NativeStats es = engine_rt.runPipeline(*res.pipeline, eb);
-    ASSERT_TRUE(es.ok) << es.error;
-
-    ::setenv("PHLOEM_JIT_DENY_OPS", "work", 1);
-    sim::Binding jb;
-    setupFilter(jb);
-    rt::RuntimeOptions jo;
-    jo.tier = rt::TierMode::kJit;
-    rt::Runtime jit_rt(sim::SysConfig{}, jo);
-    rt::NativeStats js = jit_rt.runPipeline(*res.pipeline, jb);
-    ::unsetenv("PHLOEM_JIT_DENY_OPS");
-
-    ASSERT_TRUE(js.ok) << js.error;
-    EXPECT_EQ(js.tier, "jit");
-    EXPECT_GE(js.jitFallbacks, 1);
-    EXPECT_NE(js.jitError.find("denied by PHLOEM_JIT_DENY_OPS"),
-              std::string::npos)
-        << js.jitError;
-    EXPECT_TRUE(jb.array("out")->contentEquals(*eb.array("out")));
-    EXPECT_EQ(js.totalInstructions(), es.totalInstructions());
-
-    // The downgraded stages report the engine; any stage without the
-    // denied op may still run compiled code.
-    int fallbacks = 0;
-    for (const auto& w : js.workers) {
-        if (!w.isStage)
-            continue;
-        if (!w.jitFallback.empty()) {
-            ++fallbacks;
-            EXPECT_EQ(w.tier, "engine") << w.name;
-        }
-    }
-    EXPECT_EQ(fallbacks, js.jitFallbacks);
-}
-
-TEST(NativeRuntime, JitToolchainFailuresSurfaceInStatsNotFatal)
-{
-    auto kernel = fe::compileKernel(kFilterKernel);
-    comp::CompileOptions copts;
-    copts.numStages = 4;
-    auto res = comp::compilePipeline(*kernel.fn, copts);
-    ASSERT_TRUE(res.ok());
-
-    sim::Binding eb;
-    setupFilter(eb);
-    rt::RuntimeOptions eo;
-    eo.tier = rt::TierMode::kEngine;
-    rt::Runtime engine_rt(sim::SysConfig{}, eo);
-    rt::NativeStats es = engine_rt.runPipeline(*res.pipeline, eb);
-    ASSERT_TRUE(es.ok) << es.error;
-
-    // Compiler failure: every stage falls back, the run still
-    // completes bit-identically, and the stats carry the error.
-    ::setenv("PHLOEM_JIT_CC", "/bin/false", 1);
-    sim::Binding cb;
-    setupFilter(cb);
-    rt::RuntimeOptions jo;
-    jo.tier = rt::TierMode::kJit;
-    rt::Runtime cc_rt(sim::SysConfig{}, jo);
-    rt::NativeStats cs = cc_rt.runPipeline(*res.pipeline, cb);
-    ASSERT_TRUE(cs.ok) << cs.error;
-    EXPECT_EQ(cs.jitStages, 0);
-    EXPECT_EQ(cs.jitFallbacks, cs.numStageThreads);
-    EXPECT_NE(cs.jitError.find("/bin/false failed"), std::string::npos)
-        << cs.jitError;
-    EXPECT_TRUE(cb.array("out")->contentEquals(*eb.array("out")));
-
-    // dlopen failure (the "compiler" succeeds but writes no .so):
-    // surfaced the same way, never fatal.
-    ::setenv("PHLOEM_JIT_CC", "/bin/true", 1);
-    sim::Binding db;
-    setupFilter(db);
-    rt::Runtime dl_rt(sim::SysConfig{}, jo);
-    rt::NativeStats ds = dl_rt.runPipeline(*res.pipeline, db);
-    ::unsetenv("PHLOEM_JIT_CC");
-    ASSERT_TRUE(ds.ok) << ds.error;
-    EXPECT_EQ(ds.jitStages, 0);
-    EXPECT_EQ(ds.jitFallbacks, ds.numStageThreads);
-    EXPECT_NE(ds.jitError.find("dlopen failed"), std::string::npos)
-        << ds.jitError;
-    EXPECT_TRUE(db.array("out")->contentEquals(*eb.array("out")));
 }
 
 // ---------------------------------------------------------------------
@@ -1214,6 +1015,18 @@ TEST(NativeRuntime, WatchdogPostMortemAttributesTheStall)
         << stats.error;
     EXPECT_EQ(depth, static_cast<unsigned long>(kDepth));
     EXPECT_LE(ring, depth) << stats.error;
+
+    // The report's queue family carries the same split: residual is the
+    // sum, residual_buffered the consumer-buffer share.
+    metrics::Run run = metrics::nativeRunToMetrics("mispair", stats);
+    const metrics::FamilyPoint* q0 =
+        run.families["queue"].find({{"queue", "0"}});
+    ASSERT_NE(q0, nullptr);
+    const auto& counters = q0->metrics.counters;
+    ASSERT_EQ(counters.count("residual_buffered"), 1u);
+    EXPECT_EQ(counters.at("residual_buffered"), buffered);
+    EXPECT_EQ(counters.at("residual") - counters.at("residual_buffered"),
+              ring);
 }
 
 TEST(NativeRuntime, WatchdogLegacyModeStillAborts)

@@ -51,9 +51,6 @@ usage(FILE* to)
         "  --corpus        replay the checked-in regression corpus\n"
         "  --smoke         corpus + bounded sweep (the CI configuration)\n"
         "  --inject        corrupt the native image (shrinker self-test)\n"
-        "  --tier=jit      add a fourth oracle leg: the native runtime\n"
-        "                  with the JIT tier forced, diffed bit-for-bit\n"
-        "                  against the serial reference like the others\n"
         "  --no-shrink     report failures without minimizing them\n"
         "  --scan=N        print per-case structure for corpus curation\n"
         "  --dump-ir       with --seed: print the compiled pipeline IR\n"
@@ -84,7 +81,6 @@ struct Options
     bool corpus = false;
     bool smoke = false;
     bool inject = false;
-    bool jit = false;
     bool shrink = true;
     uint64_t scan = 0;
     bool dumpIr = false;
@@ -110,7 +106,6 @@ runOne(const fuzz::FuzzCase& fc, const Options& opt)
 {
     fuzz::OracleOptions oo;
     oo.injectDivergence = opt.inject;
-    oo.nativeJit = opt.jit;
     fuzz::OracleResult r = fuzz::runCase(fc, oo);
     if (opt.verbose) {
         std::printf("  seed 0x%016" PRIx64 ": %s%s%s\n", fc.seed,
@@ -122,10 +117,9 @@ runOne(const fuzz::FuzzCase& fc, const Options& opt)
         return r;
 
     std::printf("\nFAIL seed 0x%016" PRIx64 " [%s]\n  %s\n"
-                "  replay: phloem-fuzz --seed=0x%" PRIx64 "%s%s\n",
+                "  replay: phloem-fuzz --seed=0x%" PRIx64 "%s\n",
                 fc.seed, fuzz::verdictName(r.verdict), r.detail.c_str(),
-                fc.seed, opt.inject ? " --inject" : "",
-                opt.jit ? " --tier=jit" : "");
+                fc.seed, opt.inject ? " --inject" : "");
     for (const auto& n : r.notes)
         std::printf("  note: %s\n", n.c_str());
     if (!opt.verbose)
@@ -263,12 +257,6 @@ main(int argc, char** argv)
             opt.smoke = true;
         } else if (arg == "--inject") {
             opt.inject = true;
-        } else if (arg == "--tier=jit") {
-            opt.jit = true;
-        } else if (arg == "--tier=engine") {
-            // The default three-way oracle already runs the engine
-            // tier; accepted for symmetry with phloemc --tier.
-            opt.jit = false;
         } else if (arg == "--no-shrink") {
             opt.shrink = false;
         } else if (arg == "--dump-ir") {

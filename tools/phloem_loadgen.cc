@@ -73,7 +73,6 @@ struct Options
     int kernels = 4;    ///< distinct kernels in the pool
     int stages = 0;     ///< 0 = per-kernel default; else force this many
     std::string backend = "native";
-    std::string tier;   ///< "" = server default; jit | engine
     int64_t size = 2048;
     uint64_t seed = 1;
     std::string reportPath;
@@ -156,7 +155,6 @@ clientLoop(const Options& opt, const std::vector<KernelSpec>& pool,
         req.op = "run";
         req.source = k.source;
         req.backend = opt.backend;
-        req.tier = opt.tier;
         req.stages = k.stages;
         req.size = opt.size;
         req.trace = opt.trace && r == 0;
@@ -195,8 +193,6 @@ usage()
         "  --stages=N       force every kernel to N stages (default: "
         "per-kernel)\n"
         "  --backend=B      native | sim (default native)\n"
-        "  --tier=T         native stage tier: jit | engine\n"
-        "                   (default: the daemon's environment)\n"
         "  --size=N         synthetic input size (default 2048)\n"
         "  --seed=N         base seed for fuzz kernels (default 1)\n"
         "  --report=PATH    write a phloem-report JSON\n"
@@ -262,12 +258,6 @@ main(int argc, char** argv)
             opt.backend = v;
             if (opt.backend != "native" && opt.backend != "sim") {
                 std::fprintf(stderr, "loadgen: bad --backend\n");
-                return 2;
-            }
-        } else if (const char* v = val("--tier")) {
-            opt.tier = v;
-            if (opt.tier != "jit" && opt.tier != "engine") {
-                std::fprintf(stderr, "loadgen: bad --tier\n");
                 return 2;
             }
         } else if (const char* v = val("--size")) {
@@ -336,7 +326,6 @@ main(int argc, char** argv)
     metrics::Report report;
     report.meta["tool"] = "phloem-loadgen";
     report.meta["backend"] = opt.backend;
-    if (!opt.tier.empty()) report.meta["tier"] = opt.tier;
     metrics::Run& run = report.run("loadgen", {{"backend", opt.backend}});
 
     metrics::Distribution hit_d(edges), cold_d(edges);

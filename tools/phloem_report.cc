@@ -136,28 +136,28 @@ printSimBreakdown(const metrics::Run& run)
 void
 printNativeSummary(const metrics::Run& run)
 {
-    auto tier = run.labels.find("tier");
-    std::string tier_note =
-        tier != run.labels.end() ? " (" + tier->second + ")" : "";
     std::printf("  wall %.3f ms, %llu stage threads + %llu RAs, "
-                "%llu instructions%s\n",
+                "%llu instructions\n",
                 gaugeOr(run.top, "wall_ns") / 1e6,
                 static_cast<unsigned long long>(
                     counterOr(run.top, "stage_threads")),
                 static_cast<unsigned long long>(
                     counterOr(run.top, "ra_workers")),
                 static_cast<unsigned long long>(
-                    counterOr(run.top, "instructions")),
-                tier_note.c_str());
+                    counterOr(run.top, "instructions")));
     auto fam = run.families.find("queue");
     if (fam == run.families.end())
         return;
-    std::printf("  %-8s %12s %12s %10s %10s %9s %8s\n", "queue", "enq",
-                "deq", "enq-blk", "deq-blk", "max-occ", "residual");
+    // Residue prints apart: only the ring's share is bounded by the
+    // queue depth; the rest sat drained in the consumer's batch buffer.
+    std::printf("  %-8s %12s %12s %10s %10s %9s %8s %8s\n", "queue", "enq",
+                "deq", "enq-blk", "deq-blk", "max-occ", "ring", "buffered");
     for (const auto& p : fam->second.points) {
         const metrics::MetricSet& ms = p.metrics;
         auto q = p.labels.find("queue");
-        std::printf("  q%-7s %12llu %12llu %10llu %10llu %9.0f %8llu\n",
+        uint64_t buffered = counterOr(ms, "residual_buffered");
+        std::printf("  q%-7s %12llu %12llu %10llu %10llu %9.0f %8llu "
+                    "%8llu\n",
                     q != p.labels.end() ? q->second.c_str() : "?",
                     static_cast<unsigned long long>(counterOr(ms, "enq")),
                     static_cast<unsigned long long>(counterOr(ms, "deq")),
@@ -167,7 +167,8 @@ printNativeSummary(const metrics::Run& run)
                         counterOr(ms, "deq_blocks")),
                     gaugeOr(ms, "max_occupancy"),
                     static_cast<unsigned long long>(
-                        counterOr(ms, "residual")));
+                        counterOr(ms, "residual") - buffered),
+                    static_cast<unsigned long long>(buffered));
     }
 }
 

@@ -24,12 +24,6 @@
  *                   MODE is native (host threads, default), sim
  *                   (cycle-approximate simulator), or both (run both and
  *                   compare outputs bit-for-bit)
- *   --tier=T        native stage execution tier: jit (compile each
- *                   stage's DInst program to a native .so) or engine
- *                   (pre-decoded handler engine). Default resolves from
- *                   PHLOEM_NATIVE_TIER, else the engine. Both tiers
- *                   produce bit-identical results; stages the JIT
- *                   cannot handle fall back to the engine.
  *   --size N        synthetic input size for --run (default 4096)
  *   --profile       with --run=native: per-opcode dynamic instruction
  *                   counts and per-queue batch-size statistics
@@ -92,8 +86,7 @@ usage()
                  "usage: phloemc [--stages N] [--no-ra] [--no-cv] "
                  "[--no-dce] [--no-handlers]\n"
                  "               [--kernel NAME] [--ir-only] [--quiet]\n"
-                 "               [--run[=native|sim|both]] "
-                 "[--tier=jit|engine] [--size N]\n"
+                 "               [--run[=native|sim|both]] [--size N]\n"
                  "               [--profile] [--trace=PATH]\n"
                  "               [--report=PATH] "
                  "[--autotune[=native|sim]] <file.c>\n"
@@ -143,8 +136,6 @@ optionOperand(const char* flag, int argc, char** argv, int* i)
 void
 printProfile(const rt::NativeStats& st)
 {
-    std::printf("profile: tier %s\n", st.tier.c_str());
-
     std::vector<uint64_t> counts = st.totalOpCounts();
     std::vector<std::pair<uint64_t, int>> order;
     for (size_t op = 0; op < counts.size(); ++op)
@@ -359,7 +350,7 @@ writeReport(const metrics::Report& report, const std::string& path)
 /** Execute the pipeline per --run; returns the process exit code. */
 int
 runPipeline(const driver::CompiledPipeline& cp, RunMode mode,
-            rt::TierMode tier, int64_t size, bool profile,
+            int64_t size, bool profile,
             const std::string& trace_path, const std::string& report_path)
 {
     const ir::Function& fn = *cp.kernel.fn;
@@ -378,7 +369,6 @@ runPipeline(const driver::CompiledPipeline& cp, RunMode mode,
         spec.backend = driver::Backend::kNative;
         spec.size = size;
         spec.cfg = cfg;
-        spec.tier = tier;
         if (!trace_path.empty())
             spec.tracer = &tracer;
         driver::ExecOutcome outcome =
@@ -409,17 +399,6 @@ runPipeline(const driver::CompiledPipeline& cp, RunMode mode,
                         native.totalEnqBlocks()),
                     static_cast<unsigned long long>(
                         native.totalDeqBlocks()));
-        if (native.tier == "jit") {
-            std::printf("run: jit     %d stage(s) compiled, %d engine "
-                        "fallback(s); emit %.2f ms, cc %.2f ms, "
-                        "dlopen %.2f ms\n",
-                        native.jitStages, native.jitFallbacks,
-                        native.jitEmitNs / 1e6, native.jitCompileNs / 1e6,
-                        native.jitLoadNs / 1e6);
-            if (!native.jitError.empty())
-                std::printf("run: jit     first fallback: %s\n",
-                            native.jitError.c_str());
-        }
         if (profile)
             printProfile(native);
     }
@@ -469,20 +448,10 @@ runPipeline(const driver::CompiledPipeline& cp, RunMode mode,
             }
         }
         std::printf("run: native and sim outputs match bit-for-bit\n");
-        // Match on the backend label alone: the collected native run
-        // may carry extra labels (e.g. the resolved execution tier),
-        // so an exact-label findRun would miss it.
-        auto byBackend = [&](const char* b) -> const metrics::Run* {
-            for (const auto& r : report.runs) {
-                auto it = r.labels.find("backend");
-                if (r.name == fn.name && it != r.labels.end() &&
-                    it->second == b)
-                    return &r;
-            }
-            return nullptr;
-        };
-        const metrics::Run* nr = byBackend("native");
-        const metrics::Run* sr = byBackend("sim");
+        const metrics::Run* nr =
+            report.findRun(fn.name, {{"backend", "native"}});
+        const metrics::Run* sr =
+            report.findRun(fn.name, {{"backend", "sim"}});
         if (nr == nullptr || sr == nullptr) {
             std::fprintf(stderr, "run: internal: metrics run missing "
                                  "for the backend comparison\n");
@@ -654,7 +623,6 @@ main(int argc, char** argv)
     RunMode run_mode = RunMode::kNone;
     enum class TuneMode { kNone, kNative, kSim };
     TuneMode tune_mode = TuneMode::kNone;
-    rt::TierMode tier = rt::TierMode::kAuto;
     int64_t run_size = 4096;
     bool profile = false;
     std::string trace_path;
@@ -729,19 +697,6 @@ main(int argc, char** argv)
                 return usage();
             }
             report_path = v;
-        } else if (arg.rfind("--tier=", 0) == 0) {
-            std::string v = arg.substr(std::string("--tier=").size());
-            if (v == "jit") {
-                tier = rt::TierMode::kJit;
-            } else if (v == "engine") {
-                tier = rt::TierMode::kEngine;
-            } else {
-                std::fprintf(stderr,
-                             "phloemc: --tier needs jit or engine, got "
-                             "'%s'\n",
-                             v.c_str());
-                return usage();
-            }
         } else if (arg == "--run" || arg == "--run=native") {
             run_mode = RunMode::kNative;
         } else if (arg == "--run=sim") {
@@ -812,7 +767,6 @@ main(int argc, char** argv)
         spec.source = source;
         spec.kernelName = kernel_name;
         spec.opts = opts;
-        spec.tier = tier;
         std::string compile_err;
         driver::CompiledPipelinePtr cp =
             driver::compileSource(spec, &compile_err);
@@ -864,7 +818,7 @@ main(int argc, char** argv)
                                report_path, quiet);
         }
         if (run_mode != RunMode::kNone)
-            return runPipeline(*cp, run_mode, tier, run_size, profile,
+            return runPipeline(*cp, run_mode, run_size, profile,
                                trace_path, report_path);
         return 0;
     } catch (const std::exception& e) {
