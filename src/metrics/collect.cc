@@ -217,6 +217,8 @@ nativeRunToMetrics(const std::string& name, const rt::NativeStats& stats)
     if (stats.sched.shared) {
         top.setGauge("sched_pool_size",
                      static_cast<double>(stats.sched.poolSize));
+        top.setGauge("sched_workers_used",
+                     static_cast<double>(stats.sched.workersUsed));
         top.addCounter("sched_parks", stats.sched.parks);
         top.addCounter("sched_unparks", stats.sched.unparks);
         top.addCounter("sched_steals", stats.sched.steals);

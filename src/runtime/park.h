@@ -35,7 +35,7 @@ class Task;
 /**
  * A spinlocked list of tasks blocked on one condition (one side of a
  * ring, or a barrier). The lock is held only for pointer insert/remove;
- * wakers snapshot the list under the lock and unpark outside it.
+ * wakers take waiters off under the lock and unpark them outside it.
  * Multi-producer rings can have several blocked producers, so this is
  * a list, not a slot.
  */
@@ -76,19 +76,27 @@ class WaitList
         unlock();
     }
 
-    /** Drain every waiter into out (caller unparks outside the lock). */
-    void
-    takeAll(std::vector<Task*>& out)
+    /** Deregister and return one waiter, or null if there is none. */
+    Task*
+    takeOne()
     {
         lock();
-        out.insert(out.end(), items_.begin(), items_.end());
-        items_.clear();
-        count_.store(0, std::memory_order_relaxed);
+        Task* t = nullptr;
+        if (!items_.empty()) {
+            t = items_.back();
+            items_.pop_back();
+            count_.store(static_cast<int>(items_.size()),
+                         std::memory_order_relaxed);
+        }
         unlock();
+        return t;
     }
 
-    /** Snapshot waiters without deregistering them (wake all). */
-    void wakeAll();  // defined in sched.cc (needs Scheduler::unpark)
+    /**
+     * Drain the list: deregister every waiter and unpark it. Defined in
+     * sched.cc (needs Scheduler::unpark).
+     */
+    void wakeAll();
 
   private:
     void

@@ -280,16 +280,22 @@ Runtime::runPipeline(const ir::Pipeline& pipeline, sim::Binding& binding,
                 &queue_waiters[static_cast<size_t>(i)]);
         auto run = sched.createRun(&ctl);
         ctl.schedRun = run.get();
-        for (auto& w : ra_workers)
-            run->addTask(w->stats.name, /*is_stage=*/false,
-                         [&ctl, worker = w.get()] {
+        // Both worker lists are replica-major: a replica's RAs and
+        // stages share one home worker.
+        const size_t ras_per_replica = pipeline.ras.size();
+        for (size_t k = 0; k < ra_workers.size(); ++k)
+            run->addTask(ra_workers[k]->stats.name, /*is_stage=*/false,
+                         static_cast<int>(k / ras_per_replica),
+                         [&ctl, worker = ra_workers[k].get()] {
                              workerMain(*worker, ctl);
                          });
-        for (auto& w : stage_workers)
-            run->addTask(w->stats.name, /*is_stage=*/true,
-                         [&ctl, worker = w.get()] {
-                             workerMain(*worker, ctl);
-                         });
+        for (size_t k = 0; k < stage_workers.size(); ++k)
+            run->addTask(
+                stage_workers[k]->stats.name, /*is_stage=*/true,
+                static_cast<int>(k / static_cast<size_t>(stages_per_replica)),
+                [&ctl, worker = stage_workers[k].get()] {
+                    workerMain(*worker, ctl);
+                });
         // Pool lanes are snapshot-diffed around the run: the counters
         // belong to the pool threads, which this run only borrows
         // (concurrent runs overlap on the same lanes).
@@ -317,9 +323,10 @@ Runtime::runPipeline(const ir::Pipeline& pipeline, sim::Binding& binding,
         }
         sched_stats.shared = true;
         sched_stats.poolSize = sched.poolSize();
+        sched_stats.workersUsed = run->workersUsed();
+        sched_stats.homes = run->homes();
         sched_stats.parks = run->parks();
         sched_stats.unparks = run->unparks();
-        sched_stats.steals = run->steals();
         sched_stats.yields = run->yields();
         ctl.schedRun = nullptr;
     } else {

@@ -6,10 +6,11 @@
  * This is the "what if the paper's hardware were software" backend: one
  * resumable task per pipeline stage (per replica), one task per software
  * reference accelerator, and one bounded ring per architectural queue.
- * Tasks run on a fixed-size shared work-stealing pool (runtime/sched.h)
- * sized to the machine, so many pipelines — or one pipeline with more
- * stages than cores — share the host without thread oversubscription; a
- * task blocked on a full/empty ring parks and yields its pool worker.
+ * Tasks run on a fixed-size shared pool (runtime/sched.h) sized to the
+ * machine, all of a replica's tasks on one home worker, so many
+ * pipelines — or one pipeline with more stages than cores — share the
+ * host without thread oversubscription; a task blocked on a full/empty
+ * ring parks and yields its pool worker.
  * RuntimeOptions::scheduler = kLegacy restores thread-per-stage.
  * It executes the same sim::flatten instruction stream as the
  * simulator, through the same functional core (sim/eval.h), so its

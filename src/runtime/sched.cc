@@ -1,14 +1,15 @@
 /**
  * @file
- * Work-stealing fiber scheduler implementation. See sched.h for the
- * model and DESIGN.md §12 for the protocol write-up.
+ * Fiber scheduler implementation. See sched.h for the model and
+ * DESIGN.md §12 for the protocol write-up.
  *
- * Fibers are ucontext-based with heap stacks. Under ASan and TSan the
- * context switches are annotated with the sanitizer fiber API so the
- * CI sanitizer jobs see through them: ASan needs the fake-stack
- * save/restore pair around every swapcontext, TSan needs one fiber
- * handle per task (and per pool thread) and a switch notification
- * immediately before each swap. Without these, ASan reports bogus
+ * Fibers run on heap stacks. On x86-64 they switch with a hand-written
+ * stack switch (below); elsewhere with swapcontext. Under ASan and TSan
+ * every switch is annotated with the sanitizer fiber API so the CI
+ * sanitizer jobs see through it: ASan needs the fake-stack
+ * save/restore pair around every switch, TSan needs one fiber handle
+ * per task (and per pool thread) and a switch notification
+ * immediately before each switch. Without these, ASan reports bogus
  * stack-use-after-return and TSan loses the happens-before edges that
  * the scheduler's queue handoffs establish.
  */
@@ -16,11 +17,15 @@
 #include "runtime/sched.h"
 
 #include <pthread.h>
+#include <ucontext.h>
 
 #include <chrono>
+#include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <new>
 
+#include "base/logging.h"
 #include "base/thread_name.h"
 #include "runtime/worker.h"
 
@@ -48,6 +53,8 @@
 
 namespace phloem::rt {
 
+void taskEntry(Task* t);
+
 namespace {
 
 /**
@@ -74,6 +81,147 @@ nowNs()
 
 std::atomic<Scheduler*> g_sharedSched{nullptr};
 
+#if defined(__x86_64__)
+
+/*
+ * The x86-64 stack switch. swapcontext also saves and restores the
+ * signal mask, an rt_sigprocmask syscall on every call; a park costs
+ * two. This switch pushes only what the SysV ABI makes callee-saved —
+ * rbx, rbp, r12-r15, the MXCSR and the x87 control word — onto the
+ * outgoing stack, stores that stack pointer in *from_sp, loads to_sp
+ * and pops the incoming fiber's state. Fibers therefore run with the
+ * pool thread's signal mask. The FP control words stay per fiber, as
+ * they were under swapcontext. The switch keeps no CET shadow stack.
+ *
+ * A fiber's first entry "returns" into phloem_fiber_start with the
+ * entry function in r13 and its argument in r12 (see SavedFrame).
+ */
+extern "C" void phloem_fiber_switch(void** from_sp, void* to_sp);
+extern "C" void phloem_fiber_start();
+
+asm(R"(
+    .text
+    .globl  phloem_fiber_switch
+    .hidden phloem_fiber_switch
+    .type   phloem_fiber_switch, @function
+    .p2align 4
+phloem_fiber_switch:
+    pushq   %rbp
+    pushq   %rbx
+    pushq   %r12
+    pushq   %r13
+    pushq   %r14
+    pushq   %r15
+    subq    $16, %rsp
+    stmxcsr 8(%rsp)
+    fnstcw  (%rsp)
+    movq    %rsp, (%rdi)
+    movq    %rsi, %rsp
+    fldcw   (%rsp)
+    ldmxcsr 8(%rsp)
+    addq    $16, %rsp
+    popq    %r15
+    popq    %r14
+    popq    %r13
+    popq    %r12
+    popq    %rbx
+    popq    %rbp
+    ret
+    .size   phloem_fiber_switch, .-phloem_fiber_switch
+
+    .globl  phloem_fiber_start
+    .hidden phloem_fiber_start
+    .type   phloem_fiber_start, @function
+    .p2align 4
+phloem_fiber_start:
+    .cfi_startproc
+    .cfi_undefined rip
+    movq    %r12, %rdi
+    callq   *%r13
+    ud2
+    .cfi_endproc
+    .size   phloem_fiber_start, .-phloem_fiber_start
+)");
+
+/**
+ * What phloem_fiber_switch leaves at a suspended fiber's saved stack
+ * pointer, in pop order. A new fiber's stack starts with one: its FP
+ * control words are the creating thread's, as getcontext would have
+ * captured them; r12/r13 carry the entry argument and function;
+ * rbp = 0 ends frame-pointer walks; and `ret` enters
+ * phloem_fiber_start with the stack 16-byte aligned for its call.
+ */
+struct SavedFrame
+{
+    uint64_t fpuCw, mxcsr, r15, r14, r13, r12, rbx, rbp, ret;
+    /** Alignment slot, then a null return address above the entry. */
+    uint64_t pad[2];
+};
+static_assert(sizeof(SavedFrame) % 16 == 8,
+              "the entry's call must see a 16-byte-aligned stack");
+
+void
+initFiber(FiberCtx& fc, char* stack, size_t size, Task* t)
+{
+    auto top = reinterpret_cast<uintptr_t>(stack + size) & ~uintptr_t{15};
+    auto* f = reinterpret_cast<SavedFrame*>(top - sizeof(SavedFrame));
+    *f = SavedFrame{};
+    uint16_t fpu_cw = 0;
+    uint32_t mxcsr = 0;
+    asm volatile("fnstcw %0" : "=m"(fpu_cw));
+    asm volatile("stmxcsr %0" : "=m"(mxcsr));
+    f->fpuCw = fpu_cw;
+    f->mxcsr = mxcsr;
+    f->r13 = reinterpret_cast<uint64_t>(&taskEntry);
+    f->r12 = reinterpret_cast<uint64_t>(t);
+    f->ret = reinterpret_cast<uint64_t>(&phloem_fiber_start);
+    fc.sp = f;
+}
+
+#else
+
+/**
+ * Portable switch: swapcontext, with the suspended side's ucontext_t
+ * on its own stack so that FiberCtx::sp means the same thing as on
+ * x86-64.
+ */
+void
+phloem_fiber_switch(void** from_sp, void* to_sp)
+{
+    ucontext_t self;
+    *from_sp = &self;
+    swapcontext(&self, static_cast<ucontext_t*>(to_sp));
+}
+
+/** makecontext trampoline: reassemble the Task* from two uints. */
+void
+taskTrampoline(unsigned hi, unsigned lo)
+{
+    taskEntry(reinterpret_cast<Task*>((static_cast<uintptr_t>(hi) << 32) |
+                                      static_cast<uintptr_t>(lo)));
+}
+
+/** The entry context sits at the top of the fiber's own stack. */
+void
+initFiber(FiberCtx& fc, char* stack, size_t size, Task* t)
+{
+    auto top = (reinterpret_cast<uintptr_t>(stack + size) -
+                sizeof(ucontext_t)) &
+               ~uintptr_t{15};
+    auto* uc = new (reinterpret_cast<void*>(top)) ucontext_t;
+    getcontext(uc);
+    uc->uc_stack.ss_sp = stack;
+    uc->uc_stack.ss_size = top - reinterpret_cast<uintptr_t>(stack);
+    uc->uc_link = nullptr;
+    auto p = reinterpret_cast<uintptr_t>(t);
+    makecontext(uc, reinterpret_cast<void (*)()>(&taskTrampoline), 2,
+                static_cast<unsigned>(p >> 32),
+                static_cast<unsigned>(p & 0xffffffffull));
+    fc.sp = uc;
+}
+
+#endif
+
 /**
  * Switch from fiber `from` to fiber `to` and eventually return when
  * something switches back into `from`. Either side may be a pool
@@ -89,7 +237,7 @@ switchFiber(FiberCtx& from, FiberCtx& to)
 #if defined(PHLOEM_TSAN)
     __tsan_switch_to_fiber(to.tsanFiber, 0);
 #endif
-    swapcontext(&from.uctx, &to.uctx);
+    phloem_fiber_switch(&from.sp, to.sp);
 #if defined(PHLOEM_ASAN)
     __sanitizer_finish_switch_fiber(from.fakeStack, nullptr, nullptr);
 #endif
@@ -100,7 +248,7 @@ switchFiber(FiberCtx& from, FiberCtx& to)
  * fake-stack save tells ASan this fiber is dying so its fake frames
  * can be released. Never returns.
  */
-void
+[[noreturn]] void
 switchFiberFinal(FiberCtx& from, FiberCtx& to)
 {
 #if defined(PHLOEM_ASAN)
@@ -109,7 +257,7 @@ switchFiberFinal(FiberCtx& from, FiberCtx& to)
 #if defined(PHLOEM_TSAN)
     __tsan_switch_to_fiber(to.tsanFiber, 0);
 #endif
-    swapcontext(&from.uctx, &to.uctx);
+    phloem_fiber_switch(&from.sp, to.sp);
     __builtin_unreachable();
 }
 
@@ -118,22 +266,7 @@ switchFiberFinal(FiberCtx& from, FiberCtx& to)
 thread_local Scheduler::Worker* Scheduler::tlsWorker_ = nullptr;
 thread_local Task* Scheduler::tlsTask_ = nullptr;
 
-void taskEntry(Task* t);
-
-namespace {
-
-/** makecontext trampoline: reassemble the Task* from two uints. */
-void
-taskTrampoline(unsigned hi, unsigned lo)
-{
-    auto* t = reinterpret_cast<Task*>((static_cast<uintptr_t>(hi) << 32) |
-                                      static_cast<uintptr_t>(lo));
-    taskEntry(t);
-}
-
-} // namespace
-
-/** First (and every) activation of a task fiber lands here. */
+/** First activation of a task fiber lands here. */
 void
 taskEntry(Task* t)
 {
@@ -143,27 +276,21 @@ taskEntry(Task* t)
 #endif
     t->body_();
     t->exit_ = Task::Exit::kDone;
-    auto* w = static_cast<Scheduler::Worker*>(t->worker_);
+    auto* w = static_cast<Scheduler::Worker*>(t->home_);
     switchFiberFinal(t->fc_, w->ctx);
 }
 
 // ---------------------------------------------------------------- Task
 
-Task::Task(SchedRun* run, std::string name, bool is_stage,
+Task::Task(SchedRun* run, std::string name, bool is_stage, int replica,
            std::function<void()> body)
     : run_(run), name_(std::move(name)), isStage_(is_stage),
-      body_(std::move(body)), stack_(new char[kTaskStackSize])
+      replica_(replica), body_(std::move(body)),
+      stack_(new char[kTaskStackSize])
 {
     fc_.stackBottom = stack_.get();
     fc_.stackSize = kTaskStackSize;
-    getcontext(&fc_.uctx);
-    fc_.uctx.uc_stack.ss_sp = stack_.get();
-    fc_.uctx.uc_stack.ss_size = kTaskStackSize;
-    fc_.uctx.uc_link = nullptr;
-    auto p = reinterpret_cast<uintptr_t>(this);
-    makecontext(&fc_.uctx, reinterpret_cast<void (*)()>(&taskTrampoline), 2,
-                static_cast<unsigned>(p >> 32),
-                static_cast<unsigned>(p & 0xffffffffull));
+    initFiber(fc_, stack_.get(), kTaskStackSize, this);
 #if defined(PHLOEM_TSAN)
     fc_.tsanFiber = __tsan_create_fiber(0);
 #endif
@@ -182,15 +309,25 @@ Task::~Task()
 void
 WaitList::wakeAll()
 {
-    std::vector<Task*> woke;
-    takeAll(woke);
-    // Route through the task's run (immutable) rather than its last
-    // worker (racy while another waker concurrently redispatches it).
-    for (Task* t : woke)
+    // One waiter per lock round, so no snapshot buffer is allocated on
+    // this per-handoff path. Run until the list is empty, so every
+    // waiter registered on entry is woken even if others join
+    // meanwhile (those are merely woken early and re-check).
+    while (!empty()) {
+        Task* t = takeOne();
+        if (t == nullptr)
+            return;
         t->run_->scheduler().unpark(t);
+    }
 }
 
 // ------------------------------------------------------------ SchedRun
+
+SchedRun::SchedRun(Scheduler* sched, RunControl* ctl)
+    : sched_(sched), ctl_(ctl),
+      ranOn_(new std::atomic<bool>[sched->workers_.size()]())
+{
+}
 
 SchedRun::~SchedRun()
 {
@@ -198,14 +335,19 @@ SchedRun::~SchedRun()
         sched_->unregisterRun(this);
         // Defensive: a run must not be torn down under live tasks.
         waitAll();
+        sched_->parks_.fetch_add(parks(), std::memory_order_relaxed);
+        sched_->unparks_.fetch_add(unparks(), std::memory_order_relaxed);
+        sched_->yields_.fetch_add(yields(), std::memory_order_relaxed);
     }
 }
 
 void
-SchedRun::addTask(std::string name, bool is_stage, std::function<void()> body)
+SchedRun::addTask(std::string name, bool is_stage, int replica,
+                  std::function<void()> body)
 {
+    phloem_assert(replica >= 0, "negative replica index ", replica);
     tasks_.push_back(std::make_unique<Task>(this, std::move(name), is_stage,
-                                            std::move(body)));
+                                            replica, std::move(body)));
     if (is_stage)
         ++stageLive_;
     ++totalLive_;
@@ -216,13 +358,29 @@ SchedRun::start()
 {
     started_ = true;
     sched_->registerRun(this);
-    size_t i = 0;
-    for (auto& t : tasks_) {
-        sched_->tasksStarted_.fetch_add(1, std::memory_order_relaxed);
-        // Seed round-robin across the pool; stealing rebalances.
-        auto& w = *sched_->workers_[i++ % sched_->workers_.size()];
-        sched_->submitLocal(w, t.get(), /*front=*/false);
-    }
+    sched_->place(*this);
+    sched_->tasksStarted_.fetch_add(tasks_.size(), std::memory_order_relaxed);
+    for (auto& t : tasks_)
+        sched_->submit(*static_cast<Scheduler::Worker*>(t->home_), t.get(),
+                       /*front=*/false);
+}
+
+uint64_t
+SchedRun::sumOverTasks(uint64_t Task::*count) const
+{
+    uint64_t n = 0;
+    for (const auto& t : tasks_)
+        n += (*t).*count;
+    return n;
+}
+
+int
+SchedRun::workersUsed() const
+{
+    int n = 0;
+    for (size_t i = 0; i < sched_->workers_.size(); ++i)
+        n += ranOn_[i].load(std::memory_order_relaxed) ? 1 : 0;
+    return n;
 }
 
 void
@@ -269,11 +427,9 @@ Scheduler::Scheduler(const Options& opts)
     workers_.reserve(static_cast<size_t>(n));
     for (int i = 0; i < n; ++i) {
         auto w = std::make_unique<Worker>();
-        w->sched = this;
         w->idx = i;
         workers_.push_back(std::move(w));
     }
-    // Spawn only once workers_ is fully built: peers scan it to steal.
     for (auto& w : workers_)
         w->thr = std::thread([this, wp = w.get()] { workerLoop(*wp); });
     monitor_ = std::thread([this] { monitorLoop(); });
@@ -281,11 +437,13 @@ Scheduler::Scheduler(const Options& opts)
 
 Scheduler::~Scheduler()
 {
-    {
-        std::lock_guard<std::mutex> g(idleMu_);
-        shutdown_.store(true, std::memory_order_release);
+    for (auto& w : workers_) {
+        {
+            std::lock_guard<std::mutex> g(w->mu);
+            shutdown_.store(true, std::memory_order_release);
+        }
+        w->cv.notify_one();
     }
-    idleCv_.notify_all();
     {
         std::lock_guard<std::mutex> g(monMu_);
     }
@@ -323,7 +481,6 @@ Scheduler::counters() const
     Counters c;
     c.parks = parks_.load(std::memory_order_relaxed);
     c.unparks = unparks_.load(std::memory_order_relaxed);
-    c.steals = steals_.load(std::memory_order_relaxed);
     c.yields = yields_.load(std::memory_order_relaxed);
     c.tasksStarted = tasksStarted_.load(std::memory_order_relaxed);
     return c;
@@ -357,24 +514,14 @@ Scheduler::current()
     return tlsTask_;
 }
 
-int
-Scheduler::currentPoolSize()
-{
-    Task* t = tlsTask_;
-    if (t == nullptr)
-        return 0;
-    return static_cast<Worker*>(t->worker_)->sched->poolSize();
-}
-
 void
 Scheduler::maybeYield()
 {
     Task* t = tlsTask_;
     if (t == nullptr)
         return;
-    auto* w = static_cast<Worker*>(t->worker_);
-    if (w->size.load(std::memory_order_relaxed) == 0 &&
-        w->sched->globalSize_.load(std::memory_order_relaxed) == 0)
+    auto* w = static_cast<Worker*>(t->home_);
+    if (w->local.empty() && w->inboxSize.load(std::memory_order_relaxed) == 0)
         return;
     t->exit_ = Task::Exit::kYield;
     switchFiber(t->fc_, w->ctx);
@@ -410,13 +557,15 @@ Scheduler::parkCurrent(const ParkTarget& pt, RunControl& ctl, bool stoppable)
         return;
     }
     t->exit_ = Task::Exit::kPark;
-    auto* w = static_cast<Worker*>(t->worker_);
+    auto* w = static_cast<Worker*>(t->home_);
     switchFiber(t->fc_, w->ctx);
     // Resumed by a later dispatch. Deregister ourselves: direct
     // unparks (run wakeAll, abort) flip our state without touching
     // the waiter list, and a stale entry must not survive into the
-    // next park.
-    pt.list->remove(t);
+    // next park. An empty list cannot hold us: the waker that took
+    // us off published the new count before unparking us.
+    if (!pt.list->empty())
+        pt.list->remove(t);
     t->parkWhat_.store("", std::memory_order_relaxed);
     t->parkQ_.store(-1, std::memory_order_relaxed);
 }
@@ -432,8 +581,6 @@ Scheduler::unpark(Task* t)
                                                 TaskState::kUnparkRequested,
                                                 std::memory_order_acq_rel)) {
                 // The parking worker sees the request and requeues.
-                unparks_.fetch_add(1, std::memory_order_relaxed);
-                t->run_->unparks_.fetch_add(1, std::memory_order_relaxed);
                 return;
             }
             continue;
@@ -443,19 +590,10 @@ Scheduler::unpark(Task* t)
             if (!t->state_.compare_exchange_weak(expect, TaskState::kRunnable,
                                                  std::memory_order_acq_rel))
                 continue;
-            unparks_.fetch_add(1, std::memory_order_relaxed);
-            SchedRun* r = t->run_;
-            r->unparks_.fetch_add(1, std::memory_order_relaxed);
-            Worker* w = tlsWorker_;
-            if (w != nullptr && w->sched == this) {
-                // Co-scheduling placement: the task we just made
-                // runnable is usually the other end of the ring we
-                // touched — run it next on this worker so the stalled
-                // edge's endpoints share a cache.
-                submitLocal(*w, t, /*front=*/true);
-            } else {
-                submitExternal(t);
-            }
+            // A waker on the home worker is usually the other end of
+            // the ring it just touched: run the woken task next, while
+            // the ring's lines are still in this core's cache.
+            submit(*static_cast<Worker*>(t->home_), t, /*front=*/true);
             return;
         }
         // Runnable / Running / UnparkRequested / Done: nothing to do.
@@ -464,88 +602,89 @@ Scheduler::unpark(Task* t)
 }
 
 void
-Scheduler::submitLocal(Worker& w, Task* t, bool front)
+Scheduler::place(SchedRun& r)
 {
+    std::vector<int> tasks_per_replica;
+    for (const auto& t : r.tasks_) {
+        const auto rep = static_cast<size_t>(t->replica_);
+        if (rep >= tasks_per_replica.size())
+            tasks_per_replica.resize(rep + 1, 0);
+        ++tasks_per_replica[rep];
+    }
+    r.homes_.assign(tasks_per_replica.size(), 0);
+    {
+        // Under the lock, a run's choice counts the tasks of every run
+        // placed before it, so concurrent runs and the replicas of one
+        // run spread over the pool.
+        std::lock_guard<std::mutex> g(placeMu_);
+        const size_t n = workers_.size();
+        for (size_t rep = 0; rep < tasks_per_replica.size(); ++rep) {
+            size_t best = placeNext_ % n;
+            for (size_t k = 1; k < n; ++k) {
+                size_t i = (placeNext_ + k) % n;
+                if (workers_[i]->homed.load(std::memory_order_relaxed) <
+                    workers_[best]->homed.load(std::memory_order_relaxed))
+                    best = i;
+            }
+            workers_[best]->homed.fetch_add(tasks_per_replica[rep],
+                                            std::memory_order_relaxed);
+            r.homes_[rep] = static_cast<int>(best);
+            placeNext_ = best + 1;
+        }
+    }
+    for (auto& t : r.tasks_) {
+        const int home = r.homes_[static_cast<size_t>(t->replica_)];
+        t->home_ = workers_[static_cast<size_t>(home)].get();
+    }
+}
+
+void
+Scheduler::submit(Worker& w, Task* t, bool front)
+{
+    if (tlsWorker_ == &w) {
+        if (front)
+            w.local.push_front(t);
+        else
+            w.local.push_back(t);
+        return;
+    }
+    bool wake = false;
     {
         std::lock_guard<std::mutex> g(w.mu);
-        if (front)
-            w.q.push_front(t);
-        else
-            w.q.push_back(t);
-        w.size.store(static_cast<int>(w.q.size()), std::memory_order_seq_cst);
+        w.inbox.push_back(t);
+        w.inboxSize.store(static_cast<int>(w.inbox.size()),
+                          std::memory_order_relaxed);
+        wake = w.sleeping;
     }
-    notifyIdle();
-}
-
-void
-Scheduler::submitExternal(Task* t)
-{
-    {
-        std::lock_guard<std::mutex> g(idleMu_);
-        globalQ_.push_back(t);
-        globalSize_.store(static_cast<int>(globalQ_.size()),
-                          std::memory_order_seq_cst);
-    }
-    idleCv_.notify_all();
-}
-
-void
-Scheduler::notifyIdle()
-{
-    // Dekker pairing with the pre-sleep re-check in workerLoop: our
-    // queue-size store (seq_cst) is ordered before this idle-count
-    // load, the sleeper's idle-count increment before its queue
-    // re-check. One of the two must see the other.
-    if (idleCount_.load(std::memory_order_seq_cst) == 0)
-        return;
-    std::lock_guard<std::mutex> g(idleMu_);
-    idleCv_.notify_all();
+    if (wake)
+        w.cv.notify_one();
 }
 
 Task*
-Scheduler::takeLocal(Worker& w)
+Scheduler::next(Worker& w)
 {
-    std::lock_guard<std::mutex> g(w.mu);
-    if (w.q.empty())
-        return nullptr;
-    Task* t = w.q.front();
-    w.q.pop_front();
-    w.size.store(static_cast<int>(w.q.size()), std::memory_order_seq_cst);
+    // The inbox count is read without the lock: a task queued just now
+    // is picked up on a later call, and the lock is always taken
+    // before the worker sleeps.
+    if (w.local.empty() || w.inboxSize.load(std::memory_order_relaxed) > 0) {
+        std::unique_lock<std::mutex> lk(w.mu);
+        for (;;) {
+            for (Task* t : w.inbox)
+                w.local.push_back(t);
+            w.inbox.clear();
+            w.inboxSize.store(0, std::memory_order_relaxed);
+            if (!w.local.empty())
+                break;
+            if (shutdown_.load(std::memory_order_acquire))
+                return nullptr;
+            w.sleeping = true;
+            w.cv.wait(lk);
+            w.sleeping = false;
+        }
+    }
+    Task* t = w.local.front();
+    w.local.pop_front();
     return t;
-}
-
-Task*
-Scheduler::takeGlobal()
-{
-    std::lock_guard<std::mutex> g(idleMu_);
-    if (globalQ_.empty())
-        return nullptr;
-    Task* t = globalQ_.front();
-    globalQ_.pop_front();
-    globalSize_.store(static_cast<int>(globalQ_.size()),
-                      std::memory_order_seq_cst);
-    return t;
-}
-
-Task*
-Scheduler::trySteal(Worker& w)
-{
-    const int n = static_cast<int>(workers_.size());
-    for (int k = 1; k < n; ++k) {
-        Worker& v = *workers_[static_cast<size_t>((w.idx + k) % n)];
-        std::lock_guard<std::mutex> g(v.mu);
-        if (v.q.empty())
-            continue;
-        // Steal from the back: the front is the victim's hot path
-        // (unparks co-schedule there).
-        Task* t = v.q.back();
-        v.q.pop_back();
-        v.size.store(static_cast<int>(v.q.size()), std::memory_order_seq_cst);
-        steals_.fetch_add(1, std::memory_order_relaxed);
-        t->run_->steals_.fetch_add(1, std::memory_order_relaxed);
-        return t;
-    }
-    return nullptr;
 }
 
 void
@@ -570,44 +709,19 @@ Scheduler::workerLoop(Worker& w)
         w.ctx.stackSize = size;
         pthread_attr_destroy(&attr);
     }
-    for (;;) {
-        Task* t = takeLocal(w);
-        if (t == nullptr)
-            t = takeGlobal();
-        if (t == nullptr)
-            t = trySteal(w);
-        if (t != nullptr) {
-            dispatch(w, t);
-            continue;
-        }
-        std::unique_lock<std::mutex> lk(idleMu_);
-        if (shutdown_.load(std::memory_order_acquire))
-            return;
-        idleCount_.fetch_add(1, std::memory_order_seq_cst);
-        // Re-check after announcing idleness (the notifier's Dekker
-        // counterpart): a submit that missed our idle count must be
-        // visible to this scan, or its notify must reach our wait.
-        std::atomic_thread_fence(std::memory_order_seq_cst);
-        bool work = globalSize_.load(std::memory_order_seq_cst) > 0 ||
-                    w.size.load(std::memory_order_seq_cst) > 0;
-        if (!work) {
-            for (const auto& p : workers_) {
-                if (p->size.load(std::memory_order_seq_cst) > 0) {
-                    work = true;
-                    break;
-                }
-            }
-        }
-        if (!work)
-            idleCv_.wait_for(lk, std::chrono::milliseconds(50));
-        idleCount_.fetch_sub(1, std::memory_order_seq_cst);
-    }
+    while (Task* t = next(w))
+        dispatch(w, t);
 }
 
 void
 Scheduler::dispatch(Worker& w, Task* t)
 {
-    t->worker_ = &w;
+    std::atomic<bool>& ran = t->run_->ranOn_[w.idx];
+    if (!ran.load(std::memory_order_relaxed))
+        ran.store(true, std::memory_order_relaxed);
+    // Only a wake makes a parked task runnable again.
+    if (t->exit_ == Task::Exit::kPark)
+        ++t->unparks_;
     t->exit_ = Task::Exit::kNone;
     t->state_.store(TaskState::kRunning, std::memory_order_release);
     tlsTask_ = t;
@@ -618,24 +732,19 @@ Scheduler::dispatch(Worker& w, Task* t)
         finishTask(t);
         break;
     case Task::Exit::kYield:
-        yields_.fetch_add(1, std::memory_order_relaxed);
-        t->run_->yields_.fetch_add(1, std::memory_order_relaxed);
+        ++t->yields_;
         t->state_.store(TaskState::kRunnable, std::memory_order_release);
-        submitLocal(w, t, /*front=*/false);
+        submit(w, t, /*front=*/false);
         break;
     case Task::Exit::kPark: {
-        // Count first: after the state CAS below publishes kParked,
-        // a waker may resume the task on another worker and the run
-        // may complete at any moment.
-        parks_.fetch_add(1, std::memory_order_relaxed);
-        t->run_->parks_.fetch_add(1, std::memory_order_relaxed);
+        ++t->parks_;
         TaskState expect = TaskState::kParking;
         if (!t->state_.compare_exchange_strong(expect, TaskState::kParked,
                                                std::memory_order_acq_rel)) {
             // A waker raced the park (kUnparkRequested): the wake-up
             // condition may already hold, so requeue immediately.
             t->state_.store(TaskState::kRunnable, std::memory_order_release);
-            submitLocal(w, t, /*front=*/true);
+            submit(w, t, /*front=*/true);
         }
         break;
     }
@@ -648,6 +757,8 @@ void
 Scheduler::finishTask(Task* t)
 {
     t->state_.store(TaskState::kDone, std::memory_order_release);
+    static_cast<Worker*>(t->home_)->homed.fetch_sub(
+        1, std::memory_order_relaxed);
     SchedRun* r = t->run_;
     // Notify while holding the mutex: a waiter cannot re-check the
     // counts (and destroy r, cv included) until the lock drops, so the

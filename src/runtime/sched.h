@@ -1,23 +1,28 @@
 /**
  * @file
- * Shared work-stealing task scheduler for the native runtime.
+ * Shared task scheduler for the native runtime.
  *
  * Instead of one OS thread per pipeline stage per replica (which
  * oversubscribes the host as soon as pipelines are wide or phloemd
  * serves several requests at once), every stage/RA worker becomes a
- * resumable *task*: a stackful fiber (ucontext) scheduled onto a
- * fixed-size pool of OS workers, default `hardware_concurrency`, with
- * per-worker run queues and work stealing — the shape of ponyc's
- * runtime scheduler adapted to Phloem's decoupled pipelines.
+ * resumable *task*: a stackful fiber scheduled onto a fixed-size pool
+ * of OS workers, default `hardware_concurrency`, each with its own run
+ * queue.
+ *
+ * Placement follows the paper's core mapping: one pipeline's stages
+ * are SMT threads of one core, replicas go to successive cores. Every
+ * replica gets one *home* worker when its run starts, the one with the
+ * fewest live homed tasks, and all of that replica's stage and RA
+ * tasks only ever run there. A queue handoff between two tasks of a
+ * replica is then a same-core fiber switch, never a cross-core cache
+ * line exchange, and nothing is stolen.
  *
  * Blocking keeps the SPSC-ring semantics bit-for-bit: a task that
  * finds a ring full/empty registers on the ring's waiter list
  * (park.h), re-checks, and parks — yielding its worker to another
  * runnable task at ~0 CPU cost. The push/pop on the other side
- * unparks it onto the *unparker's* local queue, co-scheduling a
- * blocked producer's consumer on the same worker (the placement the
- * stall-attribution traces motivate: the stalled edge's two endpoints
- * share a cache).
+ * unparks it onto its home worker's queue: at the front, without
+ * waking anyone, when the waker already runs there.
  *
  * Deadlock detection is scheduler-aware progress epochs rather than
  * the legacy wall-time heuristic: a run is deadlocked iff *every* live
@@ -30,8 +35,6 @@
 
 #ifndef PHLOEM_RUNTIME_SCHED_H
 #define PHLOEM_RUNTIME_SCHED_H
-
-#include <ucontext.h>
 
 #include <atomic>
 #include <condition_variable>
@@ -76,10 +79,14 @@ enum class TaskState : uint8_t {
     kDone,
 };
 
-/** One fiber: ucontext + stack + sanitizer bookkeeping (sched.cc). */
+/** One fiber: saved stack pointer + sanitizer bookkeeping (sched.cc). */
 struct FiberCtx
 {
-    ucontext_t uctx{};
+    /**
+     * While the fiber is switched out: where its saved machine state
+     * sits, on its own stack (see switchFiber in sched.cc).
+     */
+    void* sp = nullptr;
     void* stackBottom = nullptr;
     size_t stackSize = 0;
     /** ASan fake-stack handle saved across a suspension. */
@@ -92,7 +99,7 @@ struct FiberCtx
 class Task
 {
   public:
-    Task(SchedRun* run, std::string name, bool is_stage,
+    Task(SchedRun* run, std::string name, bool is_stage, int replica,
          std::function<void()> body);
     ~Task();
 
@@ -112,18 +119,25 @@ class Task
     SchedRun* run_;
     std::string name_;
     bool isStage_;
+    /** Pipeline replica this task belongs to; it shares the home. */
+    int replica_;
     std::function<void()> body_;
 
     std::atomic<TaskState> state_{TaskState::kRunnable};
     Exit exit_ = Exit::kNone;
     FiberCtx fc_;
     std::unique_ptr<char[]> stack_;
-    /** The pool worker currently (or last) dispatching this task. */
-    void* worker_ = nullptr;
+    /** The pool worker that runs this task, set once by start(). */
+    void* home_ = nullptr;
 
     /** What the task is parked on, for the deadlock post-mortem. */
     std::atomic<const char*> parkWhat_{""};
     std::atomic<int> parkQ_{-1};
+
+    /** Event counts; written only by the home worker's dispatch. */
+    uint64_t parks_ = 0;
+    uint64_t unparks_ = 0;
+    uint64_t yields_ = 0;
 };
 
 /**
@@ -140,11 +154,17 @@ class SchedRun
     SchedRun(const SchedRun&) = delete;
     SchedRun& operator=(const SchedRun&) = delete;
 
-    /** Add a task before start(). Stage tasks define completion. */
-    void addTask(std::string name, bool is_stage,
+    /**
+     * Add a task before start(). Stage tasks define completion. Tasks
+     * with the same replica index share one home worker.
+     */
+    void addTask(std::string name, bool is_stage, int replica,
                  std::function<void()> body);
 
-    /** Enqueue every task and register with the deadlock monitor. */
+    /**
+     * Give each replica a home worker, enqueue every task there, and
+     * register with the deadlock monitor.
+     */
     void start();
 
     /** Block the caller until every stage task finished. */
@@ -160,24 +180,35 @@ class SchedRun
      */
     void wakeAllTasks();
 
-    uint64_t parks() const { return parks_.load(std::memory_order_relaxed); }
-    uint64_t unparks() const { return unparks_.load(std::memory_order_relaxed); }
-    uint64_t steals() const { return steals_.load(std::memory_order_relaxed); }
-    uint64_t yields() const { return yields_.load(std::memory_order_relaxed); }
+    /**
+     * Scheduler events of this run's tasks. Read only after waitAll():
+     * the home workers count them without synchronization.
+     */
+    uint64_t parks() const { return sumOverTasks(&Task::parks_); }
+    uint64_t unparks() const { return sumOverTasks(&Task::unparks_); }
+    uint64_t yields() const { return sumOverTasks(&Task::yields_); }
+
+    /** Distinct pool workers that dispatched this run's tasks so far. */
+    int workersUsed() const;
+    /** Pool worker index of each replica's home (empty before start). */
+    const std::vector<int>& homes() const { return homes_; }
 
     Scheduler& scheduler() { return *sched_; }
 
   private:
     friend class Scheduler;
 
-    SchedRun(Scheduler* sched, RunControl* ctl)
-        : sched_(sched), ctl_(ctl)
-    {
-    }
+    SchedRun(Scheduler* sched, RunControl* ctl);
+
+    uint64_t sumOverTasks(uint64_t Task::*count) const;
 
     Scheduler* sched_;
     RunControl* ctl_;
     std::vector<std::unique_ptr<Task>> tasks_;
+    /** Home worker index per replica, filled by start(). */
+    std::vector<int> homes_;
+    /** Per pool worker: has it dispatched one of this run's tasks? */
+    std::unique_ptr<std::atomic<bool>[]> ranOn_;
 
     std::mutex mu_;
     std::condition_variable cv_;
@@ -187,11 +218,6 @@ class SchedRun
 
     /** Monitor-private: when the all-parked state was first seen. */
     uint64_t allParkedSinceNs_ = 0;
-
-    std::atomic<uint64_t> parks_{0};
-    std::atomic<uint64_t> unparks_{0};
-    std::atomic<uint64_t> steals_{0};
-    std::atomic<uint64_t> yields_{0};
 };
 
 class Scheduler
@@ -229,7 +255,11 @@ class Scheduler
         uint64_t yields = 0;
         uint64_t tasksStarted = 0;
     };
-    /** Process-lifetime totals (phloemd's "stats" op reports these). */
+    /**
+     * Process-lifetime totals (phloemd's "stats" op reports these).
+     * Event counts cover finished runs; `steals` stays 0 because every
+     * task has a home and is never stolen.
+     */
     Counters counters() const;
 
     /** One pool worker's cumulative PMU counts (read cross-thread). */
@@ -253,15 +283,6 @@ class Scheduler
     static Task* current();
 
     /**
-     * Worker count of the pool running the calling task, or 0 when
-     * the caller is not on a task. Lets blocking waits skip the spin
-     * phase on a single-worker pool, where the peer task that would
-     * satisfy the wait shares the only worker and cannot run until
-     * the spinner yields.
-     */
-    static int currentPoolSize();
-
-    /**
      * Cooperative yield point (called from the instruction-count
      * heartbeats): if the current worker has other runnable work
      * queued, requeue the current task and run that work. No-op off a
@@ -280,7 +301,11 @@ class Scheduler
     static void parkCurrent(const ParkTarget& pt, RunControl& ctl,
                             bool stoppable);
 
-    /** Make t runnable if parked (or cancel an in-flight park). */
+    /**
+     * Make t runnable if parked (or cancel an in-flight park): requeue
+     * it on its home worker, at the front when the caller already runs
+     * there.
+     */
     void unpark(Task* t);
 
   private:
@@ -290,11 +315,22 @@ class Scheduler
 
     struct Worker
     {
-        Scheduler* sched = nullptr;
         int idx = 0;
+        /**
+         * Runnable tasks queued by this worker itself: wakes and
+         * requeues of its own tasks, the common case, take no lock.
+         */
+        std::deque<Task*> local;
         std::mutex mu;
-        std::deque<Task*> q;
-        std::atomic<int> size{0};
+        std::condition_variable cv;
+        /** Tasks queued by other threads; guarded by mu. */
+        std::vector<Task*> inbox;
+        /** The worker waits on cv for the inbox to fill; guarded by mu. */
+        bool sleeping = false;
+        /** inbox.size(), readable without mu. */
+        std::atomic<int> inboxSize{0};
+        /** Live tasks homed here: start()'s placement load. */
+        std::atomic<int> homed{0};
         FiberCtx ctx;
         std::thread thr;
         /** Opened by the worker thread itself at workerLoop entry. */
@@ -306,14 +342,16 @@ class Scheduler
     void workerLoop(Worker& w);
     void dispatch(Worker& w, Task* t);
     void finishTask(Task* t);
-    Task* takeLocal(Worker& w);
-    Task* takeGlobal();
-    Task* trySteal(Worker& w);
-    /** Queue t on w (front = run next) and nudge idle workers. */
-    void submitLocal(Worker& w, Task* t, bool front);
-    /** Queue t on the global injection queue (non-worker threads). */
-    void submitExternal(Task* t);
-    void notifyIdle();
+    /** Pop w's next task, or sleep until one arrives; null at shutdown. */
+    Task* next(Worker& w);
+    /**
+     * Queue t on w: on its own deque when called from w (at the front,
+     * to run next, if `front`), else at the back of its inbox, waking
+     * w if it sleeps.
+     */
+    void submit(Worker& w, Task* t, bool front);
+    /** Choose each replica's home worker and home its tasks there. */
+    void place(SchedRun& r);
 
     void monitorLoop();
     void checkRuns(uint64_t now_ns);
@@ -327,13 +365,12 @@ class Scheduler
     static thread_local Task* tlsTask_;
 
     std::vector<std::unique_ptr<Worker>> workers_;
-
-    std::mutex idleMu_;
-    std::condition_variable idleCv_;
-    std::deque<Task*> globalQ_;
-    std::atomic<int> globalSize_{0};
-    std::atomic<int> idleCount_{0};
     std::atomic<bool> shutdown_{false};
+
+    /** Serializes placement so concurrent start() calls see each other. */
+    std::mutex placeMu_;
+    /** Round-robin tie-break cursor for placement; guarded by placeMu_. */
+    size_t placeNext_ = 0;
 
     std::mutex runsMu_;
     std::vector<SchedRun*> runs_;
@@ -343,7 +380,6 @@ class Scheduler
 
     std::atomic<uint64_t> parks_{0};
     std::atomic<uint64_t> unparks_{0};
-    std::atomic<uint64_t> steals_{0};
     std::atomic<uint64_t> yields_{0};
     std::atomic<uint64_t> tasksStarted_{0};
 };

@@ -111,11 +111,18 @@ struct SchedStats
     bool shared = false;
     /** Worker threads in the pool that ran this pipeline. */
     int poolSize = 0;
+    /** Distinct pool workers that dispatched this run's tasks. */
+    int workersUsed = 0;
+    /** Pool worker index each replica was homed on, by replica. */
+    std::vector<int> homes;
     /** Times a task of this run parked on a full/empty ring or barrier. */
     uint64_t parks = 0;
     /** Times a parked/parking task of this run was woken. */
     uint64_t unparks = 0;
-    /** This run's tasks stolen from another worker's queue. */
+    /**
+     * This run's tasks stolen from another worker's queue: always 0,
+     * since every task stays on its replica's home worker.
+     */
     uint64_t steals = 0;
     /** Cooperative yields from compute loops (heartbeat checkpoints). */
     uint64_t yields = 0;

@@ -31,12 +31,6 @@ constexpr int kSpinLimit = 256;
 // Backoff.
 // ---------------------------------------------------------------------
 
-Backoff::Backoff(RunControl& ctl)
-    : lastProgress_(ctl.progress.load(std::memory_order_relaxed)),
-      lastChangeNs_(nowNs())
-{
-}
-
 Backoff::Result
 Backoff::step(RunControl& ctl, bool stoppable, const ParkTarget* pt)
 {
@@ -45,21 +39,9 @@ Backoff::step(RunControl& ctl, bool stoppable, const ParkTarget* pt)
     if (stoppable && ctl.stop.load(std::memory_order_acquire))
         return Result::kStopped;
 
-    // On a single-worker pool spinning is pure waste: the peer task
-    // that would satisfy this wait shares the only worker and cannot
-    // run until we yield, so park straight away.
-    if (spins_ == 0 && pt != nullptr && pt->list != nullptr &&
-        Scheduler::currentPoolSize() == 1)
-        spins_ = kSpinLimit;
-
-    if (spins_ < kSpinLimit) {
-        spins_++;
-        cpuRelax();
-        return Result::kRetry;
-    }
-
-    // Scheduler mode: after the capped spin phase, park instead of
-    // burning the core — the other side of the ring unparks us. The
+    // On the pool, park straight away: every task is homed, so the
+    // peer that would satisfy this wait usually shares the worker and
+    // cannot run until we switch out; spinning only delays it. The
     // wall-time watchdog below would misfire here (a task can sit
     // unscheduled with the whole run healthy), so deadlock detection
     // moves to the scheduler's all-parked monitor, whose fail() the
@@ -70,14 +52,21 @@ Backoff::step(RunControl& ctl, bool stoppable, const ParkTarget* pt)
         return Result::kRetry;
     }
 
+    if (spins_ < kSpinLimit) {
+        spins_++;
+        cpuRelax();
+        return Result::kRetry;
+    }
+
     std::this_thread::yield();
 
     // Watchdog: when the whole runtime stops making progress while we
     // are blocked, the pipeline is deadlocked (e.g. a mis-compiled
-    // program enqueueing without a consumer).
+    // program enqueueing without a consumer). Its clock starts at the
+    // first yield, so waits that end while spinning never read it.
     uint64_t p = ctl.progress.load(std::memory_order_relaxed);
     uint64_t now = nowNs();
-    if (p != lastProgress_) {
+    if (lastChangeNs_ == 0 || p != lastProgress_) {
         lastProgress_ = p;
         lastChangeNs_ = now;
         return Result::kRetry;
@@ -117,7 +106,7 @@ StageBarrier::arriveAndWait(RunControl& ctl)
     pt.obj = this;
     pt.arg = gen;
     pt.what = "barrier";
-    Backoff backoff(ctl);
+    Backoff backoff;
     while (generation_.load(std::memory_order_acquire) == gen) {
         switch (backoff.step(ctl, /*stoppable=*/false, &pt)) {
           case Backoff::Result::kRetry:

@@ -44,7 +44,7 @@ constexpr uint64_t kHeartbeatInterval = 4096;
 enum class SchedulerMode : uint8_t {
     /** Shared pool unless the PHLOEM_SCHED=legacy env override. */
     kAuto,
-    /** Tasks on the shared fixed-size work-stealing pool. */
+    /** Tasks on the shared fixed-size pool, one worker per replica. */
     kShared,
     /** One dedicated OS thread per worker (differential fallback). */
     kLegacy,
@@ -140,16 +140,15 @@ struct RunControl
 };
 
 /**
- * Spin-then-yield backoff for one blocked queue op. Spins briefly with
- * cpu-relax, then yields; while yielding it watches the global progress
- * counter and trips the deadlock watchdog when nothing in the whole
- * runtime has advanced for opt.deadlockTimeoutMs.
+ * Backoff for one blocked queue op. A scheduler task parks at once.
+ * Off the pool it spins briefly with cpu-relax, then yields; while
+ * yielding it watches the global progress counter and trips the
+ * deadlock watchdog when nothing in the whole runtime has advanced for
+ * opt.deadlockTimeoutMs.
  */
 class Backoff
 {
   public:
-    explicit Backoff(RunControl& ctl);
-
     enum class Result : uint8_t {
         kRetry,     ///< try the queue op again
         kStopped,   ///< runtime shut down (RA drain) or aborted
@@ -158,20 +157,23 @@ class Backoff
 
     /**
      * One backoff step. `stoppable` waits also end on ctl.stop. On a
-     * scheduler task with a parkable target, the spin phase is capped
-     * and falls through to park/unpark (the wait then costs ~0 CPU and
-     * deadlock detection is the scheduler's all-parked monitor, which
-     * never returns kDeadlock from here). Off the pool, or with a null
-     * target/list, the legacy spin-yield-watchdog behavior applies.
+     * scheduler task with a parkable target it parks without spinning
+     * (the wait then costs ~0 CPU and deadlock detection is the
+     * scheduler's all-parked monitor, which never returns kDeadlock
+     * from here). Off the pool, or with a null target/list, the legacy
+     * spin-yield-watchdog behavior applies.
      */
     Result step(RunControl& ctl, bool stoppable,
                 const ParkTarget* pt = nullptr);
 
   private:
     int spins_ = 0;
-    uint64_t lastProgress_;
-    /** Monotonic ns timestamp of the last observed progress change. */
-    uint64_t lastChangeNs_;
+    uint64_t lastProgress_ = 0;
+    /**
+     * Monotonic ns timestamp of the last observed progress change; 0
+     * until the watchdog's first yield.
+     */
+    uint64_t lastChangeNs_ = 0;
 };
 
 /** Which side of a ring a blocked queue op waits on. */
@@ -242,7 +244,7 @@ waitBlocked(RunControl& ctl, trace::TraceBuffer* tb, SpscQueue& q, int abs_q,
     pt.what = queueWaitName(kind);
     pt.q = abs_q;
 
-    Backoff backoff(ctl);
+    Backoff backoff;
     WaitStatus status = WaitStatus::kOk;
     for (;;) {
         if (attempt()) {

@@ -122,13 +122,18 @@ class ExprParser
             get();
             std::string idx;
             for (;;) {
-                char c = get();
+                skipWs();
+                if (pos_ >= text_.size())
+                    phloem_fatal("unterminated index list in tensor "
+                                 "expression: '",
+                                 text_, "'");
+                char c = text_[pos_++];
                 if (c == ',' || c == ')') {
                     a.indices.push_back(idx);
                     idx.clear();
                     if (c == ')')
                         break;
-                } else if (!std::isspace(static_cast<unsigned char>(c))) {
+                } else {
                     idx.push_back(c);
                 }
             }

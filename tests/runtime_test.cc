@@ -8,6 +8,8 @@
 
 #include "tests/test_util.h"
 
+#include <atomic>
+#include <cfenv>
 #include <cstdio>
 #include <thread>
 
@@ -1211,10 +1213,125 @@ TEST(NativeRuntime, SchedulerTwoConcurrentPipelinesShareOnePool)
                                  << stats[i].error;
         EXPECT_TRUE(stats[i].sched.shared);
         EXPECT_EQ(stats[i].sched.poolSize, 2);
+        // One replica, one home: every task of a run stays on it.
+        EXPECT_EQ(stats[i].sched.workersUsed, 1) << "run " << i;
+        ASSERT_EQ(stats[i].sched.homes.size(), 1u) << "run " << i;
         EXPECT_TRUE(
             sb.array("out")->contentEquals(*bindings[i].array("out")))
             << "run " << i;
     }
+    // Placement spreads runs over the pool rather than stacking them.
+    EXPECT_NE(stats[0].sched.homes[0], stats[1].sched.homes[0]);
+}
+
+TEST(NativeRuntime, SchedulerHomesEachReplicaOnOneWorker)
+{
+    // The paper's mapping: a replica's stages (and its RAs) share one
+    // core, replicas go to different cores. On a private 4-worker pool
+    // a run dispatches on exactly one worker per replica.
+    auto pipeline = std::make_unique<ir::Pipeline>();
+    pipeline->name = "handoff";
+    {
+        ir::FunctionBuilder b("produce");
+        ir::RegId n = b.scalarParam("n");
+        b.forRange(b.constI(0), n, [&](ir::RegId i) { b.enq(0, i); });
+        pipeline->stages.push_back(b.finish());
+    }
+    {
+        ir::FunctionBuilder b("consume");
+        ir::RegId n = b.scalarParam("n");
+        ir::RegId v = b.newReg("v");
+        b.forRange(b.constI(0), n, [&](ir::RegId) { b.deqTo(0, v); });
+        pipeline->stages.push_back(b.finish());
+    }
+    ir::QueueConfig qc;
+    qc.id = 0;
+    qc.depth = 2;
+    pipeline->queues.push_back(qc);
+
+    rt::Scheduler::Options sopt;
+    sopt.workers = 4;
+    rt::Scheduler pool(sopt);
+    rt::RuntimeOptions opt;
+    opt.scheduler = rt::SchedulerMode::kShared;
+    opt.schedulerOverride = &pool;
+    rt::Runtime runtime(sim::SysConfig{}, opt);
+
+    for (int replicas : {1, 2}) {
+        SCOPED_TRACE(replicas);
+        pipeline->replicas = replicas;
+        sim::Binding b;
+        b.setScalarInt("n", 5000);
+        rt::NativeStats stats = runtime.runPipeline(*pipeline, b);
+        ASSERT_TRUE(stats.ok) << stats.error;
+        EXPECT_EQ(stats.sched.poolSize, 4);
+        EXPECT_EQ(stats.sched.workersUsed, replicas);
+        ASSERT_EQ(stats.sched.homes.size(), static_cast<size_t>(replicas));
+        if (replicas == 2) {
+            EXPECT_NE(stats.sched.homes[0], stats.sched.homes[1]);
+        }
+        // Co-located endpoints hand off by parking, never by stealing.
+        EXPECT_GT(stats.sched.parks, 0u);
+        EXPECT_EQ(stats.sched.steals, 0u);
+        metrics::Run run = metrics::nativeRunToMetrics("handoff", stats);
+        EXPECT_EQ(run.top.gauges.at("sched_workers_used"),
+                  static_cast<double>(replicas));
+    }
+}
+
+TEST(NativeRuntime, SchedulerFiberKeepsItsFpControlState)
+{
+    // The rounding mode is per fiber, as it was under swapcontext: a
+    // task that sets FE_UPWARD and parks still has it when it resumes,
+    // while a peer that runs on the same worker in between sees the
+    // default. A new fiber starts with its creating thread's mode.
+    rt::Scheduler::Options sopt;
+    sopt.workers = 4;
+    rt::Scheduler pool(sopt);
+    rt::RunControl ctl;
+    auto run = pool.createRun(&ctl);
+    ctl.schedRun = run.get();
+
+    rt::WaitList waiters;
+    std::atomic<bool> go{false};
+    rt::ParkTarget pt;
+    pt.list = &waiters;
+    pt.obj = &go;
+    pt.ready = [](const rt::ParkTarget& p) {
+        return static_cast<const std::atomic<bool>*>(p.obj)->load();
+    };
+    int resumed_mode = -1;
+    int peer_mode = -1;
+    int fresh_mode = -1;
+    // Same replica, same home: "setter" runs first, parks, then "peer"
+    // runs on that worker and wakes it.
+    run->addTask("setter", /*is_stage=*/true, /*replica=*/0, [&] {
+        std::fesetround(FE_UPWARD);
+        while (!go.load())
+            rt::Scheduler::parkCurrent(pt, ctl, /*stoppable=*/false);
+        resumed_mode = std::fegetround();
+        std::fesetround(FE_TONEAREST);
+    });
+    run->addTask("peer", /*is_stage=*/true, /*replica=*/0, [&] {
+        peer_mode = std::fegetround();
+        go.store(true);
+        std::atomic_thread_fence(std::memory_order_seq_cst);
+        if (!waiters.empty())
+            waiters.wakeAll();
+    });
+    std::fesetround(FE_DOWNWARD);
+    run->addTask("fresh", /*is_stage=*/true, /*replica=*/1,
+                 [&] { fresh_mode = std::fegetround(); });
+    std::fesetround(FE_TONEAREST);
+    run->start();
+    run->waitAll();
+
+    EXPECT_EQ(resumed_mode, FE_UPWARD);
+    EXPECT_EQ(peer_mode, FE_TONEAREST);
+    EXPECT_EQ(fresh_mode, FE_DOWNWARD);
+    EXPECT_EQ(run->parks(), 1u);
+    EXPECT_EQ(run->workersUsed(), 2);
+    EXPECT_EQ(std::fegetround(), FE_TONEAREST);
 }
 
 } // namespace

@@ -5,6 +5,10 @@
  */
 
 #include <gtest/gtest.h>
+#include <sys/wait.h>
+
+#include <cstdlib>
+#include <string>
 
 #include "driver/experiment.h"
 #include "frontend/frontend.h"
@@ -58,6 +62,26 @@ TEST(Taco, RejectsUnsupportedExpressions)
                  std::exception);
     EXPECT_THROW(taco::compileExpression("bad", "y(i) = x(i) * z(i)"),
                  std::exception);
+    EXPECT_THROW(taco::compileExpression("bad", "garbage"), std::exception);
+    // End of input inside an index list: the parser used to keep
+    // appending '\0' until the allocation failed.
+    EXPECT_THROW(taco::compileExpression("bad", "y(i) = A(i,j"),
+                 std::exception);
+    EXPECT_THROW(taco::compileExpression("bad", "y("), std::exception);
+}
+
+TEST(Taco, PhloemcReportsMalformedExpressions)
+{
+    // phloemc reports a mini-Taco error and exits 1 instead of
+    // aborting on the uncaught exception.
+    for (const char* expr : {"garbage", "y(i) = A(i,j"}) {
+        SCOPED_TRACE(expr);
+        std::string cmd = std::string(PHLOEMC_PATH) + " --taco '" + expr +
+                          "' > /dev/null 2>&1";
+        int status = std::system(cmd.c_str());
+        ASSERT_TRUE(WIFEXITED(status)) << "status " << status;
+        EXPECT_EQ(WEXITSTATUS(status), 1);
+    }
 }
 
 TEST(Taco, KernelsValidateOnSmallMatrix)

@@ -423,7 +423,7 @@ main(int argc, char** argv)
             run.top.setGauge("server_cache_entries",
                              static_cast<double>(resp.cacheEntries));
             // Shared task-pool counters: all native requests multiplex
-            // onto one fixed pool, so parks/steals here prove the
+            // onto one fixed pool, so parks here prove the
             // daemon ran concurrency x stages tasks without spawning
             // that many threads.
             if (resp.schedPoolSize > 0) {

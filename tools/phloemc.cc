@@ -222,6 +222,17 @@ printProfile(const rt::NativeStats& st)
         std::printf("profile: hardware counters unavailable (%s)\n",
                     rt::hwUnavailableReason().c_str());
     }
+    if (st.sched.shared) {
+        std::printf("profile: scheduler: %d of %d pool workers used, "
+                    "replica homes",
+                    st.sched.workersUsed, st.sched.poolSize);
+        for (int home : st.sched.homes)
+            std::printf(" pool/%d", home);
+        std::printf("; %llu parks, %llu unparks, %llu yields\n",
+                    static_cast<unsigned long long>(st.sched.parks),
+                    static_cast<unsigned long long>(st.sched.unparks),
+                    static_cast<unsigned long long>(st.sched.yields));
+    }
     std::printf("profile: rusage maxrss %.0f KiB, ctxsw %llu voluntary / "
                 "%llu involuntary\n",
                 st.rusage.maxRssKb,
@@ -742,8 +753,13 @@ main(int argc, char** argv)
 
     std::string source;
     if (!taco_expr.empty()) {
-        taco::TacoKernel k =
-            taco::compileExpression("taco_kernel", taco_expr);
+        taco::TacoKernel k;
+        try {
+            k = taco::compileExpression("taco_kernel", taco_expr);
+        } catch (const std::exception& e) {
+            std::fprintf(stderr, "phloemc: %s\n", e.what());
+            return 1;
+        }
         if (!quiet)
             std::printf("=== emitted C (from '%s') ===\n%s\n",
                         k.expression.c_str(), k.source.c_str());
