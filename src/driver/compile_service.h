@@ -100,7 +100,11 @@ struct RunSpec
     /** Synthetic input size (see synthesizeBinding). */
     int64_t size = 4096;
     sim::SysConfig cfg;
-    /** Native deadlock watchdog; bounds a wedged request's lifetime. */
+    /**
+     * Native deadlock timeout: ends a run in which every live task has
+     * stayed parked this long. A run that keeps computing is bounded
+     * only by maxInstructions.
+     */
     int deadlockTimeoutMs = 10000;
     /** Dynamic instruction budget per worker (runaway backstop). */
     uint64_t maxInstructions = 4'000'000'000ull;
@@ -108,7 +112,7 @@ struct RunSpec
     trace::Tracer* tracer = nullptr;
     /**
      * Request id threaded from the service (RuntimeOptions.requestId):
-     * tags watchdog errors and trace metadata so service spans and
+     * tags deadlock errors and trace metadata so service spans and
      * runtime stalls correlate per request. Empty outside the daemon.
      */
     std::string requestId;

@@ -30,6 +30,16 @@ namespace phloem::fe {
  */
 constexpr int kMaxNesting = 256;
 
+/**
+ * Most statements a translation unit may hold after inlining, nested
+ * ones included. Later passes are superlinear in a function's size (a
+ * call chain that doubles at every level grows exponentially, and
+ * ir::copyPropagate is quadratic in its rewrites), so larger input is a
+ * frontend error rather than minutes of compile time. The largest suite
+ * kernel is under a tenth of it.
+ */
+constexpr int kMaxStatements = 1024;
+
 /** Scalar expression types. */
 enum class Ty : uint8_t { kInt, kDouble };
 

@@ -68,6 +68,20 @@ stmtHeight(const AstStmt& s)
     return h + 1;
 }
 
+/** Statements in s's tree, s and its nested statements included. */
+int
+stmtCount(const AstStmt& s)
+{
+    int n = 1;
+    if (s.init)
+        n += stmtCount(*s.init);
+    for (const auto& k : s.body)
+        n += stmtCount(*k);
+    for (const auto& k : s.elseBody)
+        n += stmtCount(*k);
+    return n;
+}
+
 AstStmtPtr
 cloneStmt(const AstStmt& s)
 {
@@ -182,12 +196,30 @@ class Inliner
     run()
     {
         for (auto& fn : tu_.functions) {
+            countStatements(fn->body, "function", fn->name, fn->line);
             std::set<std::string> stack{fn->name};
             inlineRegion(fn->body, stack, /*depth=*/1);
         }
     }
 
   private:
+    /**
+     * Add body's statements to the unit's running total, before anything
+     * is copied, so a call chain that doubles at every level stops
+     * before its expansion is allocated.
+     */
+    void
+    countStatements(const std::vector<AstStmtPtr>& body, const char* what,
+                    const std::string& name, int line)
+    {
+        for (const auto& st : body)
+            statements_ += stmtCount(*st);
+        if (statements_ > kMaxStatements)
+            phloem_fatal(what, " ", name, " at line ", line,
+                         " grows the translation unit past ",
+                         kMaxStatements, " statements");
+    }
+
     /** `depth`: how deep the statements of `body` sit (top level = 1). */
     void
     inlineRegion(std::vector<AstStmtPtr>& body,
@@ -218,6 +250,7 @@ class Inliner
             phloem_assert(
                 callee.params.size() == s.expr->kids.size(),
                 "argument count mismatch calling ", callee_name);
+            countStatements(callee.body, "inlining", callee_name, s.line);
 
             // Bind parameters. Pointer parameters must be plain array
             // names (by-reference: rename). Scalar parameters copy in
@@ -296,6 +329,8 @@ class Inliner
     TranslationUnit& tu_;
     std::map<std::string, FunctionDecl*> byName_;
     int uniq_ = 0;
+    /** Statements reached so far: function bodies plus spliced callees. */
+    int statements_ = 0;
 };
 
 } // namespace

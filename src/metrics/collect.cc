@@ -212,9 +212,9 @@ nativeRunToMetrics(const std::string& name, const rt::NativeStats& stats)
     top.addCounter("branches", stats.totalBranches());
     top.addCounter("enq_blocks", stats.totalEnqBlocks());
     top.addCounter("deq_blocks", stats.totalDeqBlocks());
-    // Task-pool scheduling counters: only when the run actually ran on
-    // the shared pool, so sim/serial/legacy reports are unchanged.
-    if (stats.sched.shared) {
+    // Task-pool scheduling counters: only for a pipeline run (a serial
+    // run never touches the pool, so its report has no sched_* keys).
+    if (stats.sched.poolSize > 0) {
         top.setGauge("sched_pool_size",
                      static_cast<double>(stats.sched.poolSize));
         top.setGauge("sched_workers_used",

@@ -40,9 +40,10 @@ classifyMetric(const std::string& path, bool isCounter)
     // Hardware counters and resource usage are host measurements, not
     // model outputs: IPC, miss rates, rss, and context switches vary
     // with the machine and its load, so they inform but never gate.
+    // So is the pool size, which is the running host's core count.
     // Must precede the "cycles" rule below (hw_cycles, stalled_cycles).
     if (leaf.rfind("hw_", 0) == 0 || leaf.rfind("ru_", 0) == 0 ||
-        contains(path, "hw[")) {
+        leaf == "sched_pool_size" || contains(path, "hw[")) {
         return {Direction::kInfo, 0.0};
     }
     // Scheduling noise: meaningful to read, meaningless to gate. Block

@@ -13,8 +13,8 @@ namespace phloem::rt {
 // StageQueues: the blocked paths.
 // ---------------------------------------------------------------------
 
-StageQueues::StageQueues(const EngineEnv& env, const int32_t* pc)
-    : ctl_(env.ctl), stats_(env.stats), trace_(env.trace), pc_(pc)
+StageQueues::StageQueues(const EngineEnv& env)
+    : ctl_(env.ctl), trace_(env.trace)
 {
     phloem_assert(env.regs != nullptr && env.ctl != nullptr &&
                       env.stats != nullptr && env.queues != nullptr,
@@ -23,48 +23,28 @@ StageQueues::StageQueues(const EngineEnv& env, const int32_t* pc)
 }
 
 bool
-StageQueues::settle(WaitStatus s, QueueWait kind, int abs_q)
-{
-    if (s != WaitStatus::kDeadlock)
-        return s == WaitStatus::kOk;
-    std::string msg = "deadlock: " + stats_->name + " blocked on " +
-                      queueWaitName(kind) + " q" + std::to_string(abs_q) +
-                      " at pc=" + std::to_string(*pc_) +
-                      " with no global progress for " +
-                      std::to_string(ctl_->opt.deadlockTimeoutMs) + " ms";
-    ctl_->fail(msg);
-    throw std::runtime_error(msg);
-}
-
-bool
 StageQueues::pushBlocked(SpscQueue& q, int abs_q, const ir::Value& v)
 {
-    return settle(waitBlocked(*ctl_, trace_, q, abs_q, QueueWait::kEnq,
-                              /*stoppable=*/false,
-                              [&] { return q.tryPush(v); }),
-                  QueueWait::kEnq, abs_q);
+    return waitBlocked(*ctl_, trace_, q, abs_q, QueueWait::kEnq,
+                       /*stoppable=*/false, [&] { return q.tryPush(v); });
 }
 
 bool
 StageQueues::refillBlocked(SpscQueue& q, int abs_q, ir::Value* dst,
                            size_t& n)
 {
-    return settle(waitBlocked(*ctl_, trace_, q, abs_q, QueueWait::kDeq,
-                              /*stoppable=*/false,
-                              [&] {
-                                  n = q.popBatch(kBatchCap, dst);
-                                  return n != 0;
-                              }),
-                  QueueWait::kDeq, abs_q);
+    return waitBlocked(*ctl_, trace_, q, abs_q, QueueWait::kDeq,
+                       /*stoppable=*/false, [&] {
+                           n = q.popBatch(kBatchCap, dst);
+                           return n != 0;
+                       });
 }
 
 bool
 StageQueues::peekBlocked(SpscQueue& q, int abs_q, ir::Value& v)
 {
-    return settle(waitBlocked(*ctl_, trace_, q, abs_q, QueueWait::kPeek,
-                              /*stoppable=*/false,
-                              [&] { return q.tryPeek(v); }),
-                  QueueWait::kPeek, abs_q);
+    return waitBlocked(*ctl_, trace_, q, abs_q, QueueWait::kPeek,
+                       /*stoppable=*/false, [&] { return q.tryPeek(v); });
 }
 
 std::vector<std::pair<int, uint64_t>>
@@ -85,7 +65,7 @@ StageQueues::unconsumed() const
 // ---------------------------------------------------------------------
 
 Engine::Engine(const DecodedProgram& prog, const EngineEnv& env)
-    : prog_(prog), env_(env), queues_(env, &pc_)
+    : prog_(prog), env_(env), queues_(env)
 {
 }
 
@@ -96,10 +76,8 @@ Engine::Engine(const DecodedProgram& prog, const EngineEnv& env)
 bool
 Engine::slowTick()
 {
-    // Heartbeat: long compute phases without queue ops must still look
-    // alive to blocked peers' watchdogs, and abort/budget are polled
-    // here rather than per instruction.
-    env_.ctl->progress.fetch_add(1, std::memory_order_relaxed);
+    // Heartbeat: abort and the instruction budget are polled here
+    // rather than per instruction.
     heartbeat_ = 0;
     if (env_.ctl->aborted())
         return false;
@@ -110,8 +88,8 @@ Engine::slowTick()
         env_.ctl->fail(msg);
         throw std::runtime_error(msg);
     }
-    // Shared pool: long compute phases must not monopolize the worker
-    // while runnable peers wait (no-op off the pool).
+    // Long compute phases must not monopolize the pool worker while
+    // runnable peers wait (no-op for a serial run, which is off it).
     Scheduler::maybeYield();
     return true;
 }

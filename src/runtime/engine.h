@@ -10,7 +10,7 @@
  *
  * Dequeues additionally drain the ring in batches (StageQueues below).
  * Buffering is consumer-side only: values a stage *produces* are always
- * published immediately (blocking semantics and the deadlock watchdog
+ * published immediately (blocking semantics and the deadlock monitor
  * depend on enqueued values being visible to peers), while values
  * already published by a peer may be drained eagerly without changing
  * any observable ordering.
@@ -67,8 +67,7 @@ struct EngineEnv
 class StageQueues
 {
   public:
-    /** `pc` is the owner's program counter, named in deadlock reports. */
-    StageQueues(const EngineEnv& env, const int32_t* pc);
+    explicit StageQueues(const EngineEnv& env);
 
     bool
     push(SpscQueue& q, int abs_q, const ir::Value& v)
@@ -128,13 +127,9 @@ class StageQueues
     /** Wait for a non-empty popBatch into dst; its size lands in n. */
     bool refillBlocked(SpscQueue& q, int abs_q, ir::Value* dst, size_t& n);
     bool peekBlocked(SpscQueue& q, int abs_q, ir::Value& v);
-    /** A blocked wait's result; a deadlock fails the run and throws. */
-    bool settle(WaitStatus s, QueueWait kind, int abs_q);
 
     RunControl* ctl_;
-    const WorkerStats* stats_;
     trace::TraceBuffer* trace_;
-    const int32_t* pc_;
     /** Consumer-side batch buffers, indexed by absolute queue id. */
     std::vector<ConsumerBuf> bufs_;
 };
@@ -145,9 +140,9 @@ class Engine
     Engine(const DecodedProgram& prog, const EngineEnv& env);
 
     /**
-     * Execute until halt or abort. Throws on deadlock watchdog or
-     * instruction-budget violations; the caller's thread wrapper
-     * routes that to RunControl::fail.
+     * Execute until halt or abort. Throws on an instruction-budget
+     * overrun; the caller's task wrapper routes that to
+     * RunControl::fail.
      */
     void run();
 

@@ -8,9 +8,8 @@
  * spent retiring instructions or stalled on misses. This layer samples
  * cycles, instructions, LLC references/misses, and stalled cycles per
  * worker thread through `perf_event_open(2)` and folds the deltas into
- * NativeStats as per-lane counts (one lane per counted OS thread:
- * shared-pool workers in scheduler mode, stage/RA threads in legacy
- * mode).
+ * NativeStats as per-lane counts (one lane per counted OS thread: the
+ * pool workers for a pipeline, the calling thread for a serial run).
  *
  * Graceful degradation is the contract: `perf_event_paranoid`, seccomp,
  * or a missing PMU (VMs, containers) must not change behavior beyond

@@ -2,10 +2,10 @@
  * @file
  * Parking primitives shared between the SPSC rings and the task
  * scheduler: the waiter lists a blocked task registers on, and the
- * ParkTarget descriptor a blocking wait hands to the backoff layer.
+ * ParkTarget descriptor a blocking wait hands to the scheduler.
  *
  * This header is deliberately tiny and free of scheduler internals so
- * queue.h can embed waiter slots without pulling in fibers or worker
+ * queue.h can embed waiter lists without pulling in fibers or worker
  * pools. The lifecycle contract:
  *
  *   parker:   state = Parking; list->add(self); seq_cst fence;
@@ -125,12 +125,11 @@ struct QueueWaiters
 };
 
 /**
- * Where a blocked wait would park and how to re-check its condition.
+ * Where a blocked wait parks and how to re-check its condition.
  * `ready` must be a pure read of shared state (fresh acquire loads);
  * the scheduler calls it between registering on `list` and actually
- * yielding the worker, and again cannot-miss semantics come from the
- * fence pairing described above. A null `list` (legacy mode, waiters
- * not attached) makes the backoff fall back to spin-then-yield.
+ * yielding the worker, and cannot-miss semantics come from the fence
+ * pairing described above. `list` must not be null.
  */
 struct ParkTarget
 {

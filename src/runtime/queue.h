@@ -11,9 +11,10 @@
  *    hot path has no false sharing; each side additionally caches the
  *    other side's index and re-reads it only when the ring looks
  *    full/empty, which removes most cross-core coherence traffic;
- *  - tryPush/tryPop never block; blocking with spin-then-yield backoff
- *    is layered above (runtime/worker.cc), where shutdown and deadlock
- *    watchdog conditions are checked.
+ *  - tryPush/tryPop never block; a blocked op parks its task on the
+ *    ring's waiter lists (waitBlocked in runtime/worker.h, where abort
+ *    and shutdown are checked), and each successful op wakes the other
+ *    side's waiters.
  *
  * Queues targeted by kEnqDist have one producer *per replica*; those are
  * marked multi-producer and pushes serialize on a tiny spinlock (the
@@ -66,14 +67,8 @@ class SpscQueue
     void setMultiProducer() { multiProducer_ = true; }
     bool multiProducer() const { return multiProducer_; }
 
-    /**
-     * Attach parking waiter slots (scheduler mode). Must happen before
-     * any producer/consumer touches the ring; a null slot (legacy
-     * thread-per-stage mode) keeps every notify hook on its first-load
-     * early-out, so the lock-free hot path is unchanged there.
-     */
-    void setWaiters(QueueWaiters* w) { waiters_ = w; }
-    QueueWaiters* waiters() const { return waiters_; }
+    /** The tasks parked on this ring: blocked producers and consumer. */
+    QueueWaiters& waiters() { return waiters_; }
 
     /** Producer side: enqueue v; false when the ring is full. */
     bool
@@ -225,30 +220,23 @@ class SpscQueue
      * Notifier side of the parking handshake (park.h): after making
      * data visible, wake blocked consumers. The seq_cst fence orders
      * our index store before the waiter-list check — the Dekker mirror
-     * of the parker's register-then-recheck — and is only paid when
-     * waiter slots are attached (scheduler mode).
+     * of the parker's register-then-recheck.
      */
     void
     notifyData()
     {
-        QueueWaiters* w = waiters_;
-        if (w == nullptr)
-            return;
         std::atomic_thread_fence(std::memory_order_seq_cst);
-        if (!w->consumers.empty())
-            w->consumers.wakeAll();
+        if (!waiters_.consumers.empty())
+            waiters_.consumers.wakeAll();
     }
 
     /** Mirror of notifyData: after freeing a slot, wake producers. */
     void
     notifySpace()
     {
-        QueueWaiters* w = waiters_;
-        if (w == nullptr)
-            return;
         std::atomic_thread_fence(std::memory_order_seq_cst);
-        if (!w->producers.empty())
-            w->producers.wakeAll();
+        if (!waiters_.producers.empty())
+            waiters_.producers.wakeAll();
     }
 
     size_t next(size_t i) const { return i + 1 == slots_ ? 0 : i + 1; }
@@ -381,8 +369,9 @@ class SpscQueue
     alignas(64) std::atomic<bool> pushLock_{false};
     std::atomic<uint64_t> enqBlocks_{0};
     bool multiProducer_ = false;
-    /** Parking waiter slots, or null in legacy mode. */
-    QueueWaiters* waiters_ = nullptr;
+
+    /** Parked tasks; both sides read the counts after every op. */
+    alignas(64) QueueWaiters waiters_;
 };
 
 } // namespace phloem::rt

@@ -1,9 +1,7 @@
 #include "runtime/runtime.h"
 
 #include <atomic>
-#include <cctype>
 #include <chrono>
-#include <cstdlib>
 #include <memory>
 #include <string>
 #include <thread>
@@ -30,7 +28,7 @@ elapsedNs(Clock::time_point t0, Clock::time_point t1)
             .count());
 }
 
-/** Thread body shared by all workers: route exceptions to RunControl. */
+/** Task body shared by all workers: route exceptions to RunControl. */
 template <typename W>
 void
 workerMain(W& worker, RunControl& ctl)
@@ -40,44 +38,6 @@ workerMain(W& worker, RunControl& ctl)
     } catch (const std::exception& e) {
         ctl.fail(worker.stats.name + ": " + e.what());
     }
-}
-
-/**
- * Resolve the scheduler selection: explicit option wins; kAuto defaults
- * to the shared pool, with PHLOEM_SCHED as the escape hatch. Accepted
- * spellings (case-insensitive): legacy/threads/off/0 keep one OS thread
- * per worker, shared/pool/on/1 use the shared pool. Anything else warns
- * once and keeps the default, so a typo in a harness cannot silently
- * flip the configuration.
- */
-bool
-resolveScheduler(SchedulerMode mode)
-{
-    switch (mode) {
-      case SchedulerMode::kShared:
-        return true;
-      case SchedulerMode::kLegacy:
-        return false;
-      case SchedulerMode::kAuto:
-        break;
-    }
-    const char* env = std::getenv("PHLOEM_SCHED");
-    if (env == nullptr || *env == '\0')
-        return true;
-    std::string v(env);
-    for (char& c : v)
-        c = static_cast<char>(
-            std::tolower(static_cast<unsigned char>(c)));
-    if (v == "legacy" || v == "threads" || v == "off" || v == "0")
-        return false;
-    if (v == "shared" || v == "pool" || v == "on" || v == "1")
-        return true;
-    static std::atomic<bool> warned{false};
-    if (!warned.exchange(true))
-        phloem_warn("unrecognized PHLOEM_SCHED value \"", env,
-                    "\" (expected legacy/threads/off/0 or "
-                    "shared/pool/on/1); shared scheduler stays enabled");
-    return true;
 }
 
 } // namespace
@@ -100,15 +60,9 @@ Runtime::runPipeline(const ir::Pipeline& pipeline, sim::Binding& binding,
     phloem_assert(total_threads >= 1, "pipeline has no stages");
     int total_workers =
         total_threads + static_cast<int>(pipeline.ras.size()) * replicas;
-    const bool use_sched = resolveScheduler(opt_.scheduler);
-    if (use_sched) {
-        // Tasks, not threads: a wide pipeline costs stacks, not cores.
-        phloem_assert(total_workers <= 4096,
-                      "refusing to schedule that many tasks");
-    } else {
-        phloem_assert(total_workers <= 512,
-                      "refusing to spawn that many host threads");
-    }
+    // Tasks, not threads: a wide pipeline costs stacks, not cores.
+    phloem_assert(total_workers <= 4096,
+                  "refusing to schedule that many tasks");
 
     // Build the rings: default depth from the architecture config,
     // per-queue overrides from the pipeline.
@@ -214,7 +168,7 @@ Runtime::runPipeline(const ir::Pipeline& pipeline, sim::Binding& binding,
     }
 
     // Tracing: register one ring per worker (single-writer; must happen
-    // before the threads start) plus a sampler lane that snapshots queue
+    // before the tasks start) plus a sampler lane that snapshots queue
     // occupancy through the rings' atomic size estimate. With no tracer,
     // every worker keeps a null traceBuf and each hook is a dead branch.
     trace::Tracer* tracer = opt_.tracer;
@@ -256,123 +210,64 @@ Runtime::runPipeline(const ir::Pipeline& pipeline, sim::Binding& binding,
         });
     }
 
-    // Parallel region: run everyone, wait for the stage workers (their
-    // halt defines completion — RAs never write memory), then release
-    // the RAs. Scheduler mode multiplexes all workers as parkable
-    // tasks on a fixed-size shared pool; legacy mode spawns one OS
-    // thread each (kept as a differential-testing fallback).
-    SchedStats sched_stats;
-    std::vector<HwLane> hw_lanes;
+    // Parallel region: run every worker as a task on the pool, wait for
+    // the stage tasks (their halt defines completion — RAs never write
+    // memory), then release the RAs.
     ResourceUsage ru0 = ResourceUsage::processNow();
+    Scheduler& sched = opt_.schedulerOverride != nullptr
+                           ? *opt_.schedulerOverride
+                           : Scheduler::shared();
+    auto run = sched.createRun(&ctl);
+    ctl.schedRun = run.get();
+    // Both worker lists are replica-major: a replica's RAs and stages
+    // share one home worker.
+    const size_t ras_per_replica = pipeline.ras.size();
+    for (size_t k = 0; k < ra_workers.size(); ++k)
+        run->addTask(ra_workers[k]->stats.name, /*is_stage=*/false,
+                     static_cast<int>(k / ras_per_replica),
+                     [&ctl, worker = ra_workers[k].get()] {
+                         workerMain(*worker, ctl);
+                     });
+    for (size_t k = 0; k < stage_workers.size(); ++k)
+        run->addTask(
+            stage_workers[k]->stats.name, /*is_stage=*/true,
+            static_cast<int>(k / static_cast<size_t>(stages_per_replica)),
+            [&ctl, worker = stage_workers[k].get()] {
+                workerMain(*worker, ctl);
+            });
+    // Pool lanes are snapshot-diffed around the run: the counters
+    // belong to the pool threads, which this run only borrows
+    // (concurrent runs overlap on the same lanes).
+    auto hw_before = sched.hwSnapshot();
     auto t0 = Clock::now();
-    auto t1 = t0;
-    std::vector<QueueWaiters> queue_waiters;
-    if (use_sched) {
-        Scheduler& sched = opt_.schedulerOverride != nullptr
-                               ? *opt_.schedulerOverride
-                               : Scheduler::shared();
-        // Attach the rings' waiter slots before any task can touch
-        // them: this is what arms the park/unpark path in the backoff.
-        queue_waiters =
-            std::vector<QueueWaiters>(static_cast<size_t>(num_queues));
-        for (int i = 0; i < num_queues; ++i)
-            queue_ptrs[static_cast<size_t>(i)]->setWaiters(
-                &queue_waiters[static_cast<size_t>(i)]);
-        auto run = sched.createRun(&ctl);
-        ctl.schedRun = run.get();
-        // Both worker lists are replica-major: a replica's RAs and
-        // stages share one home worker.
-        const size_t ras_per_replica = pipeline.ras.size();
-        for (size_t k = 0; k < ra_workers.size(); ++k)
-            run->addTask(ra_workers[k]->stats.name, /*is_stage=*/false,
-                         static_cast<int>(k / ras_per_replica),
-                         [&ctl, worker = ra_workers[k].get()] {
-                             workerMain(*worker, ctl);
-                         });
-        for (size_t k = 0; k < stage_workers.size(); ++k)
-            run->addTask(
-                stage_workers[k]->stats.name, /*is_stage=*/true,
-                static_cast<int>(k / static_cast<size_t>(stages_per_replica)),
-                [&ctl, worker = stage_workers[k].get()] {
-                    workerMain(*worker, ctl);
-                });
-        // Pool lanes are snapshot-diffed around the run: the counters
-        // belong to the pool threads, which this run only borrows
-        // (concurrent runs overlap on the same lanes).
-        auto hw_before = sched.hwSnapshot();
-        t0 = Clock::now();
-        run->start();
-        run->waitStages();
-        t1 = Clock::now();
-        ctl.stop.store(true, std::memory_order_release);
-        // RAs parked on drained inputs cannot observe stop; wake them.
-        run->wakeAllTasks();
-        run->waitAll();
-        auto hw_after = sched.hwSnapshot();
-        for (const auto& after : hw_after) {
-            HwLane lane;
-            lane.name = after.name;
-            lane.counts = after.counts;
-            for (const auto& before : hw_before) {
-                if (before.name == after.name) {
-                    lane.counts = after.counts.minus(before.counts);
-                    break;
-                }
+    run->start();
+    run->waitStages();
+    auto t1 = Clock::now();
+    ctl.stop.store(true, std::memory_order_release);
+    // RAs parked on drained inputs cannot observe stop; wake them.
+    run->wakeAllTasks();
+    run->waitAll();
+    NativeStats out;
+    for (const auto& after : sched.hwSnapshot()) {
+        HwLane lane;
+        lane.name = after.name;
+        lane.counts = after.counts;
+        for (const auto& before : hw_before) {
+            if (before.name == after.name) {
+                lane.counts = after.counts.minus(before.counts);
+                break;
             }
-            hw_lanes.push_back(std::move(lane));
         }
-        sched_stats.shared = true;
-        sched_stats.poolSize = sched.poolSize();
-        sched_stats.workersUsed = run->workersUsed();
-        sched_stats.homes = run->homes();
-        sched_stats.parks = run->parks();
-        sched_stats.unparks = run->unparks();
-        sched_stats.yields = run->yields();
-        ctl.schedRun = nullptr;
-    } else {
-        // Dedicated threads: each opens its own counters, reads them at
-        // exit into a pre-sized slot (joined before anyone looks).
-        std::vector<HwCounts> ra_hw(ra_workers.size());
-        std::vector<HwCounts> stage_hw(stage_workers.size());
-        std::vector<std::thread> ra_threads;
-        ra_threads.reserve(ra_workers.size());
-        for (size_t k = 0; k < ra_workers.size(); ++k)
-            ra_threads.emplace_back(
-                [&ctl, worker = ra_workers[k].get(), slot = &ra_hw[k]] {
-                    setCurrentThreadName(worker->stats.name);
-                    HwThreadCounters hw;
-                    hw.open();
-                    workerMain(*worker, ctl);
-                    *slot = hw.read();
-                });
-        std::vector<std::thread> stage_threads;
-        stage_threads.reserve(stage_workers.size());
-        for (size_t k = 0; k < stage_workers.size(); ++k)
-            stage_threads.emplace_back(
-                [&ctl, worker = stage_workers[k].get(),
-                 slot = &stage_hw[k]] {
-                    setCurrentThreadName(worker->stats.name);
-                    HwThreadCounters hw;
-                    hw.open();
-                    workerMain(*worker, ctl);
-                    *slot = hw.read();
-                });
-
-        for (auto& t : stage_threads)
-            t.join();
-        t1 = Clock::now();
-
-        ctl.stop.store(true, std::memory_order_release);
-        for (auto& t : ra_threads)
-            t.join();
-        for (size_t k = 0; k < stage_workers.size(); ++k)
-            if (stage_hw[k].valid)
-                hw_lanes.push_back(
-                    {stage_workers[k]->stats.name, stage_hw[k]});
-        for (size_t k = 0; k < ra_workers.size(); ++k)
-            if (ra_hw[k].valid)
-                hw_lanes.push_back({ra_workers[k]->stats.name, ra_hw[k]});
+        out.hwValid = out.hwValid || lane.counts.valid;
+        out.hwLanes.push_back(std::move(lane));
     }
+    out.sched.poolSize = sched.poolSize();
+    out.sched.workersUsed = run->workersUsed();
+    out.sched.homes = run->homes();
+    out.sched.parks = run->parks();
+    out.sched.unparks = run->unparks();
+    out.sched.yields = run->yields();
+    ctl.schedRun = nullptr;
     if (sampler.joinable()) {
         sampler_stop.store(true, std::memory_order_release);
         sampler.join();
@@ -389,14 +284,9 @@ Runtime::runPipeline(const ir::Pipeline& pipeline, sim::Binding& binding,
         undequeued[static_cast<size_t>(ra_in_qids[k])] +=
             ra_workers[k]->unconsumedIn;
 
-    NativeStats out;
     out.wallNs = elapsedNs(t0, t1);
     out.numStageThreads = total_threads;
     out.numRAWorkers = static_cast<int>(ra_workers.size());
-    out.sched = sched_stats;
-    out.hwLanes = std::move(hw_lanes);
-    for (const auto& lane : out.hwLanes)
-        out.hwValid = out.hwValid || lane.counts.valid;
     out.rusage = ResourceUsage::processNow().minus(ru0);
     for (auto& w : stage_workers)
         out.workers.push_back(w->stats);
@@ -416,7 +306,7 @@ Runtime::runPipeline(const ir::Pipeline& pipeline, sim::Binding& binding,
         qs.enqBlocks = q.enqBlocks();
         qs.deqBlocks = q.deqBlocks();
         qs.maxOccupancy = q.maxOccupancy();
-        // Exact: all workers have joined.
+        // Exact: every task has finished.
         qs.residual = q.sizeApprox() + uncons;
         qs.buffered = uncons;
         qs.popBatches = q.popBatches();
@@ -435,7 +325,7 @@ Runtime::runPipeline(const ir::Pipeline& pipeline, sim::Binding& binding,
             std::lock_guard<std::mutex> g(ctl.errorMu);
             out.error = ctl.error;
         }
-        // Watchdog post-mortem: which edges still hold data, and (when
+        // Failure post-mortem: which edges still hold data, and (when
         // traced) what each worker was doing right before the stall.
         // Ring and consumer-buffer residue print apart: only the ring's
         // share is bounded by the depth.

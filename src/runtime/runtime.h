@@ -6,12 +6,11 @@
  * This is the "what if the paper's hardware were software" backend: one
  * resumable task per pipeline stage (per replica), one task per software
  * reference accelerator, and one bounded ring per architectural queue.
- * Tasks run on a fixed-size shared pool (runtime/sched.h) sized to the
- * machine, all of a replica's tasks on one home worker, so many
- * pipelines — or one pipeline with more stages than cores — share the
- * host without thread oversubscription; a task blocked on a full/empty
- * ring parks and yields its pool worker.
- * RuntimeOptions::scheduler = kLegacy restores thread-per-stage.
+ * Every pipeline runs on a fixed-size shared pool (runtime/sched.h)
+ * sized to the machine, all of a replica's tasks on one home worker, so
+ * many pipelines — or one pipeline with more stages than cores — share
+ * the host without thread oversubscription; a task blocked on a
+ * full/empty ring parks and yields its pool worker.
  * It executes the same sim::flatten instruction stream as the
  * simulator, through the same functional core (sim/eval.h), so its
  * output is bit-for-bit identical to the simulator's — which the
@@ -62,18 +61,18 @@ class Runtime
     }
 
     /**
-     * Execute a pipeline to completion on host threads. Mutates the
-     * bound arrays exactly as Machine::runPipeline would. `prep`
-     * optionally supplies pre-flattened programs and cached decoded
-     * shapes (see PreparedPrograms). On
-     * failure (deadlock watchdog, worker exception) the returned stats
-     * have ok=false and the array contents are unspecified.
+     * Execute a pipeline to completion as tasks on the scheduler pool.
+     * Mutates the bound arrays exactly as Machine::runPipeline would.
+     * `prep` optionally supplies pre-flattened programs and cached
+     * decoded shapes (see PreparedPrograms). On failure (deadlock,
+     * instruction budget, worker exception) the returned stats have
+     * ok=false and the array contents are unspecified.
      */
     NativeStats runPipeline(const ir::Pipeline& pipeline,
                             sim::Binding& binding,
                             const PreparedPrograms& prep = {});
 
-    /** Execute a serial function on one host thread (the baseline). */
+    /** Execute a serial function on the calling thread (the baseline). */
     NativeStats runSerial(const ir::Function& fn, sim::Binding& binding);
 
   private:

@@ -404,13 +404,6 @@ SchedRun::wakeAllTasks()
         sched_->unpark(t.get());
 }
 
-void
-schedWakeAll(SchedRun* run)
-{
-    if (run != nullptr)
-        run->wakeAllTasks();
-}
-
 // ----------------------------------------------------------- Scheduler
 
 Scheduler::Scheduler() : Scheduler(Options()) {}
@@ -508,12 +501,6 @@ Scheduler::createRun(RunControl* ctl)
     return std::unique_ptr<SchedRun>(new SchedRun(this, ctl));
 }
 
-Task*
-Scheduler::current()
-{
-    return tlsTask_;
-}
-
 void
 Scheduler::maybeYield()
 {
@@ -531,8 +518,8 @@ void
 Scheduler::parkCurrent(const ParkTarget& pt, RunControl& ctl, bool stoppable)
 {
     Task* t = tlsTask_;
-    if (t == nullptr || pt.list == nullptr)
-        return;
+    phloem_assert(t != nullptr && pt.list != nullptr,
+                  "parkCurrent needs a pool task and a waiter list");
     t->parkWhat_.store(pt.what, std::memory_order_relaxed);
     t->parkQ_.store(pt.q, std::memory_order_relaxed);
     t->state_.store(TaskState::kParking, std::memory_order_release);

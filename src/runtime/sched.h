@@ -2,12 +2,11 @@
  * @file
  * Shared task scheduler for the native runtime.
  *
- * Instead of one OS thread per pipeline stage per replica (which
- * oversubscribes the host as soon as pipelines are wide or phloemd
- * serves several requests at once), every stage/RA worker becomes a
- * resumable *task*: a stackful fiber scheduled onto a fixed-size pool
- * of OS workers, default `hardware_concurrency`, each with its own run
- * queue.
+ * Every pipeline runs here: each stage/RA worker is a resumable
+ * *task*, a stackful fiber scheduled onto a fixed-size pool of OS
+ * workers, default `hardware_concurrency`, each with its own run
+ * queue. Wide pipelines and phloemd's concurrent requests therefore
+ * share the host without one OS thread per stage.
  *
  * Placement follows the paper's core mapping: one pipeline's stages
  * are SMT threads of one core, replicas go to successive cores. Every
@@ -24,11 +23,11 @@
  * unparks it onto its home worker's queue: at the front, without
  * waking anyone, when the waker already runs there.
  *
- * Deadlock detection is scheduler-aware progress epochs rather than
- * the legacy wall-time heuristic: a run is deadlocked iff *every* live
- * task is Parked (nothing runnable, nothing running) and stays so for
- * the run's timeout. A merely descheduled task is Runnable, so an
- * oversubscribed-but-live pipeline can never trip the watchdog.
+ * The scheduler is the runtime's only deadlock detector: a run is
+ * deadlocked iff *every* live task is Parked (nothing runnable,
+ * nothing running) and stays so for the run's timeout. A merely
+ * descheduled task is Runnable, so an oversubscribed-but-live pipeline
+ * can never trip the monitor.
  *
  * See DESIGN.md §12 for the task state machine and parking protocol.
  */
@@ -279,9 +278,6 @@ class Scheduler
     /** New empty task group bound to one run's RunControl. */
     std::unique_ptr<SchedRun> createRun(RunControl* ctl);
 
-    /** The task the calling thread is executing, or null. */
-    static Task* current();
-
     /**
      * Cooperative yield point (called from the instruction-count
      * heartbeats): if the current worker has other runnable work
@@ -295,8 +291,7 @@ class Scheduler
      * re-checks pt.ready / abort / (stoppable && stop) under the
      * Dekker fence pairing, and either cancels or switches out until
      * a waker unparks it. Spurious returns are allowed; the caller's
-     * wait loop re-checks the ring. No-op off a task or with a null
-     * list.
+     * wait loop re-checks the ring. Must run on a task, with a list.
      */
     static void parkCurrent(const ParkTarget& pt, RunControl& ctl,
                             bool stoppable);
@@ -383,13 +378,6 @@ class Scheduler
     std::atomic<uint64_t> yields_{0};
     std::atomic<uint64_t> tasksStarted_{0};
 };
-
-/**
- * Null-safe wake of every parked task in a run. RunControl::fail
- * calls this through the fwd declaration in worker.h so an aborting
- * run can never strand sleepers (worker.h cannot include sched.h).
- */
-void schedWakeAll(SchedRun* run);
 
 } // namespace phloem::rt
 

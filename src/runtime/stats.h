@@ -104,12 +104,10 @@ struct WorkerStats
     uint64_t fusedSites = 0;
 };
 
-/** Scheduler-side counters for one run (shared task pool only). */
+/** Scheduler-side counters for one run; all zero for a serial run. */
 struct SchedStats
 {
-    /** Run executed as tasks on the shared pool (vs. legacy threads). */
-    bool shared = false;
-    /** Worker threads in the pool that ran this pipeline. */
+    /** Worker threads in the pool that ran this pipeline (> 0). */
     int poolSize = 0;
     /** Distinct pool workers that dispatched this run's tasks. */
     int workersUsed = 0;
@@ -129,11 +127,10 @@ struct SchedStats
 };
 
 /**
- * Hardware-counter deltas for one counted OS thread during a run.
- * In legacy mode a lane is a stage/RA worker thread; in shared-scheduler
- * mode a lane is a pool worker thread (fibers migrate, so per-task
- * counting would attribute other tasks' cycles — concurrent runs on the
- * shared pool therefore overlap on the same lanes).
+ * Hardware-counter deltas for one counted OS thread during a run: a
+ * pool worker thread for a pipeline, the calling thread for a serial
+ * run. Pool lanes count every task that ran there, so concurrent runs
+ * on the shared pool overlap on the same lanes.
  */
 struct HwLane
 {
@@ -143,11 +140,11 @@ struct HwLane
 
 struct NativeStats
 {
-    /** Wall-clock time of the parallel region (threads spawn -> join). */
+    /** Wall-clock time of the parallel region (start -> stages halt). */
     double wallNs = 0.0;
     int numStageThreads = 0;
     int numRAWorkers = 0;
-    /** Task-pool scheduling counters (sched.shared false in legacy mode). */
+    /** Task-pool scheduling counters (poolSize 0 for a serial run). */
     SchedStats sched;
 
     std::vector<WorkerStats> workers;
@@ -161,7 +158,7 @@ struct NativeStats
     ResourceUsage rusage;
 
     bool ok = true;
-    /** Deadlock-watchdog / worker-exception diagnostics when !ok. */
+    /** Deadlock / budget / worker-exception diagnostics when !ok. */
     std::string error;
 
     double wallMs() const { return wallNs / 1e6; }

@@ -138,7 +138,7 @@ class TraceBuffer
 
 /**
  * One tracing session: owns the per-worker buffers and the timebase,
- * serializes Chrome trace JSON, and renders the watchdog post-mortem.
+ * serializes Chrome trace JSON, and renders the deadlock post-mortem.
  * Construct one per traced run and pass it through RuntimeOptions
  * (native) or MachineOptions (simulator); a null tracer disables every
  * hook.
@@ -197,7 +197,7 @@ class Tracer
 
     /**
      * Human-readable trailing history: each worker's last `last_n`
-     * events, one line per event. Appended to the deadlock watchdog's
+     * events, one line per event. Appended to the deadlock monitor's
      * post-mortem alongside the residual-occupancy report.
      */
     std::string postMortem(size_t last_n = 8) const;

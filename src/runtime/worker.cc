@@ -1,82 +1,10 @@
 #include "runtime/worker.h"
 
-#include <chrono>
-#include <thread>
-
 #include "ir/op.h"
 #include "runtime/decode.h"
 #include "runtime/engine.h"
-#include "runtime/sched.h"
 
 namespace phloem::rt {
-
-namespace {
-
-/** Monotonic timestamp in nanoseconds. */
-uint64_t
-nowNs()
-{
-    return static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now().time_since_epoch())
-            .count());
-}
-
-/** Spin this many times with cpuRelax before starting to yield. */
-constexpr int kSpinLimit = 256;
-
-} // namespace
-
-// ---------------------------------------------------------------------
-// Backoff.
-// ---------------------------------------------------------------------
-
-Backoff::Result
-Backoff::step(RunControl& ctl, bool stoppable, const ParkTarget* pt)
-{
-    if (ctl.aborted())
-        return Result::kStopped;
-    if (stoppable && ctl.stop.load(std::memory_order_acquire))
-        return Result::kStopped;
-
-    // On the pool, park straight away: every task is homed, so the
-    // peer that would satisfy this wait usually shares the worker and
-    // cannot run until we switch out; spinning only delays it. The
-    // wall-time watchdog below would misfire here (a task can sit
-    // unscheduled with the whole run healthy), so deadlock detection
-    // moves to the scheduler's all-parked monitor, whose fail() the
-    // abort check above observes after we are woken.
-    if (pt != nullptr && pt->list != nullptr &&
-        Scheduler::current() != nullptr) {
-        Scheduler::parkCurrent(*pt, ctl, stoppable);
-        return Result::kRetry;
-    }
-
-    if (spins_ < kSpinLimit) {
-        spins_++;
-        cpuRelax();
-        return Result::kRetry;
-    }
-
-    std::this_thread::yield();
-
-    // Watchdog: when the whole runtime stops making progress while we
-    // are blocked, the pipeline is deadlocked (e.g. a mis-compiled
-    // program enqueueing without a consumer). Its clock starts at the
-    // first yield, so waits that end while spinning never read it.
-    uint64_t p = ctl.progress.load(std::memory_order_relaxed);
-    uint64_t now = nowNs();
-    if (lastChangeNs_ == 0 || p != lastProgress_) {
-        lastProgress_ = p;
-        lastChangeNs_ = now;
-        return Result::kRetry;
-    }
-    uint64_t timeout_ns =
-        static_cast<uint64_t>(ctl.opt.deadlockTimeoutMs) * 1'000'000ull;
-    if (now - lastChangeNs_ > timeout_ns)
-        return Result::kDeadlock;
-    return Result::kRetry;
-}
 
 // ---------------------------------------------------------------------
 // StageBarrier.
@@ -89,7 +17,6 @@ StageBarrier::arriveAndWait(RunControl& ctl)
     int arrived = waiting_.fetch_add(1, std::memory_order_acq_rel) + 1;
     if (arrived == parties_) {
         waiting_.store(0, std::memory_order_relaxed);
-        ctl.progress.fetch_add(1, std::memory_order_relaxed);
         generation_.fetch_add(1, std::memory_order_release);
         // Notifier side of the parking handshake: the generation bump
         // above must be ordered before the waiter-list check, so a
@@ -106,19 +33,9 @@ StageBarrier::arriveAndWait(RunControl& ctl)
     pt.obj = this;
     pt.arg = gen;
     pt.what = "barrier";
-    Backoff backoff;
-    while (generation_.load(std::memory_order_acquire) == gen) {
-        switch (backoff.step(ctl, /*stoppable=*/false, &pt)) {
-          case Backoff::Result::kRetry:
-            break;
-          case Backoff::Result::kStopped:
+    while (generation_.load(std::memory_order_acquire) == gen)
+        if (!parkStep(ctl, /*stoppable=*/false, pt))
             return false;
-          case Backoff::Result::kDeadlock:
-            ctl.fail("deadlock: thread stuck at barrier (another stage "
-                     "halted without reaching it?)");
-            return false;
-        }
-    }
     return !ctl.aborted();
 }
 
@@ -152,8 +69,7 @@ void
 StageWorker::run()
 {
     runEngine();
-    // Abnormal exits (watchdog, budget) throw past this point; they
-    // already recorded the block span they died in.
+    // A budget overrun throws past this point.
     if (traceBuf) {
         uint64_t t = traceBuf->now();
         traceBuf->record(trace::EventKind::kHalt, -1, t, t);
@@ -183,8 +99,8 @@ StageWorker::runEngine()
     try {
         engine.run();
     } catch (...) {
-        // Deadlock / budget throws still report buffered-but-undequeued
-        // values: the watchdog post-mortem keys on residual occupancy.
+        // A budget throw still reports buffered-but-undequeued values:
+        // the failure post-mortem keys on residual occupancy.
         unconsumed = engine.queues().unconsumed();
         throw;
     }
@@ -209,9 +125,9 @@ RAWorker::heartbeat(uint64_t n)
 {
     heartbeatCount_ += n;
     if (heartbeatCount_ >= kHeartbeatInterval) {
-        ctl_->progress.fetch_add(1, std::memory_order_relaxed);
         heartbeatCount_ = 0;
-        // Shared pool: a streaming RA must not starve runnable peers.
+        // A streaming RA must not starve the runnable peers homed on
+        // its worker.
         Scheduler::maybeYield();
     }
 }
@@ -223,15 +139,10 @@ RAWorker::waitPush(const ir::Value& v)
         heartbeat();
         return true;
     }
-    // Stoppable: once every stage thread halted, whatever the RA still
+    // Stoppable: once every stage task halted, whatever the RA still
     // holds can never reach memory, so it just exits.
-    WaitStatus s =
-        waitBlocked(*ctl_, traceBuf, *outQ_, traceOutQ, QueueWait::kEnq,
-                    /*stoppable=*/true, [&] { return outQ_->tryPush(v); });
-    if (s == WaitStatus::kDeadlock)
-        ctl_->fail("deadlock: " + stats.name +
-                   " blocked on enq with no global progress");
-    return s == WaitStatus::kOk;
+    return waitBlocked(*ctl_, traceBuf, *outQ_, traceOutQ, QueueWait::kEnq,
+                       /*stoppable=*/true, [&] { return outQ_->tryPush(v); });
 }
 
 bool
@@ -241,12 +152,10 @@ RAWorker::waitPop(ir::Value& v)
         heartbeat();
         return true;
     }
-    // An empty input after shutdown is the normal RA exit path, not a
-    // deadlock (RAs never see an end-of-stream value), so a watchdog
-    // firing here exits silently too.
+    // An empty input after shutdown is the normal RA exit path (RAs
+    // never see an end-of-stream value).
     return waitBlocked(*ctl_, traceBuf, *inQ_, traceInQ, QueueWait::kDeq,
-                       /*stoppable=*/true,
-                       [&] { return inQ_->tryPop(v); }) == WaitStatus::kOk;
+                       /*stoppable=*/true, [&] { return inQ_->tryPop(v); });
 }
 
 bool

@@ -16,7 +16,7 @@
  * scan mode streams [start, end) ranges, optionally delimited with a
  * range control value. Control values pass through unchanged. RA workers
  * never write memory, so they can be shut down as soon as every stage
- * thread has halted.
+ * task has halted.
  */
 
 #ifndef PHLOEM_RUNTIME_WORKER_H
@@ -30,6 +30,7 @@
 
 #include "ir/pipeline.h"
 #include "runtime/queue.h"
+#include "runtime/sched.h"
 #include "runtime/stats.h"
 #include "runtime/trace.h"
 #include "sim/binding.h"
@@ -37,34 +38,23 @@
 
 namespace phloem::rt {
 
-/** Bump the global progress counter every this many instructions. */
+/**
+ * Poll abort and the instruction budget, and offer the pool worker to
+ * runnable peers (Scheduler::maybeYield), every this many instructions.
+ */
 constexpr uint64_t kHeartbeatInterval = 4096;
 
-/** How stage/RA workers map onto host threads (see runtime/sched.h). */
-enum class SchedulerMode : uint8_t {
-    /** Shared pool unless the PHLOEM_SCHED=legacy env override. */
-    kAuto,
-    /** Tasks on the shared fixed-size pool, one worker per replica. */
-    kShared,
-    /** One dedicated OS thread per worker (differential fallback). */
-    kLegacy,
-};
-
-class Scheduler;
-class SchedRun;
 struct DecodedProgram;
-
-/** Null-safe wake of every parked task in a run (runtime/sched.cc). */
-void schedWakeAll(SchedRun* run);
 
 /** Tuning knobs for one native run. */
 struct RuntimeOptions
 {
     /**
-     * Abort the run when no worker makes progress for this long while
-     * some worker is blocked (a mis-compiled pipeline would otherwise
-     * hang the host). Progress = successful queue ops + periodic
-     * instruction-count heartbeats.
+     * Abort the run once every live task has stayed parked, with
+     * nothing runnable, for this long (the scheduler's all-parked
+     * monitor; a mis-compiled pipeline would otherwise hang the host).
+     * It bounds a deadlocked run, not a live one: a run that keeps
+     * computing is bounded only by maxInstructions.
      */
     int deadlockTimeoutMs = 10000;
     /** Per-worker dynamic instruction budget (runaway-loop backstop). */
@@ -76,8 +66,6 @@ struct RuntimeOptions
      * no-op path (the zero-cost-off contract).
      */
     trace::Tracer* tracer = nullptr;
-    /** Task scheduling: shared pool (default) vs thread-per-stage. */
-    SchedulerMode scheduler = SchedulerMode::kAuto;
     /**
      * Run on this scheduler instead of the process-wide shared pool
      * (whose size PHLOEM_SCHED_WORKERS sets). Tests use it to build
@@ -87,28 +75,26 @@ struct RuntimeOptions
     Scheduler* schedulerOverride = nullptr;
     /**
      * Caller-assigned request id (phloemd threads the server's id down
-     * here). Prefixes watchdog/worker errors and lands in trace metadata
+     * here). Prefixes deadlock/worker errors and lands in trace metadata
      * so a service-side span and the runtime stalls it caused correlate.
      */
     std::string requestId;
 };
 
 /**
- * Run-wide shared control state: the global progress counter feeding the
- * deadlock watchdog, the shutdown/abort flags, and the first error.
+ * Run-wide shared control state: the shutdown/abort flags, the run's
+ * scheduler task group, and the first error.
  */
 struct RunControl
 {
     RuntimeOptions opt;
 
-    /** Bumped on successful queue ops and every few k instructions. */
-    std::atomic<uint64_t> progress{0};
-    /** All stage threads have halted; RA workers drain and exit. */
+    /** All stage tasks have halted; RA workers drain and exit. */
     std::atomic<bool> stop{false};
-    /** A worker failed (exception, watchdog); everyone unwinds. */
+    /** A worker failed (exception, deadlock, budget); everyone unwinds. */
     std::atomic<bool> abortFlag{false};
 
-    /** This run's scheduler task group, or null in legacy mode. */
+    /** This run's scheduler task group, or null for a serial run. */
     SchedRun* schedRun = nullptr;
 
     /** Serializes atomic read-modify-write memory ops across stages. */
@@ -129,7 +115,8 @@ struct RunControl
         abortFlag.store(true, std::memory_order_release);
         // Parked tasks cannot poll the abort flag; wake them so the
         // run unwinds instead of waiting out the deadlock monitor.
-        schedWakeAll(schedRun);
+        if (schedRun != nullptr)
+            schedRun->wakeAllTasks();
     }
 
     bool
@@ -140,41 +127,25 @@ struct RunControl
 };
 
 /**
- * Backoff for one blocked queue op. A scheduler task parks at once.
- * Off the pool it spins briefly with cpu-relax, then yields; while
- * yielding it watches the global progress counter and trips the
- * deadlock watchdog when nothing in the whole runtime has advanced for
- * opt.deadlockTimeoutMs.
+ * The one step of every blocked wait (queue op or barrier): false once
+ * the run has aborted, or stopped for a `stoppable` wait. Otherwise it
+ * parks the calling task on pt.list until a notifier or an abort wakes
+ * it, and returns true so the caller re-checks its condition. Deadlock
+ * detection is the scheduler's all-parked monitor, whose fail() the
+ * abort check here observes once the task is woken.
  */
-class Backoff
+inline bool
+parkStep(RunControl& ctl, bool stoppable, const ParkTarget& pt)
 {
-  public:
-    enum class Result : uint8_t {
-        kRetry,     ///< try the queue op again
-        kStopped,   ///< runtime shut down (RA drain) or aborted
-        kDeadlock,  ///< watchdog fired: caller should report and abort
-    };
-
-    /**
-     * One backoff step. `stoppable` waits also end on ctl.stop. On a
-     * scheduler task with a parkable target it parks without spinning
-     * (the wait then costs ~0 CPU and deadlock detection is the
-     * scheduler's all-parked monitor, which never returns kDeadlock
-     * from here). Off the pool, or with a null target/list, the legacy
-     * spin-yield-watchdog behavior applies.
-     */
-    Result step(RunControl& ctl, bool stoppable,
-                const ParkTarget* pt = nullptr);
-
-  private:
-    int spins_ = 0;
-    uint64_t lastProgress_ = 0;
-    /**
-     * Monotonic ns timestamp of the last observed progress change; 0
-     * until the watchdog's first yield.
-     */
-    uint64_t lastChangeNs_ = 0;
-};
+    if (ctl.aborted() ||
+        (stoppable && ctl.stop.load(std::memory_order_acquire)))
+        return false;
+    // Park straight away: every task is homed, so the peer that would
+    // satisfy this wait usually shares the worker and cannot run until
+    // we switch out; spinning would only delay it.
+    Scheduler::parkCurrent(pt, ctl, stoppable);
+    return true;
+}
 
 /** Which side of a ring a blocked queue op waits on. */
 enum class QueueWait : uint8_t {
@@ -198,25 +169,16 @@ queueWaitName(QueueWait kind)
     return "peek";
 }
 
-/** How a blocked queue op ended (see waitBlocked). */
-enum class WaitStatus : uint8_t {
-    kOk,        ///< the op completed
-    kStopped,   ///< runtime shut down (RA drain) or aborted
-    kDeadlock,  ///< wall-time watchdog fired: caller reports and aborts
-};
-
 /**
  * The blocked path of every queue op, entered once its inline fast path
- * failed: count the block on the ring, then retry `attempt` under
- * Backoff — spinning, then parking on the ring's waiter list on the
- * pool, or yielding under the watchdog off it — until it succeeds, the
- * run stops, or the watchdog fires. Success bumps global progress, and
- * every outcome records the wait as one trace span on `tb` (null when
- * tracing is off). `stoppable` waits also end on RunControl::stop.
- * Reporting a deadlock is the caller's job: it knows what to name.
+ * failed: count the block on the ring, then retry `attempt`, parking on
+ * the ring's waiter list between tries (parkStep), until it succeeds or
+ * the run stops. Returns true iff the op completed. Every outcome
+ * records the wait as one trace span on `tb` (null when tracing is
+ * off). `stoppable` waits also end on RunControl::stop.
  */
 template <typename Attempt>
-WaitStatus
+bool
 waitBlocked(RunControl& ctl, trace::TraceBuffer* tb, SpscQueue& q, int abs_q,
             QueueWait kind, bool stoppable, Attempt&& attempt)
 {
@@ -228,8 +190,7 @@ waitBlocked(RunControl& ctl, trace::TraceBuffer* tb, SpscQueue& q, int abs_q,
     uint64_t t0 = tb != nullptr ? tb->now() : 0;
 
     ParkTarget pt;
-    if (QueueWaiters* w = q.waiters())
-        pt.list = enq ? &w->producers : &w->consumers;
+    pt.list = enq ? &q.waiters().producers : &q.waiters().consumers;
     if (enq) {
         pt.ready = [](const ParkTarget& p) {
             const auto* ring = static_cast<const SpscQueue*>(p.obj);
@@ -244,33 +205,22 @@ waitBlocked(RunControl& ctl, trace::TraceBuffer* tb, SpscQueue& q, int abs_q,
     pt.what = queueWaitName(kind);
     pt.q = abs_q;
 
-    Backoff backoff;
-    WaitStatus status = WaitStatus::kOk;
-    for (;;) {
-        if (attempt()) {
-            ctl.progress.fetch_add(1, std::memory_order_relaxed);
-            break;
-        }
-        Backoff::Result r = backoff.step(ctl, stoppable, &pt);
-        if (r == Backoff::Result::kRetry)
-            continue;
-        status = r == Backoff::Result::kStopped ? WaitStatus::kStopped
-                                                : WaitStatus::kDeadlock;
-        break;
-    }
+    bool ok = attempt();
+    while (!ok && parkStep(ctl, stoppable, pt))
+        ok = attempt();
     if (tb != nullptr)
         tb->record(enq ? trace::EventKind::kEnqBlock
                        : trace::EventKind::kDeqBlock,
                    abs_q, t0, tb->now());
-    return status;
+    return ok;
 }
 
 /**
  * Sense-reversing barrier for the pipeline's stage workers (kBarrier).
- * Abort-aware: a waiter returns false when the run is unwinding. On
- * the shared pool, waiters park on the barrier's waiter list and the
- * last arriver wakes them (spinning would starve the missing parties
- * when the pool is smaller than the stage count).
+ * Abort-aware: a waiter returns false when the run is unwinding.
+ * Waiters park on the barrier's waiter list and the last arriver wakes
+ * them (spinning would starve the missing parties, which share the
+ * waiter's pool worker).
  */
 class StageBarrier
 {
@@ -295,7 +245,10 @@ class StageBarrier
     WaitList waiters_;
 };
 
-/** One pipeline stage (or a serial function) on one host thread. */
+/**
+ * One pipeline stage as a pool task (or a serial function on the
+ * caller's thread).
+ */
 class StageWorker
 {
   public:
@@ -305,7 +258,7 @@ class StageWorker
                 std::vector<SpscQueue*> queues, StageBarrier* barrier,
                 RunControl* ctl);
 
-    /** Thread body: run the stage until halt, abort, or watchdog. */
+    /** Task body: run the stage until halt or abort. */
     void run();
 
     WorkerStats stats;
@@ -346,7 +299,7 @@ class StageWorker
     std::vector<sim::ArrayBuffer*> arrayBind_;
 };
 
-/** One software reference accelerator on one host thread. */
+/** One software reference accelerator as a pool task. */
 class RAWorker
 {
   public:
@@ -354,7 +307,7 @@ class RAWorker
              sim::ArrayBuffer* array, SpscQueue* in_q, SpscQueue* out_q,
              RunControl* ctl);
 
-    /** Thread body: service requests until shutdown. */
+    /** Task body: service requests until shutdown. */
     void run();
 
     WorkerStats stats;
@@ -383,7 +336,7 @@ class RAWorker
     bool waitPop(ir::Value& v);
     /** Service a drained run of values in order; false on shutdown. */
     bool serviceIndirectBatch(const ir::Value* batch, size_t n);
-    /** Periodic progress bump so blocked peers' watchdogs stay fed. */
+    /** Count serviced values; every kHeartbeatInterval, maybeYield. */
     void heartbeat(uint64_t n = 1);
 
     uint64_t heartbeatCount_ = 0;

@@ -18,9 +18,12 @@
  * Shutdown is a drain, not an abort: requestDrain() is async-signal
  * safe (an atomic store plus one write() to the self-pipe, both
  * signal-safe), so the SIGTERM handler can call it directly. The
- * acceptor then stops accepting, in-flight requests finish (bounded by
- * their own watchdog timeouts), idle connections close, and wait()
- * returns. The same path serves the protocol's "shutdown" op.
+ * acceptor then stops accepting, in-flight requests finish, idle
+ * connections close, and wait() returns. The same path serves the
+ * protocol's "shutdown" op. A request's timeout only ends a deadlocked
+ * run (every live task parked that long); one that keeps computing is
+ * bounded by the per-worker instruction budget alone, and the drain
+ * waits for it.
  */
 
 #ifndef PHLOEM_SERVICE_SERVER_H
@@ -54,7 +57,7 @@ struct ServerOptions
     sim::SysConfig cfg = sim::SysConfig::scaledEval();
     /** Upper bound on a request's synthetic input size. */
     int64_t maxRunSize = 1 << 22;
-    /** Upper bound on a request's timeout_ms (watchdog ceiling). */
+    /** Upper bound on a request's timeout_ms (deadlock timeout). */
     int maxTimeoutMs = 60000;
     /**
      * Directory for request-scoped traces (req-<id>.trace.json). Empty

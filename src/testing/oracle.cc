@@ -378,11 +378,6 @@ runCase(const FuzzCase& fc, const OracleOptions& opts)
         rt::RuntimeOptions ro;
         ro.deadlockTimeoutMs = opts.nativeTimeoutMs;
         ro.maxInstructions = opts.maxInstructions;
-        // kAuto (not kShared) when enabled, so PHLOEM_SCHED=legacy
-        // flips a whole fuzzing run off the pool from outside.
-        ro.scheduler = opts.nativeSharedScheduler
-                           ? rt::SchedulerMode::kAuto
-                           : rt::SchedulerMode::kLegacy;
         rt::Runtime runtime(cfg, ro);
         rt::NativeStats st =
             runtime.runPipeline(*cr.pipeline, native_binding);

@@ -34,7 +34,7 @@ enum class Verdict : uint8_t {
     kPass,          ///< all three executors agree
     kCompileReject, ///< compiler declined the pipeline (vacuous pass)
     kMismatch,      ///< memory images differ
-    kDeadlock,      ///< simulator or native watchdog fired
+    kDeadlock,      ///< simulator or native deadlock detected
     kCrash,         ///< an executor threw (panic, bounds, budget)
 };
 
@@ -49,16 +49,8 @@ struct OracleOptions
     bool injectDivergence = false;
     /** Dynamic instruction budget per executor (runaway backstop). */
     uint64_t maxInstructions = 400'000'000ull;
-    /** Native deadlock watchdog (ms); generated cases finish in ms. */
+    /** Native deadlock timeout (ms); generated cases finish in ms. */
     int nativeTimeoutMs = 10000;
-    /**
-     * Run the native side on the shared task pool (true) or on legacy
-     * thread-per-stage (false). Replaying the corpus in both modes
-     * pins the scheduler to bit-identical results — the pool is a
-     * different interleaving of the same program, never a different
-     * answer.
-     */
-    bool nativeSharedScheduler = true;
 };
 
 struct OracleResult

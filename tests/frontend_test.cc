@@ -429,6 +429,44 @@ TEST(Inlining, ComposedNestingPastTheLimitIsAnError)
     expectTooDeep([&] { fe::compileC(src); }, "inlined chain");
 }
 
+TEST(Inlining, InlinedSizePastTheLimitIsAnError)
+{
+    const std::string limit =
+        "past " + std::to_string(fe::kMaxStatements) + " statements";
+    auto expectTooBig = [&](const std::string& src, const char* what) {
+        try {
+            fe::compileC(src);
+            ADD_FAILURE() << what << ": accepted";
+        } catch (const std::exception& e) {
+            EXPECT_NE(std::string(e.what()).find(limit), std::string::npos)
+                << what << ": " << e.what();
+        }
+    };
+
+    // Each helper calls the previous one twice: ten levels of ~60 bytes
+    // each would inline to thousands of statements.
+    std::string chain =
+        "#pragma phloem\nvoid f0(long* restrict out, int n) { out[0] = 1; }\n";
+    for (int k = 1; k < 10; ++k)
+        chain += "void f" + std::to_string(k) +
+                 "(long* restrict out, int n) { f" + std::to_string(k - 1) +
+                 "(out, n); f" + std::to_string(k - 1) + "(out, n); }\n";
+    expectTooBig(chain, "doubling chain");
+
+    // A function with no calls is bounded the same way.
+    auto straight = [](int n) {
+        std::string src = "#pragma phloem\n"
+                          "void s(long* restrict out, int n) {\n"
+                          "int x0 = n;\n";
+        for (int i = 1; i < n; ++i)
+            src += "int x" + std::to_string(i) + " = x" +
+                   std::to_string(i - 1) + " + 1;\n";
+        return src + "out[0] = x" + std::to_string(n - 1) + ";\n}\n";
+    };
+    expectTooBig(straight(2000), "2000 statements");
+    EXPECT_NO_THROW(fe::compileC(straight(500)));
+}
+
 TEST(Inlining, InlinedKernelStillPipelines)
 {
     const char* src = R"(

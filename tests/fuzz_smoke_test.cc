@@ -32,28 +32,6 @@ TEST(FuzzSmoke, RegressionCorpusReplaysClean)
     }
 }
 
-/**
- * The corpus again on legacy thread-per-stage scheduling: the
- * shared task pool (the default above) and dedicated threads are two
- * interleavings of the same program, so the differential verdict must
- * not depend on which one ran. A scheduler-only bug shows up as a
- * verdict difference between this replay and the default one.
- */
-TEST(FuzzSmoke, RegressionCorpusReplaysCleanWithLegacyScheduler)
-{
-    OracleOptions opts;
-    opts.nativeSharedScheduler = false;
-    for (const CorpusEntry& entry : kRegressionCorpus) {
-        FuzzCase fc = generateCase(entry.seed);
-        OracleResult r = runCase(fc, opts);
-        EXPECT_TRUE(r.ok())
-            << "corpus seed 0x" << std::hex << entry.seed << std::dec
-            << " (" << entry.note
-            << ") regressed on the legacy scheduler: "
-            << verdictName(r.verdict) << ": " << r.detail;
-    }
-}
-
 /** Bounded random sweep: the CI analogue of `phloem-fuzz --smoke`. */
 TEST(FuzzSmoke, BoundedRandomSweepPasses)
 {

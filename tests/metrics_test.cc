@@ -327,9 +327,12 @@ TEST(Metrics, DiffNeverGatesSchedulingNoise)
     Report oldRep, newRep;
     oldRep.run("k").top.addCounter("enq_blocks", 100);
     newRep.run("k").top.addCounter("enq_blocks", 100000);
+    // The pool size is the core count of the host that ran the report.
+    oldRep.runs[0].top.setGauge("sched_pool_size", 1.0);
+    newRep.runs[0].top.setGauge("sched_pool_size", 4.0);
     auto result = metrics::diffReports(oldRep, newRep, {});
     EXPECT_EQ(result.regressions, 0);
-    EXPECT_EQ(result.infoChanges, 1);
+    EXPECT_EQ(result.infoChanges, 2);
 
     // ...unless an explicit override asks for it.
     metrics::DiffOptions opts;

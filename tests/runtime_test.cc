@@ -3,7 +3,7 @@
  * Native-runtime tests: SPSC ring semantics under one and two threads,
  * handcrafted pipelines with in-band control values, differential
  * native-vs-simulator execution, replicated (multi-producer) streams,
- * and the deadlock watchdog.
+ * and the scheduler's deadlock monitor.
  */
 
 #include "tests/test_util.h"
@@ -608,6 +608,14 @@ TEST(NativeRuntime, SerialMatchesSimulatorSerial)
     // Both backends interpret the same flat program, so dynamic
     // instruction counts must agree exactly.
     EXPECT_EQ(nstats.totalInstructions(), sstats.totalInstructions());
+
+    // A serial run never touches the pool: no sched_* key in its report.
+    EXPECT_EQ(nstats.sched.poolSize, 0);
+    metrics::Run run = metrics::nativeRunToMetrics("serial", nstats);
+    for (const auto& [name, v] : run.top.counters)
+        EXPECT_NE(name.rfind("sched_", 0), 0u) << name;
+    for (const auto& [name, v] : run.top.gauges)
+        EXPECT_NE(name.rfind("sched_", 0), 0u) << name;
 }
 
 TEST(NativeRuntime, SerialRejectsQueueOps)
@@ -644,6 +652,10 @@ TEST(NativeRuntime, CompiledPipelineMatchesSimulator)
     rt::Runtime runtime;
     rt::NativeStats nstats = runtime.runPipeline(*res.pipeline, nb);
     ASSERT_TRUE(nstats.ok) << nstats.error;
+    // Every pipeline run reports the pool it ran on.
+    metrics::Run run = metrics::nativeRunToMetrics("pipeline", nstats);
+    ASSERT_EQ(run.top.gauges.count("sched_pool_size"), 1u);
+    EXPECT_GT(run.top.gauges.at("sched_pool_size"), 0.0);
 
     sim::Binding sb;
     setupFilter(sb);
@@ -907,14 +919,15 @@ TEST(NativeRuntime, ReplicatedBfsMatchesGolden)
 }
 
 // ---------------------------------------------------------------------
-// Deadlock watchdog.
+// Deadlock monitor.
 // ---------------------------------------------------------------------
 
 TEST(NativeRuntime, WatchdogAbortsStuckPipeline)
 {
     // One stage enqueues past a depth-4 queue that nothing ever drains:
-    // the producer blocks forever and the watchdog must abort the run
-    // instead of hanging the process.
+    // the producer parks forever and the deadlock monitor must abort
+    // the run, naming the parked task and its ring, instead of hanging
+    // the process.
     auto pipeline = std::make_unique<ir::Pipeline>();
     pipeline->name = "jam";
     {
@@ -938,13 +951,49 @@ TEST(NativeRuntime, WatchdogAbortsStuckPipeline)
     EXPECT_FALSE(stats.ok);
     EXPECT_NE(stats.error.find("deadlock"), std::string::npos)
         << stats.error;
+    EXPECT_NE(stats.error.find("jam parked on enq q0"), std::string::npos)
+        << stats.error;
+}
+
+TEST(NativeRuntime, WatchdogNamesABarrierStall)
+{
+    // Stage "waits" reaches a barrier that its peer halts without
+    // reaching, so it parks there for good. Both stages take a scalar:
+    // the engine needs at least one register per stage.
+    auto pipeline = std::make_unique<ir::Pipeline>();
+    pipeline->name = "stall";
+    {
+        ir::FunctionBuilder b("waits");
+        b.scalarParam("n");
+        b.barrier();
+        pipeline->stages.push_back(b.finish());
+    }
+    {
+        ir::FunctionBuilder b("halts");
+        b.scalarParam("n");
+        pipeline->stages.push_back(b.finish());
+    }
+
+    sim::Binding b;
+    b.setScalarInt("n", 1);
+
+    rt::RuntimeOptions opt;
+    opt.deadlockTimeoutMs = 100;
+    rt::Runtime runtime(sim::SysConfig{}, opt);
+    rt::NativeStats stats = runtime.runPipeline(*pipeline, b);
+    EXPECT_FALSE(stats.ok);
+    EXPECT_NE(stats.error.find("deadlock"), std::string::npos)
+        << stats.error;
+    EXPECT_NE(stats.error.find("\n  waits parked on barrier"),
+              std::string::npos)
+        << stats.error;
 }
 
 TEST(NativeRuntime, WatchdogPostMortemAttributesTheStall)
 {
     // Mispaired streams: the producer enqueues 2n values, the consumer
     // dequeues n and halts, so the producer eventually jams on a full
-    // ring with the consumer gone. The watchdog report must name the
+    // ring with the consumer gone. The deadlock report must name the
     // blocked queue, quantify the residual occupancy, and — when a
     // tracer is attached — append each worker's trailing trace events.
     constexpr int kDepth = 4;
@@ -1031,38 +1080,6 @@ TEST(NativeRuntime, WatchdogPostMortemAttributesTheStall)
               ring);
 }
 
-TEST(NativeRuntime, WatchdogLegacyModeStillAborts)
-{
-    // The thread-per-stage fallback keeps its wall-time watchdog; a
-    // genuinely stuck pipeline must still abort there, not just on the
-    // scheduler's all-parked monitor.
-    auto pipeline = std::make_unique<ir::Pipeline>();
-    pipeline->name = "jam_legacy";
-    {
-        ir::FunctionBuilder b("jam");
-        ir::RegId n = b.scalarParam("n");
-        b.forRange(b.constI(0), n, [&](ir::RegId i) { b.enq(0, i); });
-        pipeline->stages.push_back(b.finish());
-    }
-    ir::QueueConfig qc;
-    qc.id = 0;
-    qc.depth = 4;
-    pipeline->queues.push_back(qc);
-
-    sim::Binding b;
-    b.setScalarInt("n", 64);
-
-    rt::RuntimeOptions opt;
-    opt.deadlockTimeoutMs = 100;
-    opt.scheduler = rt::SchedulerMode::kLegacy;
-    rt::Runtime runtime(sim::SysConfig{}, opt);
-    rt::NativeStats stats = runtime.runPipeline(*pipeline, b);
-    EXPECT_FALSE(stats.ok);
-    EXPECT_NE(stats.error.find("deadlock"), std::string::npos)
-        << stats.error;
-    EXPECT_FALSE(stats.sched.shared);
-}
-
 // ---------------------------------------------------------------------
 // Shared task-pool scheduler.
 // ---------------------------------------------------------------------
@@ -1103,7 +1120,6 @@ TEST(NativeRuntime, SchedulerOversubscribedLivePipelineIsNotKilled)
     rt::Scheduler pool(sopt);
 
     rt::RuntimeOptions opt;
-    opt.scheduler = rt::SchedulerMode::kShared;
     opt.schedulerOverride = &pool;
     opt.deadlockTimeoutMs = 30;
 
@@ -1116,7 +1132,6 @@ TEST(NativeRuntime, SchedulerOversubscribedLivePipelineIsNotKilled)
     // killed" claim to mean anything.
     EXPECT_GT(stats.wallMs(), opt.deadlockTimeoutMs) << stats.wallMs();
 
-    EXPECT_TRUE(stats.sched.shared);
     EXPECT_EQ(stats.sched.poolSize, 1);
     // >= 2x oversubscribed: every stage and RA shares the one worker.
     EXPECT_GE(stats.numStageThreads + stats.numRAWorkers, 2);
@@ -1131,40 +1146,6 @@ TEST(NativeRuntime, SchedulerOversubscribedLivePipelineIsNotKilled)
     auto sstats = machine.runPipeline(*res.pipeline, sb);
     ASSERT_FALSE(sstats.deadlock);
     EXPECT_TRUE(sb.array("out")->contentEquals(*nb.array("out")));
-}
-
-TEST(NativeRuntime, SchedulerAndLegacyAreBitIdentical)
-{
-    auto kernel = fe::compileKernel(kFilterKernel);
-    comp::CompileOptions copts;
-    copts.numStages = 4;
-    auto res = comp::compilePipeline(*kernel.fn, copts);
-    ASSERT_TRUE(res.ok());
-
-    rt::RuntimeOptions shared;
-    shared.scheduler = rt::SchedulerMode::kShared;
-    sim::Binding pb;
-    setupFilter(pb);
-    rt::Runtime pooled(sim::SysConfig{}, shared);
-    rt::NativeStats ps = pooled.runPipeline(*res.pipeline, pb);
-    ASSERT_TRUE(ps.ok) << ps.error;
-    EXPECT_TRUE(ps.sched.shared);
-
-    rt::RuntimeOptions legacy;
-    legacy.scheduler = rt::SchedulerMode::kLegacy;
-    sim::Binding lb;
-    setupFilter(lb);
-    rt::Runtime threaded(sim::SysConfig{}, legacy);
-    rt::NativeStats ls = threaded.runPipeline(*res.pipeline, lb);
-    ASSERT_TRUE(ls.ok) << ls.error;
-    EXPECT_FALSE(ls.sched.shared);
-
-    // Scheduling must be invisible to the program: same memory image,
-    // same dynamic instruction profile.
-    EXPECT_TRUE(lb.array("out")->contentEquals(*pb.array("out")));
-    EXPECT_EQ(ps.totalInstructions(), ls.totalInstructions());
-    EXPECT_EQ(ps.totalBranches(), ls.totalBranches());
-    EXPECT_EQ(ps.totalOpCounts(), ls.totalOpCounts());
 }
 
 TEST(NativeRuntime, SchedulerTwoConcurrentPipelinesShareOnePool)
@@ -1191,7 +1172,6 @@ TEST(NativeRuntime, SchedulerTwoConcurrentPipelinesShareOnePool)
         for (int i = 0; i < kRuns; ++i) {
             threads.emplace_back([&, i] {
                 rt::RuntimeOptions opt;
-                opt.scheduler = rt::SchedulerMode::kShared;
                 opt.schedulerOverride = &pool;
                 setupFilter(bindings[i]);
                 rt::Runtime runtime(sim::SysConfig{}, opt);
@@ -1211,7 +1191,6 @@ TEST(NativeRuntime, SchedulerTwoConcurrentPipelinesShareOnePool)
     for (int i = 0; i < kRuns; ++i) {
         ASSERT_TRUE(stats[i].ok) << "run " << i << ": "
                                  << stats[i].error;
-        EXPECT_TRUE(stats[i].sched.shared);
         EXPECT_EQ(stats[i].sched.poolSize, 2);
         // One replica, one home: every task of a run stays on it.
         EXPECT_EQ(stats[i].sched.workersUsed, 1) << "run " << i;
@@ -1253,7 +1232,6 @@ TEST(NativeRuntime, SchedulerHomesEachReplicaOnOneWorker)
     sopt.workers = 4;
     rt::Scheduler pool(sopt);
     rt::RuntimeOptions opt;
-    opt.scheduler = rt::SchedulerMode::kShared;
     opt.schedulerOverride = &pool;
     rt::Runtime runtime(sim::SysConfig{}, opt);
 

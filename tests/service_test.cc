@@ -485,6 +485,22 @@ TEST(ServiceServer, ReportsCompileErrorsWithoutDying)
     ASSERT_TRUE(client.call(ping, &resp, &err)) << err;
     EXPECT_TRUE(resp.ok);
 
+    // 600 bytes of helpers, each calling the previous one twice, inline
+    // to thousands of statements; the frontend refuses them before the
+    // quadratic passes run, and the server keeps serving.
+    run.source = "void f0(long* restrict out, int n) { out[0] = 1; }\n";
+    for (int k = 1; k < 10; ++k)
+        run.source += "void f" + std::to_string(k) +
+                      "(long* restrict out, int n) { f" +
+                      std::to_string(k - 1) + "(out, n); f" +
+                      std::to_string(k - 1) + "(out, n); }\n";
+    ASSERT_TRUE(client.call(run, &resp, &err)) << err;
+    EXPECT_FALSE(resp.ok);
+    EXPECT_NE(resp.error.find("past 1024 statements"), std::string::npos)
+        << resp.error;
+    ASSERT_TRUE(client.call(ping, &resp, &err)) << err;
+    EXPECT_TRUE(resp.ok);
+
     // A hostile frame: 1 MB of '[' used to overflow the recursive JSON
     // parser's stack and take the daemon down. It must be an ordinary
     // bad-request error, with the same connection still serving. (The

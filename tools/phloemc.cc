@@ -222,7 +222,7 @@ printProfile(const rt::NativeStats& st)
         std::printf("profile: hardware counters unavailable (%s)\n",
                     rt::hwUnavailableReason().c_str());
     }
-    if (st.sched.shared) {
+    if (st.sched.poolSize > 0) {
         std::printf("profile: scheduler: %d of %d pool workers used, "
                     "replica homes",
                     st.sched.workersUsed, st.sched.poolSize);

@@ -12,8 +12,8 @@
  *   phloem-loadgen --socket=/tmp/phloemd.sock --clients=8
  *
  * SIGTERM/SIGINT drain gracefully: accepting stops, in-flight requests
- * finish under their own watchdog timeouts, then the process exits 0
- * after printing final cache statistics.
+ * run to completion, then the process exits 0 after printing final
+ * cache statistics.
  */
 
 #include <csignal>
