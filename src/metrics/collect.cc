@@ -225,32 +225,7 @@ nativeRunToMetrics(const std::string& name, const rt::NativeStats& stats)
         top.addCounter("sched_yields", stats.sched.yields);
     }
 
-    // Hardware-counter family: absent entirely when the PMU is
-    // unavailable (the documented graceful degradation); the getrusage
-    // floor is always present.
-    if (stats.hwValid) {
-        rt::HwCounts total = stats.hwTotal();
-        top.addCounter("hw_cycles", total.cycles);
-        top.addCounter("hw_instructions", total.instructions);
-        top.addCounter("hw_llc_refs", total.llcRefs);
-        top.addCounter("hw_llc_misses", total.llcMisses);
-        top.addCounter("hw_stalled_cycles", total.stalledCycles);
-        top.setGauge("hw_ipc", total.ipc());
-        top.setGauge("hw_llc_miss_rate", total.llcMissRate());
-        Family& hw = run.families["hw"];
-        for (const auto& lane : stats.hwLanes) {
-            if (!lane.counts.valid)
-                continue;
-            MetricSet& ms = hw.at({{"lane", lane.name}});
-            ms.addCounter("cycles", lane.counts.cycles);
-            ms.addCounter("instructions", lane.counts.instructions);
-            ms.addCounter("llc_refs", lane.counts.llcRefs);
-            ms.addCounter("llc_misses", lane.counts.llcMisses);
-            ms.addCounter("stalled_cycles", lane.counts.stalledCycles);
-            ms.setGauge("ipc", lane.counts.ipc());
-            ms.setGauge("llc_miss_rate", lane.counts.llcMissRate());
-        }
-    }
+    // The getrusage floor: host measurements, present on every run.
     top.setGauge("ru_maxrss_kb", stats.rusage.maxRssKb);
     top.addCounter("ru_ctxsw_voluntary", stats.rusage.voluntaryCtxSw);
     top.addCounter("ru_ctxsw_involuntary",

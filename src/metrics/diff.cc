@@ -37,15 +37,13 @@ classifyMetric(const std::string& path, bool isCounter)
 {
     std::string leaf = leafOf(path);
 
-    // Hardware counters and resource usage are host measurements, not
-    // model outputs: IPC, miss rates, rss, and context switches vary
-    // with the machine and its load, so they inform but never gate.
-    // So is the pool size, which is the running host's core count.
-    // Must precede the "cycles" rule below (hw_cycles, stalled_cycles).
-    if (leaf.rfind("hw_", 0) == 0 || leaf.rfind("ru_", 0) == 0 ||
-        leaf == "sched_pool_size" || contains(path, "hw[")) {
+    // Resource usage is a host measurement, not a model output: rss,
+    // CPU time and context switches vary with the machine and its load,
+    // so they inform but never gate. So does the pool size, which is
+    // the running host's core count. Must precede the wall-clock rule
+    // below (ru_user_ns, ru_system_ns).
+    if (leaf.rfind("ru_", 0) == 0 || leaf == "sched_pool_size")
         return {Direction::kInfo, 0.0};
-    }
     // Scheduling noise: meaningful to read, meaningless to gate. Block
     // counts, occupancy high-water marks, batch shapes, and trace-lane
     // timings all vary run-to-run on a loaded host.

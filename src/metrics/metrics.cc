@@ -334,6 +334,41 @@ metricSetFromJson(const Json& j, MetricSet* out, std::string* err)
     return true;
 }
 
+/** An object of families, each an array of point objects (or absent). */
+bool
+familiesFromJson(const Json& j, std::map<std::string, Family>* out,
+                 std::string* err)
+{
+    if (j.isNull())
+        return true;
+    if (j.kind() != Json::Kind::kObject) {
+        *err = "'families' is not an object";
+        return false;
+    }
+    for (const auto& [fname, pts] : j.fields()) {
+        if (pts.kind() != Json::Kind::kArray) {
+            *err = "family '" + fname + "' is not an array of points";
+            return false;
+        }
+        Family fam;
+        for (const auto& pj : pts.items()) {
+            if (pj.kind() != Json::Kind::kObject) {
+                *err = "family '" + fname + "' has a point that is not " +
+                       "an object";
+                return false;
+            }
+            FamilyPoint p;
+            if (!stringMapFromJson(pj.at("labels"), &p.labels, err))
+                return false;
+            if (!metricSetFromJson(pj.at("metrics"), &p.metrics, err))
+                return false;
+            fam.points.push_back(std::move(p));
+        }
+        (*out)[fname] = std::move(fam);
+    }
+    return true;
+}
+
 } // namespace
 
 std::string
@@ -386,18 +421,8 @@ parseReport(const std::string& text, Report* out, std::string* err)
             return false;
         if (!metricSetFromJson(rj.at("metrics"), &r.top, err))
             return false;
-        for (const auto& [fname, pts] : rj.at("families").fields()) {
-            Family fam;
-            for (const auto& pj : pts.items()) {
-                FamilyPoint p;
-                if (!stringMapFromJson(pj.at("labels"), &p.labels, err))
-                    return false;
-                if (!metricSetFromJson(pj.at("metrics"), &p.metrics, err))
-                    return false;
-                fam.points.push_back(std::move(p));
-            }
-            r.families[fname] = std::move(fam);
-        }
+        if (!familiesFromJson(rj.at("families"), &r.families, err))
+            return false;
         rep.runs.push_back(std::move(r));
     }
     *out = std::move(rep);

@@ -1,5 +1,7 @@
 #include "runtime/runtime.h"
 
+#include <sys/resource.h>
+
 #include <atomic>
 #include <chrono>
 #include <memory>
@@ -10,7 +12,6 @@
 #include "base/logging.h"
 #include "base/thread_name.h"
 #include "ir/op.h"
-#include "runtime/hwcount.h"
 #include "runtime/sched.h"
 #include "sim/program.h"
 
@@ -41,6 +42,25 @@ workerMain(W& worker, RunControl& ctl)
 }
 
 } // namespace
+
+ResourceUsage
+ResourceUsage::processNow()
+{
+    ResourceUsage r;
+    rusage ru;
+    if (getrusage(RUSAGE_SELF, &ru) != 0)
+        return r;
+    r.maxRssKb = static_cast<double>(ru.ru_maxrss);
+    r.voluntaryCtxSw = static_cast<uint64_t>(ru.ru_nvcsw);
+    r.involuntaryCtxSw = static_cast<uint64_t>(ru.ru_nivcsw);
+    auto tvNs = [](const timeval& tv) {
+        return static_cast<double>(tv.tv_sec) * 1e9 +
+               static_cast<double>(tv.tv_usec) * 1e3;
+    };
+    r.userNs = tvNs(ru.ru_utime);
+    r.systemNs = tvNs(ru.ru_stime);
+    return r;
+}
 
 NativeStats
 Runtime::runPipeline(const ir::Pipeline& pipeline, sim::Binding& binding,
@@ -235,10 +255,6 @@ Runtime::runPipeline(const ir::Pipeline& pipeline, sim::Binding& binding,
             [&ctl, worker = stage_workers[k].get()] {
                 workerMain(*worker, ctl);
             });
-    // Pool lanes are snapshot-diffed around the run: the counters
-    // belong to the pool threads, which this run only borrows
-    // (concurrent runs overlap on the same lanes).
-    auto hw_before = sched.hwSnapshot();
     auto t0 = Clock::now();
     run->start();
     run->waitStages();
@@ -248,19 +264,6 @@ Runtime::runPipeline(const ir::Pipeline& pipeline, sim::Binding& binding,
     run->wakeAllTasks();
     run->waitAll();
     NativeStats out;
-    for (const auto& after : sched.hwSnapshot()) {
-        HwLane lane;
-        lane.name = after.name;
-        lane.counts = after.counts;
-        for (const auto& before : hw_before) {
-            if (before.name == after.name) {
-                lane.counts = after.counts.minus(before.counts);
-                break;
-            }
-        }
-        out.hwValid = out.hwValid || lane.counts.valid;
-        out.hwLanes.push_back(std::move(lane));
-    }
     out.sched.poolSize = sched.poolSize();
     out.sched.workersUsed = run->workersUsed();
     out.sched.homes = run->homes();
@@ -382,21 +385,13 @@ Runtime::runSerial(const ir::Function& fn, sim::Binding& binding)
                                                  /*is_stage=*/true);
 
     ResourceUsage ru0 = ResourceUsage::processNow();
-    HwThreadCounters hw;
-    hw.open();
-    HwCounts hw_before = hw.read();
     auto t0 = Clock::now();
     workerMain(worker, ctl);
     auto t1 = Clock::now();
-    HwCounts hw_delta = hw.read().minus(hw_before);
 
     NativeStats out;
     out.wallNs = elapsedNs(t0, t1);
     out.numStageThreads = 1;
-    if (hw_delta.valid) {
-        out.hwLanes.push_back({fn.name, hw_delta});
-        out.hwValid = true;
-    }
     out.rusage = ResourceUsage::processNow().minus(ru0);
     out.workers.push_back(worker.stats);
     if (ctl.aborted()) {

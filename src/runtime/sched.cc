@@ -479,22 +479,6 @@ Scheduler::counters() const
     return c;
 }
 
-std::vector<Scheduler::HwLaneSnapshot>
-Scheduler::hwSnapshot() const
-{
-    std::vector<HwLaneSnapshot> out;
-    for (const auto& w : workers_) {
-        if (!w->hwReady.load(std::memory_order_acquire))
-            continue;
-        HwLaneSnapshot s;
-        s.name = "pool/" + std::to_string(w->idx);
-        s.counts = w->hw.read();
-        if (s.counts.valid)
-            out.push_back(std::move(s));
-    }
-    return out;
-}
-
 std::unique_ptr<SchedRun>
 Scheduler::createRun(RunControl* ctl)
 {
@@ -679,10 +663,6 @@ Scheduler::workerLoop(Worker& w)
 {
     tlsWorker_ = &w;
     setCurrentThreadName("phl-sched/" + std::to_string(w.idx));
-    // Counters must attach to the counted thread, so the worker opens
-    // its own; readers gate on hwReady to avoid half-open fd sets.
-    if (w.hw.open())
-        w.hwReady.store(true, std::memory_order_release);
 #if defined(PHLOEM_TSAN)
     w.ctx.tsanFiber = __tsan_get_current_fiber();
 #endif
@@ -848,8 +828,8 @@ Scheduler::checkRuns(uint64_t now_ns)
             if (q >= 0)
                 msg += " q" + std::to_string(q);
         }
-        // fail() wakes every parked task (schedWakeAll) so the run
-        // unwinds and the caller's post-mortem path takes over.
+        // fail() wakes every parked task (SchedRun::wakeAllTasks) so the
+        // run unwinds and the caller's post-mortem path takes over.
         r->ctl_->fail(msg);
         r->allParkedSinceNs_ = 0;
     }

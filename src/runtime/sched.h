@@ -46,7 +46,6 @@
 #include <thread>
 #include <vector>
 
-#include "runtime/hwcount.h"
 #include "runtime/park.h"
 
 namespace phloem::rt {
@@ -261,20 +260,6 @@ class Scheduler
      */
     Counters counters() const;
 
-    /** One pool worker's cumulative PMU counts (read cross-thread). */
-    struct HwLaneSnapshot
-    {
-        std::string name;
-        HwCounts counts;
-    };
-    /**
-     * Cumulative hardware counters per pool worker, empty when the PMU
-     * is unavailable. Runtime callers snapshot before/after a run and
-     * diff; lanes are pool threads, so concurrent runs on the shared
-     * pool overlap on the same lanes (see HwLane in stats.h).
-     */
-    std::vector<HwLaneSnapshot> hwSnapshot() const;
-
     /** New empty task group bound to one run's RunControl. */
     std::unique_ptr<SchedRun> createRun(RunControl* ctl);
 
@@ -328,10 +313,6 @@ class Scheduler
         std::atomic<int> homed{0};
         FiberCtx ctx;
         std::thread thr;
-        /** Opened by the worker thread itself at workerLoop entry. */
-        HwThreadCounters hw;
-        /** Set after hw.open() so hwSnapshot() never reads half-open fds. */
-        std::atomic<bool> hwReady{false};
     };
 
     void workerLoop(Worker& w);

@@ -15,8 +15,6 @@
 #include <string>
 #include <vector>
 
-#include "hwcount.h"
-
 namespace phloem::rt {
 
 struct QueueStats
@@ -127,15 +125,36 @@ struct SchedStats
 };
 
 /**
- * Hardware-counter deltas for one counted OS thread during a run: a
- * pool worker thread for a pipeline, the calling thread for a serial
- * run. Pool lanes count every task that ran there, so concurrent runs
- * on the shared pool overlap on the same lanes.
+ * Portable resource usage, captured before/after a run and differenced:
+ * the runtime's host-side observability floor, always available.
  */
-struct HwLane
+struct ResourceUsage
 {
-    std::string name;
-    HwCounts counts;
+    /** Process high-water RSS in KiB (absolute, not a delta). */
+    double maxRssKb = 0.0;
+    uint64_t voluntaryCtxSw = 0;
+    uint64_t involuntaryCtxSw = 0;
+    double userNs = 0.0;
+    double systemNs = 0.0;
+
+    /** getrusage(RUSAGE_SELF) snapshot. */
+    static ResourceUsage processNow();
+
+    /** Delta of the accumulating fields; maxRssKb stays absolute. */
+    ResourceUsage
+    minus(const ResourceUsage& earlier) const
+    {
+        ResourceUsage d;
+        d.maxRssKb = maxRssKb;
+        auto sub = [](uint64_t a, uint64_t b) { return a > b ? a - b : 0; };
+        d.voluntaryCtxSw = sub(voluntaryCtxSw, earlier.voluntaryCtxSw);
+        d.involuntaryCtxSw =
+            sub(involuntaryCtxSw, earlier.involuntaryCtxSw);
+        d.userNs = userNs > earlier.userNs ? userNs - earlier.userNs : 0.0;
+        d.systemNs =
+            systemNs > earlier.systemNs ? systemNs - earlier.systemNs : 0.0;
+        return d;
+    }
 };
 
 struct NativeStats
@@ -150,10 +169,6 @@ struct NativeStats
     std::vector<WorkerStats> workers;
     std::vector<QueueStats> queues;
 
-    /** Per-thread PMU deltas; empty (hwValid false) when unavailable. */
-    std::vector<HwLane> hwLanes;
-    /** True iff the hw lanes carry real counter data. */
-    bool hwValid = false;
     /** getrusage delta across the run (always populated). */
     ResourceUsage rusage;
 
@@ -211,16 +226,6 @@ struct NativeStats
         for (const auto& w : workers)
             n += w.branches;
         return n;
-    }
-
-    /** Pipeline-wide counter totals summed over all hw lanes. */
-    HwCounts
-    hwTotal() const
-    {
-        HwCounts t;
-        for (const auto& lane : hwLanes)
-            t.accumulate(lane.counts);
-        return t;
     }
 
     /** Mean consumer-side batch size, weighted over all queues. */

@@ -158,17 +158,35 @@ TEST(Metrics, LatencyDistributionRoundTripsThroughJson)
 
 TEST(Metrics, ReaderRejectsMalformedDistribution)
 {
-    // A distribution whose counts length does not match edges + 1 is
-    // structurally invalid and must be rejected, not misread.
-    std::string text =
-        "{\"schema\": \"phloem-report\", \"version\": 1, \"meta\": {},"
-        " \"runs\": [{\"name\": \"x\", \"metrics\": {\"dists\": {"
-        "\"latency_ns\": {\"edges\": [1, 2], \"counts\": [1, 2],"
-        " \"total\": 3, \"sum\": 4.0}}}}]}";
-    Report out;
-    std::string err;
-    EXPECT_FALSE(metrics::parseReport(text, &out, &err));
-    EXPECT_NE(err.find("latency_ns"), std::string::npos) << err;
+    // Structurally invalid runs must be rejected, not misread, with an
+    // error naming the offending distribution or family.
+    struct Case
+    {
+        const char* run;    // the run object's members after "name"
+        const char* expect; // substring the error must contain
+    };
+    const Case cases[] = {
+        // A distribution whose counts length does not match edges + 1.
+        {"\"metrics\": {\"dists\": {\"latency_ns\": {\"edges\": [1, 2],"
+         " \"counts\": [1, 2], \"total\": 3, \"sum\": 4.0}}}",
+         "latency_ns"},
+        // A family is an array of points, not an object holding one.
+        {"\"families\": {\"hw\": {\"points\": []}}", "'hw'"},
+        // Families are keyed by name, not listed.
+        {"\"families\": [1]", "'families'"},
+        // Every point is an object of labels and metrics.
+        {"\"families\": {\"hw\": [1]}", "'hw'"},
+    };
+    for (const Case& c : cases) {
+        std::string text =
+            "{\"schema\": \"phloem-report\", \"version\": 1, \"meta\": {},"
+            " \"runs\": [{\"name\": \"x\", " +
+            std::string(c.run) + "}]}";
+        Report out;
+        std::string err;
+        EXPECT_FALSE(metrics::parseReport(text, &out, &err)) << c.run;
+        EXPECT_NE(err.find(c.expect), std::string::npos) << err;
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -330,9 +348,13 @@ TEST(Metrics, DiffNeverGatesSchedulingNoise)
     // The pool size is the core count of the host that ran the report.
     oldRep.runs[0].top.setGauge("sched_pool_size", 1.0);
     newRep.runs[0].top.setGauge("sched_pool_size", 4.0);
+    // Context switches are a host measurement; as a plain counter it
+    // would otherwise gate exactly.
+    oldRep.runs[0].top.addCounter("ru_ctxsw_voluntary", 10);
+    newRep.runs[0].top.addCounter("ru_ctxsw_voluntary", 10000);
     auto result = metrics::diffReports(oldRep, newRep, {});
     EXPECT_EQ(result.regressions, 0);
-    EXPECT_EQ(result.infoChanges, 2);
+    EXPECT_EQ(result.infoChanges, 3);
 
     // ...unless an explicit override asks for it.
     metrics::DiffOptions opts;

@@ -193,35 +193,6 @@ printProfile(const rt::NativeStats& st)
     }
     std::printf("profile: mean pop batch %.2f\n", st.meanPopBatch());
 
-    // Hardware counters: per-lane IPC / LLC miss rate when the PMU is
-    // readable, the documented one-liner when it is not; the getrusage
-    // floor prints either way.
-    if (st.hwValid) {
-        std::printf("profile: hardware counters per lane:\n");
-        std::printf("  %-16s %14s %14s %6s %9s %10s\n", "lane", "cycles",
-                    "instrs", "ipc", "llc-miss%", "stall-cyc");
-        for (const auto& lane : st.hwLanes) {
-            if (!lane.counts.valid)
-                continue;
-            std::printf(
-                "  %-16s %14llu %14llu %6.2f %8.1f%% %10llu\n",
-                lane.name.c_str(),
-                static_cast<unsigned long long>(lane.counts.cycles),
-                static_cast<unsigned long long>(lane.counts.instructions),
-                lane.counts.ipc(), lane.counts.llcMissRate() * 100.0,
-                static_cast<unsigned long long>(lane.counts.stalledCycles));
-        }
-        rt::HwCounts total = st.hwTotal();
-        std::printf("  %-16s %14llu %14llu %6.2f %8.1f%% %10llu\n",
-                    "TOTAL",
-                    static_cast<unsigned long long>(total.cycles),
-                    static_cast<unsigned long long>(total.instructions),
-                    total.ipc(), total.llcMissRate() * 100.0,
-                    static_cast<unsigned long long>(total.stalledCycles));
-    } else {
-        std::printf("profile: hardware counters unavailable (%s)\n",
-                    rt::hwUnavailableReason().c_str());
-    }
     if (st.sched.poolSize > 0) {
         std::printf("profile: scheduler: %d of %d pool workers used, "
                     "replica homes",
