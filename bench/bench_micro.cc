@@ -1,10 +1,10 @@
 /**
  * @file
  * Google-benchmark microbenchmarks of the library itself (not a paper
- * figure): frontend compilation, pipeline compilation, flattening, and
- * simulator throughput. Useful for keeping the tools fast enough for the
- * autotuner's many candidate compiles (paper: the search "completes in
- * seconds").
+ * figure): frontend compilation, pipeline compilation, flattening,
+ * simulator throughput, and the native runtime's ring round trip.
+ * Useful for keeping the tools fast enough for the autotuner's many
+ * candidate compiles (paper: the search "completes in seconds").
  */
 
 #include <benchmark/benchmark.h>
@@ -14,6 +14,9 @@
 #include "compiler/cost_model.h"
 #include "driver/experiment.h"
 #include "frontend/frontend.h"
+#include "ir/builder.h"
+#include "runtime/runtime.h"
+#include "runtime/sched.h"
 #include "sim/machine.h"
 #include "sim/program.h"
 #include "workloads/kernels.h"
@@ -87,6 +90,79 @@ BM_SimulatorThroughput(benchmark::State& state)
         benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_SimulatorThroughput);
+
+/**
+ * Native queue handoff cost: a two-stage ping-pong through depth-1
+ * rings on a private one-worker pool. "ping" enqueues i on q0 and waits
+ * for "pong" to echo it back on q1, so each value is one round trip of
+ * two same-worker handoffs, each a park. The iteration time is the
+ * runtime's parallel region (NativeStats::wallNs), not pipeline setup.
+ */
+static void
+BM_RingRoundTrip(benchmark::State& state)
+{
+    const int64_t n = state.range(0);
+    auto pipeline = std::make_unique<ir::Pipeline>();
+    pipeline->name = "pingpong";
+    {
+        ir::FunctionBuilder b("pong");
+        ir::ArrayId out = b.arrayParam("out", ir::ElemType::kI64, true);
+        ir::RegId count = b.scalarParam("n");
+        ir::RegId v = b.newReg("v");
+        b.forRange(b.constI(0), count, [&](ir::RegId i) {
+            b.deqTo(0, v);
+            b.store(out, i, v);
+            b.enq(1, v);
+        });
+        pipeline->stages.push_back(b.finish());
+    }
+    {
+        ir::FunctionBuilder b("ping");
+        ir::RegId count = b.scalarParam("n");
+        ir::RegId echo = b.newReg("echo");
+        b.forRange(b.constI(0), count, [&](ir::RegId i) {
+            b.enq(0, i);
+            b.deqTo(1, echo);
+        });
+        pipeline->stages.push_back(b.finish());
+    }
+    for (int q : {0, 1}) {
+        ir::QueueConfig qc;
+        qc.id = q;
+        qc.depth = 1;
+        pipeline->queues.push_back(qc);
+    }
+
+    rt::Scheduler::Options sopt;
+    sopt.workers = 1;
+    rt::Scheduler pool(sopt);
+    rt::RuntimeOptions opt;
+    opt.schedulerOverride = &pool;
+    rt::Runtime runtime(sim::SysConfig{}, opt);
+
+    double wall_ns = 0;
+    uint64_t parks = 0;
+    for (auto _ : state) {
+        sim::Binding b;
+        b.makeArray("out", ir::ElemType::kI64, static_cast<size_t>(n));
+        b.setScalarInt("n", n);
+        rt::NativeStats stats = runtime.runPipeline(*pipeline, b);
+        if (!stats.ok) {
+            state.SkipWithError(stats.error.c_str());
+            return;
+        }
+        benchmark::DoNotOptimize(b.array("out")->atInt(n - 1));
+        state.SetIterationTime(stats.wallNs * 1e-9);
+        wall_ns += stats.wallNs;
+        parks += stats.sched.parks;
+    }
+    const double round_trips =
+        static_cast<double>(n) * static_cast<double>(state.iterations());
+    state.counters["ns_per_round_trip"] = wall_ns / round_trips;
+    state.counters["parks_per_round_trip"] =
+        static_cast<double>(parks) / round_trips;
+}
+BENCHMARK(BM_RingRoundTrip)->Arg(20000)->UseManualTime();
 
 namespace {
 

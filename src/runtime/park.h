@@ -18,6 +18,15 @@
  * notifier's operation, or the notifier's list check observes the
  * parker's registration. Spurious wakeups are allowed and handled by
  * the wait loops (they re-check the ring and re-park).
+ *
+ * The notifier's fence and the list's lock are needed only where the
+ * parker and the notifier can run on different OS threads. A list is
+ * *home-local* when every task that registers on it or wakes through
+ * it runs on one pool worker's thread (sched.h: a replica's tasks share
+ * one home): those tasks run one at a time, so program order alone
+ * decides which side sees the other, and the list takes no lock. The
+ * parker keeps its fence either way; it also pairs with the stop/abort
+ * wakes that SchedRun::wakeAllTasks sends from other threads.
  */
 
 #ifndef PHLOEM_RUNTIME_PARK_H
@@ -33,16 +42,23 @@ namespace phloem::rt {
 class Task;
 
 /**
- * A spinlocked list of tasks blocked on one condition (one side of a
- * ring, or a barrier). The lock is held only for pointer insert/remove;
- * wakers take waiters off under the lock and unpark them outside it.
- * Multi-producer rings can have several blocked producers, so this is
- * a list, not a slot.
+ * A list of tasks blocked on one condition (one side of a ring, or a
+ * barrier). A shared list is spinlocked, the lock held only for
+ * pointer insert/remove; wakers take waiters off under the lock and
+ * unpark them outside it. A home-local list (see above) skips the
+ * lock. Multi-producer rings can have several blocked producers, so
+ * this is a list, not a slot.
  */
 class WaitList
 {
   public:
-    /** Cheap notifier-side check; call after a seq_cst fence. */
+    /** A new list is shared; rings mark theirs home-local. */
+    explicit WaitList(bool shared = true) : shared_(shared) {}
+
+    /** Make the list shared; call before any task uses it. */
+    void setShared() { shared_ = true; }
+
+    /** Cheap notifier-side check; on a shared list, call after a fence. */
     bool
     empty() const
     {
@@ -102,6 +118,8 @@ class WaitList
     void
     lock()
     {
+        if (!shared_)
+            return;
         while (lock_.exchange(true, std::memory_order_acquire)) {
         }
     }
@@ -109,19 +127,24 @@ class WaitList
     void
     unlock()
     {
-        lock_.store(false, std::memory_order_release);
+        if (shared_)
+            lock_.store(false, std::memory_order_release);
     }
 
+    bool shared_;
     std::atomic<bool> lock_{false};
     std::atomic<int> count_{0};
     std::vector<Task*> items_;
 };
 
-/** Waiter slots for one ring: blocked producers and the consumer. */
+/**
+ * Waiter slots for one ring: blocked producers and the consumer.
+ * Home-local until the ring is marked multi-producer.
+ */
 struct QueueWaiters
 {
-    WaitList producers;
-    WaitList consumers;
+    WaitList producers{/*shared=*/false};
+    WaitList consumers{/*shared=*/false};
 };
 
 /**

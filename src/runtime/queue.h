@@ -18,7 +18,10 @@
  *
  * Queues targeted by kEnqDist have one producer *per replica*; those are
  * marked multi-producer and pushes serialize on a tiny spinlock (the
- * consumer side stays lock-free).
+ * consumer side stays lock-free). They are also the only rings whose
+ * endpoints run on different pool workers, so only they pay the
+ * notifier's fence and lock their waiter lists (park.h); every other
+ * ring's producer, consumer and waiters share one home worker.
  */
 
 #ifndef PHLOEM_RUNTIME_QUEUE_H
@@ -64,7 +67,14 @@ class SpscQueue
 
     int depth() const { return depth_; }
 
-    void setMultiProducer() { multiProducer_ = true; }
+    /** Mark the ring multi-producer before any endpoint uses it. */
+    void
+    setMultiProducer()
+    {
+        multiProducer_ = true;
+        waiters_.producers.setShared();
+        waiters_.consumers.setShared();
+    }
     bool multiProducer() const { return multiProducer_; }
 
     /** The tasks parked on this ring: blocked producers and consumer. */
@@ -218,14 +228,17 @@ class SpscQueue
   private:
     /**
      * Notifier side of the parking handshake (park.h): after making
-     * data visible, wake blocked consumers. The seq_cst fence orders
-     * our index store before the waiter-list check — the Dekker mirror
-     * of the parker's register-then-recheck.
+     * data visible, wake blocked consumers. On a multi-producer ring
+     * the seq_cst fence orders our index store before the waiter-list
+     * check — the Dekker mirror of the parker's register-then-recheck.
+     * Any other ring's parker runs on this thread, so it is either
+     * already on the list or has yet to re-check the ring.
      */
     void
     notifyData()
     {
-        std::atomic_thread_fence(std::memory_order_seq_cst);
+        if (multiProducer_)
+            std::atomic_thread_fence(std::memory_order_seq_cst);
         if (!waiters_.consumers.empty())
             waiters_.consumers.wakeAll();
     }
@@ -234,7 +247,8 @@ class SpscQueue
     void
     notifySpace()
     {
-        std::atomic_thread_fence(std::memory_order_seq_cst);
+        if (multiProducer_)
+            std::atomic_thread_fence(std::memory_order_seq_cst);
         if (!waiters_.producers.empty())
             waiters_.producers.wakeAll();
     }
@@ -346,6 +360,8 @@ class SpscQueue
     const int depth_;
     const size_t slots_;
     std::vector<ir::Value> buf_;
+    /** Read-only once the run starts; both sides read it per op. */
+    bool multiProducer_ = false;
 
     // Consumer-owned line: index plus the consumer's cache of tail.
     alignas(64) std::atomic<size_t> head_{0};
@@ -368,7 +384,6 @@ class SpscQueue
     // Shared (cold path only).
     alignas(64) std::atomic<bool> pushLock_{false};
     std::atomic<uint64_t> enqBlocks_{0};
-    bool multiProducer_ = false;
 
     /** Parked tasks; both sides read the counts after every op. */
     alignas(64) QueueWaiters waiters_;

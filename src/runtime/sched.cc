@@ -400,6 +400,12 @@ SchedRun::waitAll()
 void
 SchedRun::wakeAllTasks()
 {
+    // Notifier side of the park handshake for stop and abort: orders
+    // the caller's ctl.stop / abortFlag store before unpark()'s state
+    // loads. Its partner is the fence in Scheduler::parkCurrent: either
+    // a parking task's re-check sees the flag, or we see the task
+    // kParking/kParked and wake it.
+    std::atomic_thread_fence(std::memory_order_seq_cst);
     for (auto& t : tasks_)
         sched_->unpark(t.get());
 }
@@ -511,32 +517,48 @@ Scheduler::parkCurrent(const ParkTarget& pt, RunControl& ctl, bool stoppable)
     // Dekker handshake with the notifier (park.h): the fence orders
     // our registration before the re-check, so either we observe the
     // notifier's push/pop here, or the notifier observes us on the
-    // list and wakes us.
+    // list and wakes us. It also pairs with the fence in
+    // SchedRun::wakeAllTasks, the stop/abort notifier.
     std::atomic_thread_fence(std::memory_order_seq_cst);
     bool ready = pt.ready(pt) || ctl.aborted() ||
                  (stoppable && ctl.stop.load(std::memory_order_acquire));
-    if (ready) {
-        pt.list->remove(t);
+    if (!ready) {
+        // Complete the park here: every resumption of this task runs
+        // on its home's thread, so none can start before we switch out.
+        ++t->parks_;
         TaskState expect = TaskState::kParking;
-        if (!t->state_.compare_exchange_strong(expect, TaskState::kRunning,
-                                               std::memory_order_acq_rel)) {
-            // A waker got in first (kUnparkRequested): absorb it.
-            t->state_.store(TaskState::kRunning, std::memory_order_release);
+        if (t->state_.compare_exchange_strong(expect, TaskState::kParked,
+                                              std::memory_order_acq_rel)) {
+            t->exit_ = Task::Exit::kPark;
+            auto* w = static_cast<Worker*>(t->home_);
+            if (w->local.empty() ||
+                w->inboxSize.load(std::memory_order_relaxed) > 0) {
+                // Nothing queued here, or other threads queued work:
+                // the worker drains its inbox or sleeps.
+                switchFiber(t->fc_, w->ctx);
+            } else {
+                // Straight to the next runnable task: usually the
+                // other end of the ring, just woken to the front.
+                Task* n = w->local.front();
+                w->local.pop_front();
+                enter(*w, n);
+                switchFiber(t->fc_, n->fc_);
+            }
+            // Resumed: whoever switched in counted the unpark.
+        } else {
+            // A waker got in first (kUnparkRequested): the wake-up
+            // condition may already hold, so run on as if woken.
+            ++t->unparks_;
         }
-        t->parkWhat_.store("", std::memory_order_relaxed);
-        t->parkQ_.store(-1, std::memory_order_relaxed);
-        return;
     }
-    t->exit_ = Task::Exit::kPark;
-    auto* w = static_cast<Worker*>(t->home_);
-    switchFiber(t->fc_, w->ctx);
-    // Resumed by a later dispatch. Deregister ourselves: direct
-    // unparks (run wakeAll, abort) flip our state without touching
-    // the waiter list, and a stale entry must not survive into the
-    // next park. An empty list cannot hold us: the waker that took
-    // us off published the new count before unparking us.
+    // Deregister ourselves: a cancelled park, and direct unparks (stop,
+    // abort) that flip our state without touching the waiter list,
+    // leave us on it, and a stale entry must not survive into the next
+    // park. An empty list cannot hold us: the waker that took us off
+    // published the new count before unparking us.
     if (!pt.list->empty())
         pt.list->remove(t);
+    t->state_.store(TaskState::kRunning, std::memory_order_release);
     t->parkWhat_.store("", std::memory_order_relaxed);
     t->parkQ_.store(-1, std::memory_order_relaxed);
 }
@@ -681,7 +703,7 @@ Scheduler::workerLoop(Worker& w)
 }
 
 void
-Scheduler::dispatch(Worker& w, Task* t)
+Scheduler::enter(Worker& w, Task* t)
 {
     std::atomic<bool>& ran = t->run_->ranOn_[w.idx];
     if (!ran.load(std::memory_order_relaxed))
@@ -692,29 +714,27 @@ Scheduler::dispatch(Worker& w, Task* t)
     t->exit_ = Task::Exit::kNone;
     t->state_.store(TaskState::kRunning, std::memory_order_release);
     tlsTask_ = t;
+}
+
+void
+Scheduler::dispatch(Worker& w, Task* t)
+{
+    enter(w, t);
     switchFiber(w.ctx, t->fc_);
+    // Parking tasks switch among themselves, so the task that switched
+    // back to the worker need not be t.
+    Task* back = tlsTask_;
     tlsTask_ = nullptr;
-    switch (t->exit_) {
+    switch (back->exit_) {
     case Task::Exit::kDone:
-        finishTask(t);
+        finishTask(back);
         break;
     case Task::Exit::kYield:
-        ++t->yields_;
-        t->state_.store(TaskState::kRunnable, std::memory_order_release);
-        submit(w, t, /*front=*/false);
+        ++back->yields_;
+        back->state_.store(TaskState::kRunnable, std::memory_order_release);
+        submit(w, back, /*front=*/false);
         break;
-    case Task::Exit::kPark: {
-        ++t->parks_;
-        TaskState expect = TaskState::kParking;
-        if (!t->state_.compare_exchange_strong(expect, TaskState::kParked,
-                                               std::memory_order_acq_rel)) {
-            // A waker raced the park (kUnparkRequested): the wake-up
-            // condition may already hold, so requeue immediately.
-            t->state_.store(TaskState::kRunnable, std::memory_order_release);
-            submit(w, t, /*front=*/true);
-        }
-        break;
-    }
+    case Task::Exit::kPark:  // parkCurrent completed the park
     case Task::Exit::kNone:
         break;
     }

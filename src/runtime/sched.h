@@ -18,10 +18,10 @@
  *
  * Blocking keeps the SPSC-ring semantics bit-for-bit: a task that
  * finds a ring full/empty registers on the ring's waiter list
- * (park.h), re-checks, and parks — yielding its worker to another
- * runnable task at ~0 CPU cost. The push/pop on the other side
- * unparks it onto its home worker's queue: at the front, without
- * waking anyone, when the waker already runs there.
+ * (park.h), re-checks, and parks — switching straight into the next
+ * task of its home worker's queue at ~0 CPU cost. The push/pop on the
+ * other side unparks it onto that queue: at the front, without waking
+ * anyone, when the waker already runs there.
  *
  * The scheduler is the runtime's only deadlock detector: a run is
  * deadlocked iff *every* live task is Parked (nothing runnable,
@@ -60,8 +60,8 @@ class SchedRun;
  *   Running  -> Parking            (task registered on a waiter list)
  *   Parking  -> Running            (cancel: condition ready on re-check)
  *   Parking  -> UnparkRequested    (a waker raced the park)
- *   Parking  -> Parked             (worker completed the park)
- *   UnparkRequested -> Runnable    (worker observes the race, requeues)
+ *   Parking  -> Parked             (the task completed its own park)
+ *   UnparkRequested -> Running     (the task sees the race and runs on)
  *   Parked   -> Runnable           (a waker unparks it)
  *   Running  -> Runnable           (cooperative yield)
  *   Running  -> Done               (body returned)
@@ -132,7 +132,7 @@ class Task
     std::atomic<const char*> parkWhat_{""};
     std::atomic<int> parkQ_{-1};
 
-    /** Event counts; written only by the home worker's dispatch. */
+    /** Event counts; written only on the home worker's thread. */
     uint64_t parks_ = 0;
     uint64_t unparks_ = 0;
     uint64_t yields_ = 0;
@@ -274,8 +274,10 @@ class Scheduler
     /**
      * Two-phase park of the current task on pt.list. Registers,
      * re-checks pt.ready / abort / (stoppable && stop) under the
-     * Dekker fence pairing, and either cancels or switches out until
-     * a waker unparks it. Spurious returns are allowed; the caller's
+     * Dekker fence pairing, and either cancels or parks: it switches
+     * straight into the front task of its home's own deque, or to the
+     * worker when that deque is empty or the inbox holds work, until a
+     * waker unparks it. Spurious returns are allowed; the caller's
      * wait loop re-checks the ring. Must run on a task, with a list.
      */
     static void parkCurrent(const ParkTarget& pt, RunControl& ctl,
@@ -316,7 +318,13 @@ class Scheduler
     };
 
     void workerLoop(Worker& w);
+    /**
+     * Run t from w's own stack, then settle whichever task switched
+     * back (finished or yielded; a parked task settled itself).
+     */
     void dispatch(Worker& w, Task* t);
+    /** Mark t running on w; the caller then switches into it. */
+    static void enter(Worker& w, Task* t);
     void finishTask(Task* t);
     /** Pop w's next task, or sleep until one arrives; null at shutdown. */
     Task* next(Worker& w);

@@ -11,6 +11,7 @@
 #include <atomic>
 #include <cfenv>
 #include <cstdio>
+#include <set>
 #include <thread>
 
 #include "base/rng.h"
@@ -841,11 +842,23 @@ TEST(NativeRuntime, ReplicatedBfsMatchesGolden)
     b.setScalarInt("root", root);
     b.setScalarInt("max_rounds", diameter + 1);
 
-    rt::Runtime runtime;
+    // A private 4-worker pool, whatever the host's size: each replica
+    // gets its own home, so the distribute rings always cross workers.
+    rt::Scheduler::Options sopt;
+    sopt.workers = 4;
+    rt::Scheduler pool(sopt);
+    rt::RuntimeOptions opt;
+    opt.schedulerOverride = &pool;
+    rt::Runtime runtime(sim::SysConfig{}, opt);
     rt::NativeStats stats = runtime.runPipeline(*compiled.pipeline, b);
     ASSERT_TRUE(stats.ok) << stats.error;
     EXPECT_EQ(stats.numStageThreads,
               replicas * static_cast<int>(compiled.pipeline->stages.size()));
+    ASSERT_EQ(stats.sched.homes.size(), static_cast<size_t>(replicas));
+    EXPECT_EQ(std::set<int>(stats.sched.homes.begin(),
+                            stats.sched.homes.end())
+                  .size(),
+              static_cast<size_t>(replicas));
 
     for (int32_t v = 0; v < g.n; ++v)
         ASSERT_EQ(dist->atInt(v), golden[static_cast<size_t>(v)])
@@ -1189,6 +1202,113 @@ TEST(NativeRuntime, SchedulerHomesEachReplicaOnOneWorker)
         EXPECT_EQ(run.top.gauges.at("sched_workers_used"),
                   static_cast<double>(replicas));
     }
+}
+
+/**
+ * A two-stage ping-pong through depth-1 rings: "pong" echoes each value
+ * it dequeues from q0 back on q1 and stores it in out[i]; "ping"
+ * enqueues i on q0 and waits for the echo. On one worker a round trip
+ * parks both sides: pong, added first, parks on its empty q0 before
+ * ping's first enqueue, and ping parks on q1 until the echo arrives.
+ */
+ir::PipelinePtr
+buildPingPongPipeline()
+{
+    auto pipeline = std::make_unique<ir::Pipeline>();
+    pipeline->name = "pingpong";
+    {
+        ir::FunctionBuilder b("pong");
+        ir::ArrayId out = b.arrayParam("out", ir::ElemType::kI64, true);
+        ir::RegId n = b.scalarParam("n");
+        ir::RegId v = b.newReg("v");
+        b.forRange(b.constI(0), n, [&](ir::RegId i) {
+            b.deqTo(0, v);
+            b.store(out, i, v);
+            b.enq(1, v);
+        });
+        pipeline->stages.push_back(b.finish());
+    }
+    {
+        ir::FunctionBuilder b("ping");
+        ir::RegId n = b.scalarParam("n");
+        ir::RegId echo = b.newReg("echo");
+        b.forRange(b.constI(0), n, [&](ir::RegId i) {
+            b.enq(0, i);
+            b.deqTo(1, echo);
+        });
+        pipeline->stages.push_back(b.finish());
+    }
+    for (int q : {0, 1}) {
+        ir::QueueConfig qc;
+        qc.id = q;
+        qc.depth = 1;
+        pipeline->queues.push_back(qc);
+    }
+    return pipeline;
+}
+
+void
+bindPingPong(sim::Binding& b, int n)
+{
+    b.makeArray("out", ir::ElemType::kI64, static_cast<size_t>(n))
+        ->fillInt(-1);
+    b.setScalarInt("n", n);
+}
+
+TEST(NativeRuntime, SchedulerPingPongHandoffs)
+{
+    // Two ping-pong runs at once on a one-worker pool: a parking task
+    // switches straight into the next runnable one, here hopping
+    // between the tasks of both runs on one thread. Neither the
+    // answers nor the park counts may depend on that.
+    const int n = 5000;
+    auto pipeline = buildPingPongPipeline();
+
+    rt::Scheduler::Options sopt;
+    sopt.workers = 1;
+    rt::Scheduler pool(sopt);
+
+    constexpr int kRuns = 2;
+    sim::Binding bindings[kRuns];
+    rt::NativeStats stats[kRuns];
+    {
+        std::vector<std::thread> threads;
+        for (int i = 0; i < kRuns; ++i) {
+            threads.emplace_back([&, i] {
+                rt::RuntimeOptions opt;
+                opt.schedulerOverride = &pool;
+                bindPingPong(bindings[i], n);
+                rt::Runtime runtime(sim::SysConfig{}, opt);
+                stats[i] = runtime.runPipeline(*pipeline, bindings[i]);
+            });
+        }
+        for (auto& t : threads) t.join();
+    }
+
+    sim::Binding sb;
+    bindPingPong(sb, n);
+    sim::Machine machine(test::testConfig());
+    auto sstats = machine.runPipeline(*pipeline, sb);
+    ASSERT_FALSE(sstats.deadlock);
+
+    for (int i = 0; i < kRuns; ++i) {
+        SCOPED_TRACE(i);
+        ASSERT_TRUE(stats[i].ok) << stats[i].error;
+        auto* out = bindings[i].array("out");
+        for (int k = 0; k < n; ++k)
+            ASSERT_EQ(out->atInt(k), k) << "index " << k;
+        EXPECT_TRUE(sb.array("out")->contentEquals(*out));
+        // Every park is woken exactly once. Each round trip parks both
+        // sides, except where a heartbeat yield let the partner run
+        // first: a yield can stand in for at most one park.
+        const rt::SchedStats& ss = stats[i].sched;
+        EXPECT_EQ(ss.unparks, ss.parks);
+        EXPECT_LE(ss.parks, 2u * n);
+        EXPECT_GE(ss.parks + ss.yields, 2u * n);
+    }
+    // Where the heartbeats fall is fixed by the instruction stream, so
+    // the park count does not depend on how the two runs interleave.
+    EXPECT_EQ(stats[0].sched.parks, stats[1].sched.parks);
 }
 
 TEST(NativeRuntime, SchedulerFiberKeepsItsFpControlState)
