@@ -91,6 +91,18 @@ reportNativeRun(const std::string& name, const std::string& input,
     *bench::reportRun(r.name, r.labels) = std::move(r);
 }
 
+/** Consumer waits per 1000 values dequeued, over every ring. */
+double
+deqBlocksPerKValue(const rt::NativeStats& st)
+{
+    uint64_t values = 0;
+    for (const auto& q : st.queues)
+        values += q.deq;
+    return values > 0 ? 1000.0 * static_cast<double>(st.totalDeqBlocks()) /
+                            static_cast<double>(values)
+                      : 0.0;
+}
+
 void
 reportFailure(const std::string& name, const std::string& input)
 {
@@ -142,11 +154,11 @@ reportRow(const char* name, const char* input,
     g_rows.push_back(row);
     reportNativeRun(name, input, ser.stats, pipe.stats);
     std::printf("%-12s %-12s serial %8.2f ms   pipeline %8.2f ms   "
-                "speedup %5.2fx   (%d threads + %d RAs, pop batch "
+                "speedup %5.2fx   (%d threads + %d RAs, deq blocks/kvalue "
                 "%.1f)\n",
                 name, input, ser.stats.wallMs(), pipe.stats.wallMs(),
                 ser.stats.wallMs() / pipe.stats.wallMs(), stage_threads,
-                ras, pipe.stats.meanPopBatch());
+                ras, deqBlocksPerKValue(pipe.stats));
 }
 
 /**
@@ -333,12 +345,12 @@ benchGatherSum(int64_t rows, int64_t degree)
     uint64_t interp_pipe = pipe.totalInstructions();
     std::printf("  interpreted instructions: serial %llu, pipeline %llu "
                 "(RAs stream natively); enq blocks %llu, deq blocks "
-                "%llu, mean pop batch %.1f\n",
+                "%llu (%.1f per kvalue)\n",
                 static_cast<unsigned long long>(interp_ser),
                 static_cast<unsigned long long>(interp_pipe),
                 static_cast<unsigned long long>(pipe.totalEnqBlocks()),
                 static_cast<unsigned long long>(pipe.totalDeqBlocks()),
-                pipe.meanPopBatch());
+                deqBlocksPerKValue(pipe));
     return speedup > 1.0 && pipe.numStageThreads >= 2;
 }
 

@@ -3,7 +3,6 @@
 #include <chrono>
 
 #include "metrics/collect.h"
-#include "runtime/decode.h"
 #include "runtime/runtime.h"
 #include "sim/energy.h"
 #include "sim/machine.h"
@@ -79,11 +78,6 @@ compileSource(const CompileSpec& spec, std::string* err)
             cp->programs.reserve(cp->compiled.pipeline->stages.size());
             for (const auto& stage : cp->compiled.pipeline->stages)
                 cp->programs.push_back(sim::flatten(*stage));
-            // Decode each stage's replica-independent DInst shape once
-            // too, so a cache hit skips decode as well as flattening.
-            cp->shapes.reserve(cp->programs.size());
-            for (const auto& prog : cp->programs)
-                cp->shapes.push_back(rt::decodeShape(prog));
         }
     } catch (const std::exception& e) {
         cp->error = e.what();
@@ -147,8 +141,6 @@ runCompiled(const CompiledPipeline& cp, const RunSpec& spec,
         rt::Runtime runtime{spec.cfg, ropts};
         rt::PreparedPrograms prep;
         prep.programs = &cp.programs;
-        if (cp.shapes.size() == cp.programs.size())
-            prep.shapes = &cp.shapes;
         out.native = runtime.runPipeline(*cp.compiled.pipeline, binding,
                                          prep);
         out.runNs = elapsedNs(t0, Clock::now());

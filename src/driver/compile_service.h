@@ -1,6 +1,6 @@
 /**
  * @file
- * Reusable compile->decode->run entry point shared by the phloemc CLI
+ * Reusable compile->run entry point shared by the phloemc CLI
  * and the phloemd compilation service.
  *
  * phloemc historically owned the whole path from source text to an
@@ -59,12 +59,6 @@ struct CompiledPipeline
     comp::CompileOptions effectiveOpts;
     /** One flattened program per pipeline stage (replicas share). */
     std::vector<sim::Program> programs;
-    /**
-     * Pre-decoded replica-independent DInst shape per stage, built
-     * alongside `programs`: a cache hit skips decode, not just
-     * flattening (workers copy + relocate the shape per replica).
-     */
-    std::vector<rt::DecodedProgram> shapes;
     /** Wall time of frontend + passes + flatten, in nanoseconds. */
     double compileNs = 0.0;
     /**

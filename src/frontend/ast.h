@@ -40,6 +40,14 @@ constexpr int kMaxNesting = 256;
  */
 constexpr int kMaxStatements = 1024;
 
+/**
+ * Most replicas `#pragma replicate` may ask for: the scheduler's pool
+ * ceiling. The count comes from untrusted source (phloemd requests),
+ * and both backends size cores, rings and tasks by it, so a larger
+ * count is a frontend error.
+ */
+constexpr int kMaxReplicas = 256;
+
 /** Scalar expression types. */
 enum class Ty : uint8_t { kInt, kDouble };
 

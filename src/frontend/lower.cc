@@ -79,12 +79,17 @@ class Lowerer
             if (word == "phloem") {
                 ann_.phloem = true;
             } else if (word.rfind("replicate", 0) == 0) {
-                // Accept "replicate N" and "replicate(N)".
+                // Accept "replicate N" and "replicate(N)". Stop adding
+                // digits once past the cap: no count can overflow.
                 std::string rest = text.substr(9);
                 int n = 0;
                 for (char c : rest)
-                    if (c >= '0' && c <= '9')
+                    if (c >= '0' && c <= '9' && n <= kMaxReplicas)
                         n = n * 10 + (c - '0');
+                if (n > kMaxReplicas)
+                    err(decl_.line, "#pragma replicate asks for more than " +
+                                        std::to_string(kMaxReplicas) +
+                                        " replicas");
                 if (n >= 1)
                     ann_.replicas = n;
             } else {

@@ -279,8 +279,9 @@ nativeRunToMetrics(const std::string& name, const rt::NativeStats& stats)
             ms.addCounter("deq", q.deq);
             ms.addCounter("enq_blocks", q.enqBlocks);
             ms.addCounter("deq_blocks", q.deqBlocks);
-            // residual is ring + consumer-buffer residue; only the ring
-            // share (residual - residual_buffered) is bounded by depth.
+            // residual is ring residue plus indices an RA drained but
+            // never serviced; the ring share (residual -
+            // residual_buffered) is bounded by depth.
             ms.addCounter("residual", q.residual);
             ms.addCounter("residual_buffered", q.buffered);
             ms.setGauge("max_occupancy",

@@ -2,12 +2,14 @@
  * @file
  * Minimal JSON value, parser, and serializer for the metrics subsystem.
  *
- * The repo previously had three hand-rolled JSON emitters (bench_native,
- * the tracer, a test-local parser); the report reader/writer needs one
- * implementation that both sides share so escaping bugs cannot hide in a
- * producer the consumer never exercises. Scope is deliberately small:
- * the six JSON types, UTF-8 pass-through, \uXXXX escapes on input,
- * and deterministic (sorted-key) output so reports diff cleanly as text.
+ * The one JSON parser in the repo: reports, phloemd frames, and the
+ * trace tests (which parse the tracer's output with it). Report readers
+ * and writers share it so escaping bugs cannot hide in a producer the
+ * consumer never exercises. The tracer (runtime/trace.cc) keeps its own
+ * small emitter because phloem_metrics links phloem_trace, not the
+ * other way round. Scope is deliberately small: the six JSON types,
+ * UTF-8 pass-through, \uXXXX escapes on input, and deterministic
+ * (sorted-key) output so reports diff cleanly as text.
  */
 
 #ifndef PHLOEM_METRICS_JSON_H

@@ -29,9 +29,27 @@ isPlainScalar(const sim::Inst& inst)
     }
 }
 
-/** Decode one raw instruction standalone (no fusion, no relocation). */
+/** One replica's queue window: raw queue id k is queues[offset + k]. */
+struct QueueWindow
+{
+    int offset;
+    const std::vector<SpscQueue*>& queues;
+
+    /** Resolve d's queue operand, the raw queue id `rel`. */
+    void
+    bind(DInst& d, int rel) const
+    {
+        d.absQ = offset + rel;
+        phloem_assert(d.absQ >= 0 &&
+                          d.absQ < static_cast<int>(queues.size()),
+                      "decoded queue id out of range");
+        d.q = queues[static_cast<size_t>(d.absQ)];
+    }
+};
+
+/** Decode one raw instruction standalone (no fusion). */
 DInst
-decodeOne(const sim::Inst& inst)
+decodeOne(const sim::Inst& inst, const QueueWindow& win)
 {
     DInst d;
     d.raw = &inst;
@@ -63,11 +81,11 @@ decodeOne(const sim::Inst& inst)
         switch (inst.opcode) {
           case ir::Opcode::kEnq:
             d.op = DOp::kEnq;
-            d.queueRel = inst.queue;
+            win.bind(d, inst.queue);
             return d;
           case ir::Opcode::kEnqCtrl:
             d.op = DOp::kEnqCtrl;
-            d.queueRel = inst.queue;
+            win.bind(d, inst.queue);
             return d;
           case ir::Opcode::kEnqDist:
             // Target replica depends on the selector value; only the
@@ -77,11 +95,11 @@ decodeOne(const sim::Inst& inst)
             return d;
           case ir::Opcode::kDeq:
             d.op = DOp::kDeq;
-            d.queueRel = inst.queue;
+            win.bind(d, inst.queue);
             return d;
           case ir::Opcode::kPeek:
             d.op = DOp::kPeek;
-            d.queueRel = inst.queue;
+            win.bind(d, inst.queue);
             return d;
           default:
             phloem_panic("not a queue op");
@@ -131,13 +149,15 @@ decodeOne(const sim::Inst& inst)
 } // namespace
 
 DecodedProgram
-decodeShape(const sim::Program& prog)
+decodeProgram(const sim::Program& prog, int queue_offset,
+              const std::vector<SpscQueue*>& queues)
 {
+    const QueueWindow win{queue_offset, queues};
     DecodedProgram out;
     const auto& code = prog.code;
     out.code.reserve(code.size() + 1);
     for (const auto& inst : code)
-        out.code.push_back(decodeOne(inst));
+        out.code.push_back(decodeOne(inst, win));
 
     // Sentinel: running off the end halts without counting an
     // instruction, exactly like the simulator's pc bound check.
@@ -163,7 +183,7 @@ decodeShape(const sim::Program& prog)
             d.op = DOp::kLoadEnq;
             d.opcode2 = b.opcode;
             d.raw2 = &b;
-            d.queueRel = b.queue;
+            win.bind(d, b.queue);
             out.fusedSites++;
             continue;
         }
@@ -199,13 +219,13 @@ decodeShape(const sim::Program& prog)
             d.op = DOp::kScalarEnq;
             d.opcode2 = b.opcode;
             d.raw2 = &b;
-            d.queueRel = b.queue;
+            win.bind(d, b.queue);
             out.fusedSites++;
             continue;
         }
     }
 
-    // Validate control-flow targets once so the engine's dispatch loop
+    // Validate control-flow targets once so the stage's dispatch loop
     // can index code[target] unchecked. A target equal to code.size()
     // lands on the kEnd sentinel (a loop whose body ends the program).
     const int32_t limit = static_cast<int32_t>(code.size());
@@ -221,21 +241,6 @@ decodeShape(const sim::Program& prog)
                           "control handler pc out of range");
     }
     return out;
-}
-
-void
-relocateProgram(DecodedProgram& dp, int queue_offset,
-                const std::vector<SpscQueue*>& queues)
-{
-    for (DInst& d : dp.code) {
-        if (d.queueRel < 0)
-            continue;
-        d.absQ = queue_offset + d.queueRel;
-        phloem_assert(d.absQ >= 0 &&
-                          d.absQ < static_cast<int>(queues.size()),
-                      "decoded queue id out of range");
-        d.q = queues[static_cast<size_t>(d.absQ)];
-    }
 }
 
 } // namespace phloem::rt

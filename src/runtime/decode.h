@@ -1,13 +1,13 @@
 /**
  * @file
- * Pre-decoded instruction form for the native runtime's execution
- * engine.
+ * Pre-decoded instruction form the native runtime's stage workers
+ * execute.
  *
  * Walking the raw sim::Inst stream (as the simulator does) pays a
  * kind-switch, an opcode classification chain (usesQueue / usesArray),
  * a full opcode switch, and a `queueOffset_ + inst.queue` pointer
  * lookup on every dynamic instruction. Decoding performs all of that
- * classification once per stage at pipeline setup:
+ * classification once per stage task, when the task starts:
  *
  *  - every instruction is mapped to a small dispatch code (DOp) that a
  *    handler table indexes directly — one indirect call replaces the
@@ -17,7 +17,7 @@
  *    whose target depends on a runtime value, still selects a ring per
  *    element);
  *  - the dominant adjacent pairs the flattener emits are fused into
- *    superinstructions (see kFusedOps below) so loop headers, backedges,
+ *    superinstructions (the fused DOps below) so loop headers, backedges,
  *    and produce-enqueue bodies cost one dispatch instead of two.
  *
  * Fusion keeps the 1:1 pc mapping: a fused instruction at pc i executes
@@ -25,7 +25,7 @@
  * target), while slot i+1 keeps its own standalone decoding as the
  * landing pad for branches that enter the pair in the middle. Branch
  * targets and control-handler pcs therefore need no remapping, and the
- * engine's dynamic instruction counts stay exactly equal to the
+ * stage's dynamic instruction counts stay exactly equal to the
  * simulator's (which the differential tests assert).
  */
 
@@ -100,16 +100,9 @@ struct DInst
     /** Control-handler entry pc for kDeq, or -1. */
     int32_t handlerPc = -1;
 
-    /**
-     * Replica-relative queue id (the raw instruction's queue operand);
-     * -1 when no queue. Survives relocation, so one decoded shape can
-     * be re-based for any replica or run (the compilation service
-     * caches shapes).
-     */
-    int32_t queueRel = -1;
-    /** Absolute (replica-resolved) queue id; -1 until relocated. */
+    /** Absolute (replica-resolved) queue id; -1 when no queue. */
     int32_t absQ = -1;
-    /** Resolved ring; null until relocated, and for kEnqDist. */
+    /** Resolved ring; null when no queue, and for kEnqDist. */
     SpscQueue* q = nullptr;
     /** Per-replica base queue id of a kEnqDist (already relative). */
     int32_t queueBase = -1;
@@ -128,27 +121,19 @@ struct DecodedProgram
 };
 
 /**
- * Decode one stage's flat program into its replica-independent shape:
- * classification, fusion, and control-flow validation, with queue
- * operands kept as relative ids (queueRel/queueBase) and absQ/q left
- * unresolved. A shape can be cached and shared (the compilation
- * service decodes once per pipeline, not once per worker per run) —
- * relocateProgram() re-bases a copy for a concrete replica.
+ * Decode one stage's flat program for one replica: classification,
+ * fusion, and control-flow validation, with queue operands resolved
+ * against the replica's queue window (absQ = queue_offset + the raw
+ * queue id, q = queues[absQ]). kEnqDist keeps its replica-relative
+ * base id in queueBase and selects a ring per element. `queues` may be
+ * empty for serial functions (which the runtime verifies contain no
+ * queue ops).
  *
  * The returned DecodedProgram stores pointers into `prog.code`; the
- * program must outlive it (and every relocated copy).
+ * program must outlive it.
  */
-DecodedProgram decodeShape(const sim::Program& prog);
-
-/**
- * Resolve a decoded shape's relative queue ids against one replica's
- * queue window: absQ = queue_offset + queueRel, q = queues[absQ].
- * `queues` may be empty for serial functions (which the runtime
- * verifies contain no queue ops). Idempotent on a fresh copy of a
- * cached shape; kEnqDist stays runtime-selected (queueBase only).
- */
-void relocateProgram(DecodedProgram& dp, int queue_offset,
-                     const std::vector<SpscQueue*>& queues);
+DecodedProgram decodeProgram(const sim::Program& prog, int queue_offset,
+                             const std::vector<SpscQueue*>& queues);
 
 } // namespace phloem::rt
 

@@ -126,8 +126,8 @@ class SpscQueue
      * Consumer side: drain up to max_n values into out, releasing them
      * all with a single store of the head index (the mirror image of
      * pushBatch). Returns the number popped (0 when the ring is empty).
-     * The decoded execution engine uses this to consume runs of values
-     * with one acquire/release pair per run instead of one per element.
+     * Indirect RAs use this to drain runs of indices with one
+     * acquire/release pair per run instead of one per element.
      */
     size_t
     popBatch(size_t max_n, ir::Value* out)

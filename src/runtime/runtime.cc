@@ -122,15 +122,6 @@ Runtime::runPipeline(const ir::Pipeline& pipeline, sim::Binding& binding,
     }
     const std::vector<sim::Program>& programs = *pre_flattened;
 
-    // Cached decoded shapes (compilation service): workers copy and
-    // relocate instead of re-classifying; must match the programs 1:1.
-    const std::vector<DecodedProgram>* shapes = prep.shapes;
-    if (shapes != nullptr)
-        phloem_assert(shapes->size() == programs.size(),
-                      "decoded shape count (", shapes->size(),
-                      ") does not match pipeline stages (",
-                      programs.size(), ")");
-
     // Queues targeted by kEnqDist have one producer per replica (every
     // replica's distributor may select them); their pushes must be
     // serialized.
@@ -163,9 +154,6 @@ Runtime::runPipeline(const ir::Pipeline& pipeline, sim::Binding& binding,
                 std::move(name), &programs[static_cast<size_t>(s)],
                 binding, r, /*queue_offset=*/r * stride, stride, replicas,
                 queue_ptrs, &barrier, &ctl));
-            if (shapes != nullptr)
-                stage_workers.back()->shape =
-                    &(*shapes)[static_cast<size_t>(s)];
         }
     }
 
@@ -276,13 +264,10 @@ Runtime::runPipeline(const ir::Pipeline& pipeline, sim::Binding& binding,
         sampler.join();
     }
 
-    // Collect results. Values drained into a consumer-side batch buffer
-    // but never architecturally dequeued get folded back: they were
-    // never consumed by the program, so they count as residual, not deq.
+    // Collect results. Indices an indirect RA drained but never serviced
+    // get folded back: nothing consumed them, so they count as residual
+    // (buffered), not deq.
     std::vector<uint64_t> undequeued(static_cast<size_t>(num_queues), 0);
-    for (auto& w : stage_workers)
-        for (const auto& [qid, n] : w->unconsumed)
-            undequeued[static_cast<size_t>(qid)] += n;
     for (size_t k = 0; k < ra_workers.size(); ++k)
         undequeued[static_cast<size_t>(ra_in_qids[k])] +=
             ra_workers[k]->unconsumedIn;
@@ -330,8 +315,8 @@ Runtime::runPipeline(const ir::Pipeline& pipeline, sim::Binding& binding,
         }
         // Failure post-mortem: which edges still hold data, and (when
         // traced) what each worker was doing right before the stall.
-        // Ring and consumer-buffer residue print apart: only the ring's
-        // share is bounded by the depth.
+        // Ring residue (bounded by the depth) prints apart from indices
+        // an RA drained into its batch but never serviced.
         std::string residuals;
         for (const auto& qs : out.queues)
             if (qs.residual > 0)

@@ -27,7 +27,6 @@
 #include <vector>
 
 #include "ir/pipeline.h"
-#include "runtime/decode.h"
 #include "runtime/stats.h"
 #include "runtime/worker.h"
 #include "sim/binding.h"
@@ -36,19 +35,14 @@
 namespace phloem::rt {
 
 /**
- * Caller-supplied pre-compiled stage state, all optional and all only
- * read (a compilation service shares one pipeline across concurrent
- * runs; everything referenced must outlive the call):
- *  - programs: flattened stage programs, one per stage in stage order
- *    (null = flatten per run);
- *  - shapes: decoded replica-independent DInst shapes matching
- *    `programs` (null = decode per worker); cache hits then skip
- *    decode, not just flattening.
+ * Caller-supplied pre-flattened stage programs, one per stage in stage
+ * order (null = flatten per run). Only read: a compilation service
+ * shares one pipeline across concurrent runs, and everything referenced
+ * must outlive the call.
  */
 struct PreparedPrograms
 {
     const std::vector<sim::Program>* programs = nullptr;
-    const std::vector<DecodedProgram>* shapes = nullptr;
 };
 
 class Runtime
@@ -63,10 +57,10 @@ class Runtime
     /**
      * Execute a pipeline to completion as tasks on the scheduler pool.
      * Mutates the bound arrays exactly as Machine::runPipeline would.
-     * `prep` optionally supplies pre-flattened programs and cached
-     * decoded shapes (see PreparedPrograms). On failure (deadlock,
-     * instruction budget, worker exception) the returned stats have
-     * ok=false and the array contents are unspecified.
+     * `prep` optionally supplies pre-flattened programs (see
+     * PreparedPrograms). On failure (deadlock, instruction budget,
+     * worker exception) the returned stats have ok=false and the array
+     * contents are unspecified.
      */
     NativeStats runPipeline(const ir::Pipeline& pipeline,
                             sim::Binding& binding,

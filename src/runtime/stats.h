@@ -31,23 +31,24 @@ struct QueueStats
     /** High-water mark of elements held. */
     uint64_t maxOccupancy = 0;
     /**
-     * Elements still in the ring — or drained into a consumer-side
-     * batch buffer but never architecturally dequeued — when the stage
-     * threads halted. Nonzero means a producer out-ran its consumer's
-     * demand — the signature of a mispaired stream (the fuzzer's
-     * deadlock post-mortems key on it).
+     * Elements still in the ring — or drained by an indirect RA but
+     * never serviced — when the stage threads halted. Nonzero means a
+     * producer out-ran its consumer's demand — the signature of a
+     * mispaired stream (the fuzzer's deadlock post-mortems key on it).
      */
     uint64_t residual = 0;
     /**
-     * The part of `residual` held in the consumer's batch buffer; the
-     * rest, residual - buffered, was still in the ring (<= depth).
+     * The part of `residual` an indirect RA drained into its batch but
+     * never serviced; the rest, residual - buffered, was still in the
+     * ring (<= depth). Always 0 on a ring a stage consumes: stages pop
+     * the ring directly.
      */
     uint64_t buffered = 0;
 
-    // --- Batched-transfer accounting (engine + RA streaming). -------
+    // --- Batched-transfer accounting (RA streaming). ----------------
     /** Number of log2 histogram buckets: 1, 2-3, 4-7, ..., >= 128. */
     static constexpr int kBatchHistBuckets = 8;
-    /** Consumer-side batch drains (popBatch calls that took >= 1). */
+    /** Indirect-RA input drains (popBatch calls that took >= 1). */
     uint64_t popBatches = 0;
     uint64_t popBatchElems = 0;
     /** Producer-side batch publishes (pushBatch calls that took >= 1). */
@@ -62,7 +63,7 @@ struct QueueStats
     uint64_t pushHist[kBatchHistBuckets] = {};
     uint64_t popHist[kBatchHistBuckets] = {};
 
-    /** Values moved per ring synchronization on the consumer side. */
+    /** Values per indirect-RA drain (0 when no RA drained the ring). */
     double
     meanPopBatch() const
     {
@@ -228,7 +229,7 @@ struct NativeStats
         return n;
     }
 
-    /** Mean consumer-side batch size, weighted over all queues. */
+    /** Mean indirect-RA drain size, weighted over all queues. */
     double
     meanPopBatch() const
     {

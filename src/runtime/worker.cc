@@ -1,8 +1,10 @@
 #include "runtime/worker.h"
 
+#include <stdexcept>
+#include <utility>
+
 #include "ir/op.h"
-#include "runtime/decode.h"
-#include "runtime/engine.h"
+#include "sim/eval.h"
 
 namespace phloem::rt {
 
@@ -68,7 +70,14 @@ StageWorker::StageWorker(std::string name, const sim::Program* prog,
 void
 StageWorker::run()
 {
-    runEngine();
+    const DecodedProgram dec = decodeProgram(*prog_, queueOffset_, queues_);
+    stats.fusedSites = static_cast<uint64_t>(dec.fusedSites);
+    const DInst* code = dec.code.data();
+    for (;;) {
+        const DInst& d = code[pc_];
+        if (!kDispatch[static_cast<size_t>(d.op)](*this, d))
+            break;
+    }
     // A budget overrun throws past this point.
     if (traceBuf) {
         uint64_t t = traceBuf->now();
@@ -76,36 +85,421 @@ StageWorker::run()
     }
 }
 
-void
-StageWorker::runEngine()
-{
-    // A cached shape (compilation service) skips classification+fusion;
-    // either way the copy is relocated for this replica's queue window.
-    DecodedProgram dec = shape != nullptr ? *shape : decodeShape(*prog_);
-    relocateProgram(dec, queueOffset_, queues_);
-    stats.fusedSites = static_cast<uint64_t>(dec.fusedSites);
+// ---------------------------------------------------------------------
+// Queue ops: the blocked paths.
+// ---------------------------------------------------------------------
 
-    EngineEnv env;
-    env.regs = regs_.data();
-    env.arrayBind = arrayBind_.data();
-    env.queues = &queues_;
-    env.barrier = barrier_;
-    env.ctl = ctl_;
-    env.stats = &stats;
-    env.trace = traceBuf;
-    env.queueStride = queueStride_;
-    env.numReplicas = numReplicas_;
-    Engine engine(dec, env);
-    try {
-        engine.run();
-    } catch (...) {
-        // A budget throw still reports buffered-but-undequeued values:
-        // the failure post-mortem keys on residual occupancy.
-        unconsumed = engine.queues().unconsumed();
-        throw;
-    }
-    unconsumed = engine.queues().unconsumed();
+bool
+StageWorker::pushBlocked(SpscQueue& q, int abs_q, const ir::Value& v)
+{
+    return waitBlocked(*ctl_, traceBuf, q, abs_q, QueueWait::kEnq,
+                       /*stoppable=*/false, [&] { return q.tryPush(v); });
 }
+
+bool
+StageWorker::popBlocked(SpscQueue& q, int abs_q, ir::Value& v)
+{
+    return waitBlocked(*ctl_, traceBuf, q, abs_q, QueueWait::kDeq,
+                       /*stoppable=*/false, [&] { return q.tryPop(v); });
+}
+
+bool
+StageWorker::peekBlocked(SpscQueue& q, int abs_q, ir::Value& v)
+{
+    return waitBlocked(*ctl_, traceBuf, q, abs_q, QueueWait::kPeek,
+                       /*stoppable=*/false, [&] { return q.tryPeek(v); });
+}
+
+// ---------------------------------------------------------------------
+// Bookkeeping.
+// ---------------------------------------------------------------------
+
+bool
+StageWorker::slowTick()
+{
+    // Heartbeat: abort and the instruction budget are polled here
+    // rather than per instruction.
+    heartbeat_ = 0;
+    if (ctl_->aborted())
+        return false;
+    if (stats.instructions > ctl_->opt.maxInstructions) {
+        std::string msg = "instruction budget exceeded (" +
+                          std::to_string(ctl_->opt.maxInstructions) +
+                          ") in " + stats.name;
+        ctl_->fail(msg);
+        throw std::runtime_error(msg);
+    }
+    // Long compute phases must not monopolize the pool worker while
+    // runnable peers wait (no-op for a serial run, which is off it).
+    Scheduler::maybeYield();
+    return true;
+}
+
+inline bool
+StageWorker::tick(uint64_t n)
+{
+    stats.instructions += n;
+    heartbeat_ += n;
+    if (heartbeat_ >= kHeartbeatInterval)
+        return slowTick();
+    return true;
+}
+
+// ---------------------------------------------------------------------
+// Handlers.
+// ---------------------------------------------------------------------
+
+bool
+StageWorker::hEnd(StageWorker&, const DInst&)
+{
+    // Fell off the end: halt without counting an instruction, exactly
+    // like the simulator's pc bound check.
+    return false;
+}
+
+bool
+StageWorker::hHalt(StageWorker& w, const DInst& d)
+{
+    w.tick(1);
+    w.stats.opCounts[static_cast<size_t>(d.opcode)]++;
+    return false;
+}
+
+bool
+StageWorker::hBr(StageWorker& w, const DInst& d)
+{
+    if (!w.tick(1))
+        return false;
+    w.stats.branches++;
+    w.pc_ = d.target;
+    return true;
+}
+
+bool
+StageWorker::hBrIf(StageWorker& w, const DInst& d)
+{
+    if (!w.tick(1))
+        return false;
+    w.stats.branches++;
+    bool truth =
+        w.regs_[static_cast<size_t>(d.src0)].asInt() != 0;
+    w.pc_ = truth ? d.target : w.pc_ + 1;
+    return true;
+}
+
+bool
+StageWorker::hBrIfNot(StageWorker& w, const DInst& d)
+{
+    if (!w.tick(1))
+        return false;
+    w.stats.branches++;
+    bool truth =
+        w.regs_[static_cast<size_t>(d.src0)].asInt() != 0;
+    w.pc_ = truth ? w.pc_ + 1 : d.target;
+    return true;
+}
+
+bool
+StageWorker::hScalar(StageWorker& w, const DInst& d)
+{
+    if (!w.tick(1))
+        return false;
+    w.stats.opCounts[static_cast<size_t>(d.opcode)]++;
+    ir::Value out = sim::evalScalarOp(*d.raw, w.regs_.data());
+    if (d.dst >= 0)
+        w.regs_[static_cast<size_t>(d.dst)] = out;
+    w.pc_++;
+    return true;
+}
+
+bool
+StageWorker::hWork(StageWorker& w, const DInst& d)
+{
+    if (!w.tick(1))
+        return false;
+    w.stats.opCounts[static_cast<size_t>(d.opcode)]++;
+    ir::Value out = sim::evalScalarOp(*d.raw, w.regs_.data());
+    if (d.imm > 1) {
+        // The simulator charges kWork as `imm` uops; natively we burn
+        // the same amount of real compute. Only the first mix lands in
+        // the destination register so results stay bit-identical.
+        uint64_t burn = out.bits;
+        for (int64_t k = 1; k < d.imm; ++k)
+            burn = sim::workMix(burn);
+        w.workSink_ += burn;
+    }
+    if (d.dst >= 0)
+        w.regs_[static_cast<size_t>(d.dst)] = out;
+    w.pc_++;
+    return true;
+}
+
+bool
+StageWorker::hLoad(StageWorker& w, const DInst& d)
+{
+    if (!w.tick(1))
+        return false;
+    w.stats.opCounts[static_cast<size_t>(d.opcode)]++;
+    // Array bindings are looked up per execution: kSwapArr may retarget
+    // them at runtime, so decoded instructions never cache the buffer.
+    sim::ArrayBuffer* buf = w.arrayBind_[static_cast<size_t>(d.arr)];
+    int64_t idx = w.regs_[static_cast<size_t>(d.src0)].asInt();
+    ir::Value out = buf->load(idx);
+    if (d.dst >= 0)
+        w.regs_[static_cast<size_t>(d.dst)] = out;
+    w.pc_++;
+    return true;
+}
+
+bool
+StageWorker::hStore(StageWorker& w, const DInst& d)
+{
+    if (!w.tick(1))
+        return false;
+    w.stats.opCounts[static_cast<size_t>(d.opcode)]++;
+    sim::ArrayBuffer* buf = w.arrayBind_[static_cast<size_t>(d.arr)];
+    int64_t idx = w.regs_[static_cast<size_t>(d.src0)].asInt();
+    buf->store(idx, w.regs_[static_cast<size_t>(d.src1)]);
+    if (d.dst >= 0)
+        w.regs_[static_cast<size_t>(d.dst)] = ir::Value{};
+    w.pc_++;
+    return true;
+}
+
+bool
+StageWorker::hMemOther(StageWorker& w, const DInst& d)
+{
+    if (!w.tick(1))
+        return false;
+    w.stats.opCounts[static_cast<size_t>(d.opcode)]++;
+    sim::ArrayBuffer* buf = w.arrayBind_[static_cast<size_t>(d.arr)];
+    ir::Value out = sim::applyMemOp(*d.raw, *buf, w.regs_.data());
+    if (d.dst >= 0)
+        w.regs_[static_cast<size_t>(d.dst)] = out;
+    w.pc_++;
+    return true;
+}
+
+bool
+StageWorker::hAtomic(StageWorker& w, const DInst& d)
+{
+    if (!w.tick(1))
+        return false;
+    w.stats.opCounts[static_cast<size_t>(d.opcode)]++;
+    sim::ArrayBuffer* buf = w.arrayBind_[static_cast<size_t>(d.arr)];
+    ir::Value out;
+    {
+        // applyMemOp implements RMWs as load+store; serialize them
+        // across stages so concurrent updates are not lost.
+        std::lock_guard<std::mutex> g(w.ctl_->atomicsMu);
+        out = sim::applyMemOp(*d.raw, *buf, w.regs_.data());
+    }
+    if (d.dst >= 0)
+        w.regs_[static_cast<size_t>(d.dst)] = out;
+    w.pc_++;
+    return true;
+}
+
+bool
+StageWorker::hSwapArr(StageWorker& w, const DInst& d)
+{
+    if (!w.tick(1))
+        return false;
+    w.stats.opCounts[static_cast<size_t>(d.opcode)]++;
+    std::swap(w.arrayBind_[static_cast<size_t>(d.arr)],
+              w.arrayBind_[static_cast<size_t>(d.arr2)]);
+    w.pc_++;
+    return true;
+}
+
+bool
+StageWorker::hBarrier(StageWorker& w, const DInst& d)
+{
+    if (!w.tick(1))
+        return false;
+    w.stats.opCounts[static_cast<size_t>(d.opcode)]++;
+    w.pc_++;
+    if (!w.traceBuf)
+        return w.barrier_->arriveAndWait(*w.ctl_);
+    uint64_t t0 = w.traceBuf->now();
+    bool ok = w.barrier_->arriveAndWait(*w.ctl_);
+    w.traceBuf->record(trace::EventKind::kBarrierWait, -1, t0,
+                       w.traceBuf->now());
+    return ok;
+}
+
+bool
+StageWorker::hEnq(StageWorker& w, const DInst& d)
+{
+    if (!w.tick(1))
+        return false;
+    w.stats.queueOps++;
+    w.stats.opCounts[static_cast<size_t>(d.opcode)]++;
+    if (!w.push(*d.q, d.absQ, w.regs_[static_cast<size_t>(d.src0)]))
+        return false;
+    w.pc_++;
+    return true;
+}
+
+bool
+StageWorker::hEnqCtrl(StageWorker& w, const DInst& d)
+{
+    if (!w.tick(1))
+        return false;
+    w.stats.queueOps++;
+    w.stats.opCounts[static_cast<size_t>(d.opcode)]++;
+    if (!w.push(*d.q, d.absQ,
+                ir::Value::makeControl(static_cast<uint32_t>(d.imm))))
+        return false;
+    w.pc_++;
+    return true;
+}
+
+bool
+StageWorker::hEnqDist(StageWorker& w, const DInst& d)
+{
+    if (!w.tick(1))
+        return false;
+    w.stats.queueOps++;
+    w.stats.opCounts[static_cast<size_t>(d.opcode)]++;
+    int64_t sel = w.regs_[static_cast<size_t>(d.src1)].asInt();
+    int target = sim::distTargetReplica(sel, w.numReplicas_);
+    int abs_q = d.queueBase + target * w.queueStride_;
+    SpscQueue& q = *w.queues_[static_cast<size_t>(abs_q)];
+    ir::Value v =
+        d.src0 < 0 ? ir::Value::makeControl(static_cast<uint32_t>(d.imm))
+                   : w.regs_[static_cast<size_t>(d.src0)];
+    if (!w.push(q, abs_q, v))
+        return false;
+    w.pc_++;
+    return true;
+}
+
+bool
+StageWorker::hDeq(StageWorker& w, const DInst& d)
+{
+    if (!w.tick(1))
+        return false;
+    w.stats.queueOps++;
+    w.stats.opCounts[static_cast<size_t>(d.opcode)]++;
+    ir::Value v;
+    if (!w.pop(*d.q, d.absQ, v))
+        return false;
+    w.regs_[static_cast<size_t>(d.dst)] = v;
+    // Control-value handler: transfer when a control value is dequeued,
+    // exactly as the simulated hardware does.
+    if (v.isControl() && d.handlerPc >= 0)
+        w.pc_ = d.handlerPc;
+    else
+        w.pc_++;
+    return true;
+}
+
+bool
+StageWorker::hPeek(StageWorker& w, const DInst& d)
+{
+    if (!w.tick(1))
+        return false;
+    w.stats.queueOps++;
+    w.stats.opCounts[static_cast<size_t>(d.opcode)]++;
+    ir::Value v;
+    if (!w.peek(*d.q, d.absQ, v))
+        return false;
+    w.regs_[static_cast<size_t>(d.dst)] = v;
+    w.pc_++;
+    return true;
+}
+
+// --- Fused superinstructions (two raw instructions per dispatch). ----
+
+bool
+StageWorker::hScalarBr(StageWorker& w, const DInst& d)
+{
+    if (!w.tick(2))
+        return false;
+    w.stats.opCounts[static_cast<size_t>(d.opcode)]++;
+    w.stats.branches++;
+    ir::Value out = sim::evalScalarOp(*d.raw, w.regs_.data());
+    w.regs_[static_cast<size_t>(d.dst)] = out;
+    bool truth = out.asInt() != 0;
+    if (d.negate)
+        truth = !truth;
+    w.pc_ = truth ? d.target : w.pc_ + 2;
+    return true;
+}
+
+bool
+StageWorker::hScalarJmp(StageWorker& w, const DInst& d)
+{
+    if (!w.tick(2))
+        return false;
+    w.stats.opCounts[static_cast<size_t>(d.opcode)]++;
+    w.stats.branches++;
+    w.regs_[static_cast<size_t>(d.dst)] =
+        sim::evalScalarOp(*d.raw, w.regs_.data());
+    w.pc_ = d.target;
+    return true;
+}
+
+bool
+StageWorker::hScalarEnq(StageWorker& w, const DInst& d)
+{
+    if (!w.tick(2))
+        return false;
+    w.stats.queueOps++;
+    w.stats.opCounts[static_cast<size_t>(d.opcode)]++;
+    w.stats.opCounts[static_cast<size_t>(d.opcode2)]++;
+    ir::Value out = sim::evalScalarOp(*d.raw, w.regs_.data());
+    w.regs_[static_cast<size_t>(d.dst)] = out;
+    if (!w.push(*d.q, d.absQ, out))
+        return false;
+    w.pc_ += 2;
+    return true;
+}
+
+bool
+StageWorker::hLoadEnq(StageWorker& w, const DInst& d)
+{
+    if (!w.tick(2))
+        return false;
+    w.stats.queueOps++;
+    w.stats.opCounts[static_cast<size_t>(d.opcode)]++;
+    w.stats.opCounts[static_cast<size_t>(d.opcode2)]++;
+    sim::ArrayBuffer* buf = w.arrayBind_[static_cast<size_t>(d.arr)];
+    int64_t idx = w.regs_[static_cast<size_t>(d.src0)].asInt();
+    ir::Value out = buf->load(idx);
+    w.regs_[static_cast<size_t>(d.dst)] = out;
+    if (!w.push(*d.q, d.absQ, out))
+        return false;
+    w.pc_ += 2;
+    return true;
+}
+
+// Order must match the DOp enumerators exactly.
+const StageWorker::Handler StageWorker::kDispatch[kNumDOps] = {
+    &StageWorker::hEnd,       // kEnd
+    &StageWorker::hHalt,      // kHalt
+    &StageWorker::hBr,        // kBr
+    &StageWorker::hBrIf,      // kBrIf
+    &StageWorker::hBrIfNot,   // kBrIfNot
+    &StageWorker::hScalar,    // kScalar
+    &StageWorker::hWork,      // kWork
+    &StageWorker::hLoad,      // kLoad
+    &StageWorker::hStore,     // kStore
+    &StageWorker::hMemOther,  // kMemOther
+    &StageWorker::hAtomic,    // kAtomic
+    &StageWorker::hSwapArr,   // kSwapArr
+    &StageWorker::hBarrier,   // kBarrier
+    &StageWorker::hEnq,       // kEnq
+    &StageWorker::hEnqCtrl,   // kEnqCtrl
+    &StageWorker::hEnqDist,   // kEnqDist
+    &StageWorker::hDeq,       // kDeq
+    &StageWorker::hPeek,      // kPeek
+    &StageWorker::hScalarBr,  // kScalarBr
+    &StageWorker::hScalarJmp, // kScalarJmp
+    &StageWorker::hScalarEnq, // kScalarEnq
+    &StageWorker::hLoadEnq,   // kLoadEnq
+};
 
 // ---------------------------------------------------------------------
 // RAWorker.

@@ -4,9 +4,8 @@
  * reference accelerator.
  *
  * A StageWorker runs one stage's sim::flatten instruction stream,
- * pre-decoded by the engine (runtime/engine.h), through the same
- * functional core the simulator uses (sim/eval.h), so the two backends
- * agree bit-for-bit.
+ * pre-decoded (runtime/decode.h), through the same functional core the
+ * simulator uses (sim/eval.h), so the two backends agree bit-for-bit.
  * Queue ops block on the SPSC rings through waitBlocked() below;
  * control values arriving at a kDeq with a handler transfer to the
  * handler pc exactly as the simulated hardware does.
@@ -25,10 +24,10 @@
 #include <atomic>
 #include <mutex>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "ir/pipeline.h"
+#include "runtime/decode.h"
 #include "runtime/queue.h"
 #include "runtime/sched.h"
 #include "runtime/stats.h"
@@ -43,8 +42,6 @@ namespace phloem::rt {
  * runnable peers (Scheduler::maybeYield), every this many instructions.
  */
 constexpr uint64_t kHeartbeatInterval = 4096;
-
-struct DecodedProgram;
 
 /** Tuning knobs for one native run. */
 struct RuntimeOptions
@@ -247,7 +244,18 @@ class StageBarrier
 
 /**
  * One pipeline stage as a pool task (or a serial function on the
- * caller's thread).
+ * caller's thread). The stage's flat program is decoded for its
+ * replica's queue window (decodeProgram) and executed through a
+ * function-pointer handler table: one indirect call per decoded
+ * instruction, fused superinstructions retiring the flattener's
+ * dominant pairs in one dispatch. Dynamic counts match the simulator's
+ * exactly (fused pairs count two).
+ *
+ * Queue ops go straight to the ring: a value stays in its fixed-depth
+ * ring until a deq moves it into a register, as in the simulator, so a
+ * ring holds at most its architectural depth. Each op's fast path
+ * (tryPush/tryPop/tryPeek) is inline; only the blocked path
+ * (waitBlocked) is out of line.
  */
 class StageWorker
 {
@@ -258,7 +266,11 @@ class StageWorker
                 std::vector<SpscQueue*> queues, StageBarrier* barrier,
                 RunControl* ctl);
 
-    /** Task body: run the stage until halt or abort. */
+    /**
+     * Task body: run the stage until halt or abort. Throws on an
+     * instruction-budget overrun; the caller's task wrapper routes that
+     * to RunControl::fail.
+     */
     void run();
 
     WorkerStats stats;
@@ -266,26 +278,62 @@ class StageWorker
     /** This worker's trace ring, or null when tracing is off. */
     trace::TraceBuffer* traceBuf = nullptr;
 
-    /**
-     * Cached decoded shape of prog_ (set by the runtime when the
-     * compilation service pre-decoded it), or null to decode locally.
-     * The engine copies it and relocates the copy for this replica, so
-     * cache hits skip classification+fusion, not just flattening. Must
-     * outlive the run.
-     */
-    const DecodedProgram* shape = nullptr;
-
-    /**
-     * Per-queue counts of values drained into the consumer batch buffer
-     * but never architecturally dequeued (pairs of absolute queue id,
-     * count). The runtime subtracts these from the ring's deq count and
-     * reports them as buffered residue.
-     */
-    std::vector<std::pair<int, uint64_t>> unconsumed;
-
   private:
-    /** Decode (or copy the cached shape) and run the engine. */
-    void runEngine();
+    using Handler = bool (*)(StageWorker&, const DInst&);
+    static const Handler kDispatch[kNumDOps];
+
+    // --- Bookkeeping ------------------------------------------------
+    /** Count n retired instructions; false when the run aborted. */
+    bool tick(uint64_t n);
+    bool slowTick();
+
+    // --- Queue ops: false once the run aborted while blocked. -------
+    bool
+    push(SpscQueue& q, int abs_q, const ir::Value& v)
+    {
+        return q.tryPush(v) || pushBlocked(q, abs_q, v);
+    }
+
+    bool
+    pop(SpscQueue& q, int abs_q, ir::Value& v)
+    {
+        return q.tryPop(v) || popBlocked(q, abs_q, v);
+    }
+
+    /** Read the front without consuming it. */
+    bool
+    peek(SpscQueue& q, int abs_q, ir::Value& v)
+    {
+        return q.tryPeek(v) || peekBlocked(q, abs_q, v);
+    }
+
+    bool pushBlocked(SpscQueue& q, int abs_q, const ir::Value& v);
+    bool popBlocked(SpscQueue& q, int abs_q, ir::Value& v);
+    bool peekBlocked(SpscQueue& q, int abs_q, ir::Value& v);
+
+    // --- Handlers (indexed by DOp) ----------------------------------
+    static bool hEnd(StageWorker& w, const DInst& d);
+    static bool hHalt(StageWorker& w, const DInst& d);
+    static bool hBr(StageWorker& w, const DInst& d);
+    static bool hBrIf(StageWorker& w, const DInst& d);
+    static bool hBrIfNot(StageWorker& w, const DInst& d);
+    static bool hScalar(StageWorker& w, const DInst& d);
+    static bool hWork(StageWorker& w, const DInst& d);
+    static bool hLoad(StageWorker& w, const DInst& d);
+    static bool hStore(StageWorker& w, const DInst& d);
+    static bool hMemOther(StageWorker& w, const DInst& d);
+    static bool hAtomic(StageWorker& w, const DInst& d);
+    static bool hSwapArr(StageWorker& w, const DInst& d);
+    static bool hBarrier(StageWorker& w, const DInst& d);
+    static bool hEnq(StageWorker& w, const DInst& d);
+    static bool hEnqCtrl(StageWorker& w, const DInst& d);
+    static bool hEnqDist(StageWorker& w, const DInst& d);
+    static bool hDeq(StageWorker& w, const DInst& d);
+    static bool hPeek(StageWorker& w, const DInst& d);
+    static bool hScalarBr(StageWorker& w, const DInst& d);
+    static bool hScalarJmp(StageWorker& w, const DInst& d);
+    static bool hScalarEnq(StageWorker& w, const DInst& d);
+    static bool hLoadEnq(StageWorker& w, const DInst& d);
 
     const sim::Program* prog_;
     int queueOffset_;
@@ -297,6 +345,11 @@ class StageWorker
 
     std::vector<ir::Value> regs_;
     std::vector<sim::ArrayBuffer*> arrayBind_;
+
+    int32_t pc_ = 0;
+    uint64_t heartbeat_ = 0;
+    /** Sink for kWork's burned mixes; keeps the burn loop observable. */
+    uint64_t workSink_ = 0;
 };
 
 /** One software reference accelerator as a pool task. */
@@ -321,12 +374,16 @@ class RAWorker
     /**
      * Values drained from the input queue (batched indirect mode) but
      * not yet serviced when the worker shut down. The runtime folds
-     * these back into the input ring's deq/residual statistics.
+     * these back into the input ring's deq/residual statistics and
+     * reports them as QueueStats::buffered.
      */
     uint64_t unconsumedIn = 0;
 
   private:
-    /** Indices drained per input-ring synchronization (indirect mode). */
+    /**
+     * Indices drained per input-ring synchronization (indirect mode):
+     * the accelerator's in-flight window.
+     */
     static constexpr size_t kIndirectBatch = 256;
 
     /** Service loop (run() wraps it to trace the halt). */

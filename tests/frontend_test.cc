@@ -290,6 +290,30 @@ void k(const int* restrict a, long* restrict out, int n) {
     ASSERT_EQ(kernel.ann.decoupleOps.size(), 1u);
 }
 
+TEST(Pragmas, ReplicateCountIsBounded)
+{
+    // The count comes from untrusted source (phloemd requests): it must
+    // neither overflow an int nor reach the backends past kMaxReplicas.
+    auto src = [](const std::string& count) {
+        return "#pragma replicate(" + count + ")\n"
+               "void k(long* restrict out, int n) { out[0] = n; }\n";
+    };
+    EXPECT_EQ(fe::compileKernel(src(std::to_string(fe::kMaxReplicas)))
+                  .ann.replicas,
+              fe::kMaxReplicas);
+    const std::string limit =
+        "more than " + std::to_string(fe::kMaxReplicas) + " replicas";
+    for (const char* count : {"99999999999", "100000", "257"}) {
+        try {
+            fe::compileKernel(src(count));
+            ADD_FAILURE() << count << ": accepted";
+        } catch (const std::exception& e) {
+            EXPECT_NE(std::string(e.what()).find(limit), std::string::npos)
+                << count << ": " << e.what();
+        }
+    }
+}
+
 TEST(Pragmas, AliasClasses)
 {
     const char* src = R"(

@@ -107,10 +107,7 @@ TEST(ServiceCache, CacheHitIsBitIdenticalToColdCompile)
     ASSERT_NE(cold, nullptr) << err;
     ASSERT_TRUE(cold->ok()) << cold->error;
     EXPECT_FALSE(hit);
-    // The entry carries one decoded shape per stage program: that is
-    // what lets a hit skip decode, not just flattening.
     ASSERT_FALSE(cold->programs.empty());
-    EXPECT_EQ(cold->shapes.size(), cold->programs.size());
 
     // Hit: must be the same object — no second compile happened.
     auto cached = cache.getOrCompile(
@@ -500,6 +497,27 @@ TEST(ServiceServer, ReportsCompileErrorsWithoutDying)
         << resp.error;
     ASSERT_TRUE(client.call(ping, &resp, &err)) << err;
     EXPECT_TRUE(resp.ok);
+
+    // Replica counts past fe::kMaxReplicas used to reach the backends,
+    // which size cores, rings and tasks by them (and an 11-digit count
+    // overflowed the pragma parser's int); they are compile errors now,
+    // and the server keeps serving.
+    for (const char* count : {"99999999999", "100000"}) {
+        svc::Request wide;
+        wide.op = "run";
+        wide.backend = "sim";
+        wide.source = std::string("#pragma phloem\n#pragma replicate(") +
+                      count +
+                      ")\nvoid k(long* restrict out, int n) "
+                      "{ for (int i = 0; i < n; i++) { out[i] = i; } }\n";
+        ASSERT_TRUE(client.call(wide, &resp, &err)) << err;
+        EXPECT_FALSE(resp.ok) << count;
+        EXPECT_NE(resp.error.find("more than 256 replicas"),
+                  std::string::npos)
+            << resp.error;
+        ASSERT_TRUE(client.call(ping, &resp, &err)) << err;
+        EXPECT_TRUE(resp.ok);
+    }
 
     // A hostile frame: 1 MB of '[' used to overflow the recursive JSON
     // parser's stack and take the daemon down. It must be an ordinary

@@ -149,7 +149,7 @@ printNativeSummary(const metrics::Run& run)
     if (fam == run.families.end())
         return;
     // Residue prints apart: only the ring's share is bounded by the
-    // queue depth; the rest sat drained in the consumer's batch buffer.
+    // queue depth; the rest sat drained in an indirect RA's batch.
     std::printf("  %-8s %12s %12s %10s %10s %9s %8s %8s\n", "queue", "enq",
                 "deq", "enq-blk", "deq-blk", "max-occ", "ring", "buffered");
     for (const auto& p : fam->second.points) {

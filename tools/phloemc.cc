@@ -160,7 +160,8 @@ printProfile(const rt::NativeStats& st)
     std::printf("profile: %llu fused superinstruction sites (static)\n",
                 static_cast<unsigned long long>(fused));
 
-    std::printf("profile: queue batches (values per ring sync):\n");
+    std::printf("profile: queue batches (values per ring sync; pops "
+                "are indirect-RA drains):\n");
     auto print_hist = [](const uint64_t (&hist)[rt::QueueStats::
                                                    kBatchHistBuckets]) {
         // Buckets are log2: 1, 2-3, 4-7, ..., >= 128.
@@ -179,19 +180,22 @@ printProfile(const rt::NativeStats& st)
     for (const auto& q : st.queues) {
         if (q.popBatches == 0 && q.pushBatches == 0)
             continue;
-        std::printf("  q%-3d pop mean %7.1f over %8llu   "
-                    "push mean %7.1f over %8llu\n",
-                    q.id, q.meanPopBatch(),
-                    static_cast<unsigned long long>(q.popBatches),
-                    q.meanPushBatch(),
+        std::printf("  q%-3d push mean %7.1f over %8llu",
+                    q.id, q.meanPushBatch(),
                     static_cast<unsigned long long>(q.pushBatches));
-        std::printf("       push hist:");
+        if (q.popBatches > 0)
+            std::printf("   pop mean %7.1f over %8llu", q.meanPopBatch(),
+                        static_cast<unsigned long long>(q.popBatches));
+        std::printf("\n       push hist:");
         print_hist(q.pushHist);
-        std::printf("\n       pop  hist:");
-        print_hist(q.popHist);
+        if (q.popBatches > 0) {
+            std::printf("\n       pop  hist:");
+            print_hist(q.popHist);
+        }
         std::printf("\n");
     }
-    std::printf("profile: mean pop batch %.2f\n", st.meanPopBatch());
+    if (st.meanPopBatch() > 0.0)
+        std::printf("profile: mean RA drain %.2f\n", st.meanPopBatch());
 
     if (st.sched.poolSize > 0) {
         std::printf("profile: scheduler: %d of %d pool workers used, "
