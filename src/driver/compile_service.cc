@@ -2,6 +2,7 @@
 
 #include <chrono>
 
+#include "base/hash.h"
 #include "metrics/collect.h"
 #include "runtime/runtime.h"
 #include "sim/energy.h"
@@ -21,27 +22,7 @@ elapsedNs(Clock::time_point t0, Clock::time_point t1)
             .count());
 }
 
-constexpr uint64_t kFnvOffset = 0xcbf29ce484222325ull;
-constexpr uint64_t kFnvPrime = 0x100000001b3ull;
-
-uint64_t
-fnv1aBytes(uint64_t h, const void* data, size_t n)
-{
-    const auto* p = static_cast<const unsigned char*>(data);
-    for (size_t i = 0; i < n; ++i) {
-        h ^= p[i];
-        h *= kFnvPrime;
-    }
-    return h;
-}
-
 } // namespace
-
-uint64_t
-fnv1a(const std::string& bytes)
-{
-    return fnv1aBytes(kFnvOffset, bytes.data(), bytes.size());
-}
 
 CompiledPipelinePtr
 compileSource(const CompileSpec& spec, std::string* err)
@@ -167,12 +148,12 @@ runCompiled(const CompiledPipeline& cp, const RunSpec& spec,
 uint64_t
 hashBinding(const sim::Binding& binding)
 {
-    uint64_t h = kFnvOffset;
+    uint64_t h = kFnv1aOffset;
     for (const auto& [name, buf] : binding.globalArrays()) {
-        h = fnv1aBytes(h, name.data(), name.size());
+        h = fnv1a(name.data(), name.size(), h);
         auto elem = static_cast<unsigned char>(buf->elem());
-        h = fnv1aBytes(h, &elem, 1);
-        h = fnv1aBytes(h, buf->rawBytes(), buf->bytes());
+        h = fnv1a(&elem, 1, h);
+        h = fnv1a(buf->rawBytes(), buf->bytes(), h);
     }
     return h;
 }

@@ -155,9 +155,6 @@ ExecOutcome runCompiled(const CompiledPipeline& cp, const RunSpec& spec,
  */
 uint64_t hashBinding(const sim::Binding& binding);
 
-/** FNV-1a over arbitrary bytes (source-text hashing for cache keys). */
-uint64_t fnv1a(const std::string& bytes);
-
 } // namespace phloem::driver
 
 #endif // PHLOEM_DRIVER_COMPILE_SERVICE_H

@@ -3,6 +3,7 @@
  * AST-to-IR lowering with simple int/double type checking.
  */
 
+#include <cctype>
 #include <map>
 #include <sstream>
 
@@ -78,25 +79,54 @@ class Lowerer
             iss >> word;
             if (word == "phloem") {
                 ann_.phloem = true;
-            } else if (word.rfind("replicate", 0) == 0) {
-                // Accept "replicate N" and "replicate(N)". Stop adding
-                // digits once past the cap: no count can overflow.
-                std::string rest = text.substr(9);
-                int n = 0;
-                for (char c : rest)
-                    if (c >= '0' && c <= '9' && n <= kMaxReplicas)
-                        n = n * 10 + (c - '0');
-                if (n > kMaxReplicas)
-                    err(decl_.line, "#pragma replicate asks for more than " +
-                                        std::to_string(kMaxReplicas) +
-                                        " replicas");
-                if (n >= 1)
-                    ann_.replicas = n;
+            } else if (word == "replicate" ||
+                       word.rfind("replicate(", 0) == 0) {
+                ann_.replicas = parseReplicaCount(text);
             } else {
                 phloem_warn("unknown function pragma '", text, "' on ",
                             decl_.name);
             }
         }
+    }
+
+    /**
+     * The count of "replicate N" or "replicate(N)": one number in
+     * [1, kMaxReplicas] with nothing after it. Digits past the cap are
+     * skipped, not added, so no count can overflow.
+     */
+    int
+    parseReplicaCount(const std::string& text)
+    {
+        size_t i = std::string("replicate").size();
+        auto skipSpace = [&] {
+            while (i < text.size() &&
+                   std::isspace(static_cast<unsigned char>(text[i])))
+                ++i;
+        };
+        auto accept = [&](char c) {
+            skipSpace();
+            bool ok = i < text.size() && text[i] == c;
+            i += ok ? 1 : 0;
+            return ok;
+        };
+        bool paren = accept('(');
+        skipSpace();
+        size_t digits = i;
+        int n = 0;
+        for (; i < text.size() && text[i] >= '0' && text[i] <= '9'; ++i)
+            if (n <= kMaxReplicas)
+                n = n * 10 + (text[i] - '0');
+        bool well_formed = i > digits && (!paren || accept(')'));
+        skipSpace();
+        const std::string at = "'#pragma " + text + "': ";
+        if (!well_formed || i != text.size())
+            err(decl_.line, at + "expected 'replicate N' or 'replicate(N)'");
+        if (n < 1)
+            err(decl_.line, at + "replica count must be at least 1");
+        if (n > kMaxReplicas)
+            err(decl_.line, at + "asks for more than " +
+                                std::to_string(kMaxReplicas) + " replicas");
+        return n;
     }
 
     void

@@ -5,6 +5,7 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "base/hash.h"
 #include "base/logging.h"
 #include "ir/op.h"
 
@@ -279,26 +280,18 @@ nativeRunToMetrics(const std::string& name, const rt::NativeStats& stats)
             ms.addCounter("deq", q.deq);
             ms.addCounter("enq_blocks", q.enqBlocks);
             ms.addCounter("deq_blocks", q.deqBlocks);
-            // residual is ring residue plus indices an RA drained but
-            // never serviced; the ring share (residual -
-            // residual_buffered) is bounded by depth.
             ms.addCounter("residual", q.residual);
-            ms.addCounter("residual_buffered", q.buffered);
             ms.setGauge("max_occupancy",
                         static_cast<double>(q.maxOccupancy));
-            // Rebuild the distributions from the log2 histograms: bucket
+            // Rebuild the distribution from the log2 histogram: bucket
             // b of QueueStats covers [2^b, 2^(b+1)), which is exactly
             // the model's lower-inclusive bucket b for edges 2,4,...,128.
             Distribution& push = ms.dist("push_batch", kBatchEdges);
-            Distribution& pop = ms.dist("pop_batch", kBatchEdges);
             for (int b = 0; b < rt::QueueStats::kBatchHistBuckets; ++b) {
                 push.counts[static_cast<size_t>(b)] += q.pushHist[b];
-                pop.counts[static_cast<size_t>(b)] += q.popHist[b];
                 push.total += q.pushHist[b];
-                pop.total += q.popHist[b];
             }
             push.sum += static_cast<double>(q.pushBatchElems);
-            pop.sum += static_cast<double>(q.popBatchElems);
         }
     }
     return run;
@@ -379,15 +372,9 @@ configFingerprint(const sim::SysConfig& cfg)
         << cfg.lineBytes << '|' << cfg.memMinLatency << '|'
         << cfg.memControllers << '|' << cfg.memGBps << '|'
         << cfg.atomicExtraLatency;
-    std::string s = oss.str();
-    uint64_t h = 0xcbf29ce484222325ull;  // FNV-1a
-    for (unsigned char c : s) {
-        h ^= c;
-        h *= 0x100000001b3ull;
-    }
     char buf[20];
     std::snprintf(buf, sizeof(buf), "%016llx",
-                  static_cast<unsigned long long>(h));
+                  static_cast<unsigned long long>(fnv1a(oss.str())));
     return buf;
 }
 

@@ -101,8 +101,9 @@ class SpscQueue
     /**
      * Producer side: push up to max_n values obtained from gen(k),
      * k = 0..n-1, publishing them all with a single release store.
-     * Returns the number pushed (0 when the ring is full). Scan RAs use
-     * this to stream ranges without per-element synchronization.
+     * Returns the number pushed: 0 when the ring is full, at least 1
+     * once hasFreeSlot() said yes. Scan RAs use this to stream ranges
+     * without per-element synchronization.
      */
     template <typename Gen>
     size_t
@@ -123,36 +124,18 @@ class SpscQueue
     }
 
     /**
-     * Consumer side: drain up to max_n values into out, releasing them
-     * all with a single store of the head index (the mirror image of
-     * pushBatch). Returns the number popped (0 when the ring is empty).
-     * Indirect RAs use this to drain runs of indices with one
-     * acquire/release pair per run instead of one per element.
+     * Producer side: true when the ring has a free slot. Only a
+     * single-producer ring may ask: no other producer can take the slot,
+     * so the producer's next push is sure to succeed. An RA reserves its
+     * output slot this way before it takes a value off its input ring.
      */
-    size_t
-    popBatch(size_t max_n, ir::Value* out)
+    bool
+    hasFreeSlot()
     {
-        size_t head = head_.load(std::memory_order_relaxed);
-        size_t avail = availSlots(head);
-        if (avail == 0) {
-            tailCache_ = tail_.load(std::memory_order_acquire);
-            avail = availSlots(head);
-            if (avail == 0)
-                return 0;
-        }
-        size_t n = std::min(max_n, avail);
-        size_t h = head;
-        for (size_t k = 0; k < n; ++k) {
-            out[k] = buf_[h];
-            h = next(h);
-        }
-        head_.store(h, std::memory_order_release);
-        deqCount_ += n;
-        popBatches_++;
-        popBatchElems_ += n;
-        popHist_[histBucket(n)]++;
-        notifySpace();
-        return n;
+        size_t nxt = next(tail_.load(std::memory_order_relaxed));
+        if (nxt == headCache_)
+            headCache_ = head_.load(std::memory_order_acquire);
+        return nxt != headCache_;
     }
 
     /** Consumer side: dequeue into v; false when the ring is empty. */
@@ -204,11 +187,8 @@ class SpscQueue
     size_t maxOccupancy() const { return maxOcc_; }
     /** Number of log2 histogram buckets: 1, 2-3, 4-7, ..., >= 128. */
     static constexpr int kBatchHistBuckets = 8;
-    uint64_t popBatches() const { return popBatches_; }
-    uint64_t popBatchElems() const { return popBatchElems_; }
     uint64_t pushBatches() const { return pushBatches_; }
     uint64_t pushBatchElems() const { return pushBatchElems_; }
-    uint64_t popHist(int b) const { return popHist_[b]; }
     uint64_t pushHist(int b) const { return pushHist_[b]; }
     uint64_t enqBlocks() const
     {
@@ -260,14 +240,6 @@ class SpscQueue
     {
         return tail >= headCache_ ? tail - headCache_
                                   : tail + slots_ - headCache_;
-    }
-
-    /** Elements visible to the consumer, per its cached tail. */
-    size_t
-    availSlots(size_t head) const
-    {
-        return tailCache_ >= head ? tailCache_ - head
-                                  : tailCache_ + slots_ - head;
     }
 
     /** Log2 bucket of a batch size n >= 1, clamped to the last bucket. */
@@ -368,9 +340,6 @@ class SpscQueue
     size_t tailCache_ = 0;
     uint64_t deqCount_ = 0;
     uint64_t deqBlocks_ = 0;
-    uint64_t popBatches_ = 0;
-    uint64_t popBatchElems_ = 0;
-    uint64_t popHist_[kBatchHistBuckets] = {};
 
     // Producer-owned line: index plus the producer's cache of head.
     alignas(64) std::atomic<size_t> tail_{0};

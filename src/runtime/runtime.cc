@@ -158,7 +158,6 @@ Runtime::runPipeline(const ir::Pipeline& pipeline, sim::Binding& binding,
     }
 
     std::vector<std::unique_ptr<RAWorker>> ra_workers;
-    std::vector<int> ra_in_qids;
     for (int r = 0; r < replicas; ++r) {
         for (const auto& ra : pipeline.ras) {
             std::string name =
@@ -171,7 +170,6 @@ Runtime::runPipeline(const ir::Pipeline& pipeline, sim::Binding& binding,
                 &ctl));
             ra_workers.back()->traceInQ = ra.inQueue + r * stride;
             ra_workers.back()->traceOutQ = ra.outQueue + r * stride;
-            ra_in_qids.push_back(ra.inQueue + r * stride);
         }
     }
 
@@ -264,14 +262,7 @@ Runtime::runPipeline(const ir::Pipeline& pipeline, sim::Binding& binding,
         sampler.join();
     }
 
-    // Collect results. Indices an indirect RA drained but never serviced
-    // get folded back: nothing consumed them, so they count as residual
-    // (buffered), not deq.
-    std::vector<uint64_t> undequeued(static_cast<size_t>(num_queues), 0);
-    for (size_t k = 0; k < ra_workers.size(); ++k)
-        undequeued[static_cast<size_t>(ra_in_qids[k])] +=
-            ra_workers[k]->unconsumedIn;
-
+    // Collect results.
     out.wallNs = elapsedNs(t0, t1);
     out.numStageThreads = total_threads;
     out.numRAWorkers = static_cast<int>(ra_workers.size());
@@ -288,23 +279,17 @@ Runtime::runPipeline(const ir::Pipeline& pipeline, sim::Binding& binding,
         QueueStats qs;
         qs.id = i;
         qs.depth = q.depth();
-        uint64_t uncons = undequeued[static_cast<size_t>(i)];
         qs.enq = q.enqCount();
-        qs.deq = q.deqCount() - uncons;
+        qs.deq = q.deqCount();
         qs.enqBlocks = q.enqBlocks();
         qs.deqBlocks = q.deqBlocks();
         qs.maxOccupancy = q.maxOccupancy();
         // Exact: every task has finished.
-        qs.residual = q.sizeApprox() + uncons;
-        qs.buffered = uncons;
-        qs.popBatches = q.popBatches();
-        qs.popBatchElems = q.popBatchElems();
+        qs.residual = q.sizeApprox();
         qs.pushBatches = q.pushBatches();
         qs.pushBatchElems = q.pushBatchElems();
-        for (int b = 0; b < QueueStats::kBatchHistBuckets; ++b) {
+        for (int b = 0; b < QueueStats::kBatchHistBuckets; ++b)
             qs.pushHist[b] = q.pushHist(b);
-            qs.popHist[b] = q.popHist(b);
-        }
         out.queues.push_back(qs);
     }
     if (ctl.aborted()) {
@@ -315,16 +300,12 @@ Runtime::runPipeline(const ir::Pipeline& pipeline, sim::Binding& binding,
         }
         // Failure post-mortem: which edges still hold data, and (when
         // traced) what each worker was doing right before the stall.
-        // Ring residue (bounded by the depth) prints apart from indices
-        // an RA drained into its batch but never serviced.
         std::string residuals;
         for (const auto& qs : out.queues)
             if (qs.residual > 0)
                 residuals += "  q" + std::to_string(qs.id) + ": ring " +
-                             std::to_string(qs.residual - qs.buffered) +
-                             "/" + std::to_string(qs.depth) +
-                             ", consumer buffer " +
-                             std::to_string(qs.buffered) + "\n";
+                             std::to_string(qs.residual) + "/" +
+                             std::to_string(qs.depth) + "\n";
         if (!residuals.empty())
             out.error += "\nresidual occupancy:\n" + residuals;
         if (tracer != nullptr)

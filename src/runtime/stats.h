@@ -31,47 +31,28 @@ struct QueueStats
     /** High-water mark of elements held. */
     uint64_t maxOccupancy = 0;
     /**
-     * Elements still in the ring — or drained by an indirect RA but
-     * never serviced — when the stage threads halted. Nonzero means a
-     * producer out-ran its consumer's demand — the signature of a
-     * mispaired stream (the fuzzer's deadlock post-mortems key on it).
+     * Elements still in the ring when the stage threads halted (at most
+     * depth: every consumer, stage or RA, pops one value at a time).
+     * Nonzero means a producer out-ran its consumer's demand — the
+     * signature of a mispaired stream (the fuzzer's deadlock
+     * post-mortems key on it).
      */
     uint64_t residual = 0;
-    /**
-     * The part of `residual` an indirect RA drained into its batch but
-     * never serviced; the rest, residual - buffered, was still in the
-     * ring (<= depth). Always 0 on a ring a stage consumes: stages pop
-     * the ring directly.
-     */
-    uint64_t buffered = 0;
 
-    // --- Batched-transfer accounting (RA streaming). ----------------
+    // --- Batched-transfer accounting (scan-RA streaming). -----------
     /** Number of log2 histogram buckets: 1, 2-3, 4-7, ..., >= 128. */
     static constexpr int kBatchHistBuckets = 8;
-    /** Indirect-RA input drains (popBatch calls that took >= 1). */
+    /**
+     * Always 0: no consumer pops in batches. Kept only because
+     * perfbench reads them (like SchedStats::steals).
+     */
     uint64_t popBatches = 0;
     uint64_t popBatchElems = 0;
     /** Producer-side batch publishes (pushBatch calls that took >= 1). */
     uint64_t pushBatches = 0;
     uint64_t pushBatchElems = 0;
-    /**
-     * Batch sizes, log2-bucketed, kept separate per side: producer
-     * publish sizes (pushHist) and consumer drain sizes (popHist) answer
-     * different questions — small pushes mean the producer trickles,
-     * small pops mean the consumer never finds runs to drain.
-     */
+    /** Publish sizes, log2-bucketed: small pushes mean a trickle. */
     uint64_t pushHist[kBatchHistBuckets] = {};
-    uint64_t popHist[kBatchHistBuckets] = {};
-
-    /** Values per indirect-RA drain (0 when no RA drained the ring). */
-    double
-    meanPopBatch() const
-    {
-        return popBatches > 0
-                   ? static_cast<double>(popBatchElems) /
-                         static_cast<double>(popBatches)
-                   : 0.0;
-    }
 
     double
     meanPushBatch() const
@@ -227,20 +208,6 @@ struct NativeStats
         for (const auto& w : workers)
             n += w.branches;
         return n;
-    }
-
-    /** Mean indirect-RA drain size, weighted over all queues. */
-    double
-    meanPopBatch() const
-    {
-        uint64_t batches = 0, elems = 0;
-        for (const auto& q : queues) {
-            batches += q.popBatches;
-            elems += q.popBatchElems;
-        }
-        return batches > 0 ? static_cast<double>(elems) /
-                                 static_cast<double>(batches)
-                           : 0.0;
     }
 };
 

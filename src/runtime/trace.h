@@ -48,7 +48,7 @@ enum class EventKind : uint8_t {
     kEnqBlock,    ///< producer waited on a full ring     [span]
     kDeqBlock,    ///< consumer waited on an empty ring   [span]
     kBarrierWait, ///< stage waited at a kBarrier         [span]
-    kRaService,   ///< RA streamed a burst of elements    [span, arg=n]
+    kRaService,   ///< scan RA streamed a burst           [span, arg=n]
     kHalt,        ///< worker halted                      [instant]
     kQueueOcc,    ///< sampled queue occupancy            [counter, arg=occ]
 

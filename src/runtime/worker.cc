@@ -510,6 +510,9 @@ RAWorker::RAWorker(std::string name, const ir::RAConfig& cfg,
                    SpscQueue* out_q, RunControl* ctl)
     : cfg_(cfg), array_(array), inQ_(in_q), outQ_(out_q), ctl_(ctl)
 {
+    // waitSlot's reservation holds only while no one else can push.
+    phloem_assert(!outQ_->multiProducer(),
+                  "an RA must be its output ring's only producer");
     stats.name = std::move(name);
     stats.isStage = false;
 }
@@ -527,74 +530,31 @@ RAWorker::heartbeat(uint64_t n)
 }
 
 bool
-RAWorker::waitPush(const ir::Value& v)
+RAWorker::waitSlot()
 {
-    if (outQ_->tryPush(v)) {
-        heartbeat();
-        return true;
-    }
-    // Stoppable: once every stage task halted, whatever the RA still
-    // holds can never reach memory, so it just exits.
-    return waitBlocked(*ctl_, traceBuf, *outQ_, traceOutQ, QueueWait::kEnq,
-                       /*stoppable=*/true, [&] { return outQ_->tryPush(v); });
+    // Stoppable: once every stage task halted, nothing reads the output
+    // ring any more, so the RA just exits.
+    return outQ_->hasFreeSlot() ||
+           waitBlocked(*ctl_, traceBuf, *outQ_, traceOutQ, QueueWait::kEnq,
+                       /*stoppable=*/true,
+                       [&] { return outQ_->hasFreeSlot(); });
 }
 
 bool
 RAWorker::waitPop(ir::Value& v)
 {
-    if (inQ_->tryPop(v)) {
-        heartbeat();
-        return true;
-    }
     // An empty input after shutdown is the normal RA exit path (RAs
     // never see an end-of-stream value).
-    return waitBlocked(*ctl_, traceBuf, *inQ_, traceInQ, QueueWait::kDeq,
+    return inQ_->tryPop(v) ||
+           waitBlocked(*ctl_, traceBuf, *inQ_, traceInQ, QueueWait::kDeq,
                        /*stoppable=*/true, [&] { return inQ_->tryPop(v); });
 }
 
-bool
-RAWorker::serviceIndirectBatch(const ir::Value* batch, size_t n)
+void
+RAWorker::emit(const ir::Value& v)
 {
-    size_t i = 0;
-    while (i < n) {
-        if (batch[i].isControl()) {
-            // Control values pass through in order, delimiting streams.
-            stats.raCtrlForwarded++;
-            if (!waitPush(batch[i])) {
-                unconsumedIn += n - i;
-                return false;
-            }
-            ++i;
-            continue;
-        }
-        // Emit the maximal run of data indices [i, j) as output batches.
-        size_t j = i;
-        while (j < n && !batch[j].isControl())
-            ++j;
-        while (i < j) {
-            uint64_t t0 = traceBuf ? traceBuf->now() : 0;
-            size_t pushed = outQ_->pushBatch(j - i, [&](size_t k) {
-                return array_->load(batch[i + k].asInt());
-            });
-            if (pushed == 0) {
-                // Ring full: fall back to one blocking push.
-                if (!waitPush(array_->load(batch[i].asInt()))) {
-                    unconsumedIn += n - i;
-                    return false;
-                }
-                pushed = 1;
-            } else {
-                heartbeat(pushed);
-                if (traceBuf)
-                    traceBuf->record(trace::EventKind::kRaService,
-                                     traceOutQ, t0, traceBuf->now(),
-                                     pushed);
-            }
-            i += pushed;
-            stats.raElements += pushed;
-        }
-    }
-    return true;
+    bool ok = outQ_->tryPush(v);
+    phloem_assert(ok, "RA output slot vanished");
 }
 
 void
@@ -616,76 +576,56 @@ RAWorker::runLoop()
     int64_t scan_cur = 0;
     int64_t scan_end = 0;
 
-    for (;;) {
+    // One RAEntity::step per iteration: reserve an output slot first, so
+    // whatever the step takes off the input can always be passed on.
+    while (waitSlot()) {
         if (phase == Phase::kScanning) {
-            if (scan_cur >= scan_end) {
-                if (cfg_.emitRangeCtrl) {
-                    if (!waitPush(ir::Value::makeControl(
-                            cfg_.rangeCtrlCode)))
-                        return;
-                    stats.raCtrlForwarded++;
-                }
-                phase = Phase::kIdle;
-                continue;
-            }
-            // Stream the rest of the range as one batch per ring refill:
-            // elements are published with a single release store, which
-            // is where the RA's native-speed advantage comes from.
-            size_t want = static_cast<size_t>(scan_end - scan_cur);
-            uint64_t t0 = traceBuf ? traceBuf->now() : 0;
-            size_t pushed = outQ_->pushBatch(want, [&](size_t k) {
-                return array_->load(scan_cur + static_cast<int64_t>(k));
-            });
-            if (pushed == 0) {
-                // Ring full: fall back to one blocking push.
-                if (!waitPush(array_->load(scan_cur)))
-                    return;
-                pushed = 1;
-            } else {
-                heartbeat(pushed);
+            if (scan_cur < scan_end) {
+                // Stream the rest of the range as one batch per ring
+                // refill: elements are published with a single release
+                // store, which is where the RA's native-speed advantage
+                // comes from. The reserved slot makes it at least one.
+                size_t want = static_cast<size_t>(scan_end - scan_cur);
+                uint64_t t0 = traceBuf ? traceBuf->now() : 0;
+                size_t pushed = outQ_->pushBatch(want, [&](size_t k) {
+                    return array_->load(scan_cur + static_cast<int64_t>(k));
+                });
                 if (traceBuf)
                     traceBuf->record(trace::EventKind::kRaService,
                                      traceOutQ, t0, traceBuf->now(),
                                      pushed);
+                heartbeat(pushed);
+                scan_cur += static_cast<int64_t>(pushed);
+                stats.raElements += pushed;
+                continue;
             }
-            scan_cur += static_cast<int64_t>(pushed);
-            stats.raElements += pushed;
-            continue;
+            phase = Phase::kIdle;
+            if (cfg_.emitRangeCtrl) {
+                emit(ir::Value::makeControl(cfg_.rangeCtrlCode));
+                stats.raCtrlForwarded++;
+                continue;
+            }
         }
 
         ir::Value e;
         if (!waitPop(e))
             return;
-
+        heartbeat(1);
         if (e.isControl()) {
             // Control values pass through RAs, delimiting streams.
             phase = Phase::kIdle;
             stats.raCtrlForwarded++;
-            if (!waitPush(e))
-                return;
-            continue;
-        }
-
-        if (cfg_.mode == ir::RAMode::kIndirect) {
-            // Batched drain/emit: grab whatever run of indices the
-            // producer has already published alongside e, then load and
-            // publish the elements with pushBatch — one ring
-            // synchronization per run on each side instead of one per
-            // element.
-            ir::Value batch[kIndirectBatch];
-            batch[0] = e;
-            size_t n = 1 + inQ_->popBatch(kIndirectBatch - 1, batch + 1);
-            if (!serviceIndirectBatch(batch, n))
-                return;
+            emit(e);
+        } else if (cfg_.mode == ir::RAMode::kIndirect) {
+            emit(array_->load(e.asInt()));
+            stats.raElements++;
+        } else if (phase == Phase::kIdle) {
+            pending_start = e.asInt();
+            phase = Phase::kHaveStart;
         } else {
-            if (phase == Phase::kIdle) {
-                pending_start = e.asInt();
-                phase = Phase::kHaveStart;
-            } else {
-                scan_cur = pending_start;
-                scan_end = e.asInt();
-                phase = Phase::kScanning;
-            }
+            scan_cur = pending_start;
+            scan_end = e.asInt();
+            phase = Phase::kScanning;
         }
     }
 }

@@ -13,9 +13,10 @@
  * An RAWorker replays sim/machine.cc's RAEntity state machine in
  * software: indirect mode turns dequeued indices into loaded elements;
  * scan mode streams [start, end) ranges, optionally delimited with a
- * range control value. Control values pass through unchanged. RA workers
- * never write memory, so they can be shut down as soon as every stage
- * task has halted.
+ * range control value. Control values pass through unchanged. Like a
+ * stage, an RA holds no value outside its rings. RA workers never write
+ * memory, so they can be shut down as soon as every stage task has
+ * halted.
  */
 
 #ifndef PHLOEM_RUNTIME_WORKER_H
@@ -352,7 +353,12 @@ class StageWorker
     uint64_t workSink_ = 0;
 };
 
-/** One software reference accelerator as a pool task. */
+/**
+ * One software reference accelerator as a pool task: the native twin of
+ * sim/machine.cc's RAEntity::step. Each step first waits for a free slot
+ * on the output ring, then pops one input value and passes it on, so no
+ * value ever sits outside a ring.
+ */
 class RAWorker
 {
   public:
@@ -371,30 +377,17 @@ class RAWorker
     int traceInQ = -1;
     int traceOutQ = -1;
 
-    /**
-     * Values drained from the input queue (batched indirect mode) but
-     * not yet serviced when the worker shut down. The runtime folds
-     * these back into the input ring's deq/residual statistics and
-     * reports them as QueueStats::buffered.
-     */
-    uint64_t unconsumedIn = 0;
-
   private:
-    /**
-     * Indices drained per input-ring synchronization (indirect mode):
-     * the accelerator's in-flight window.
-     */
-    static constexpr size_t kIndirectBatch = 256;
-
     /** Service loop (run() wraps it to trace the halt). */
     void runLoop();
-    /** Returns false on shutdown/abort. */
-    bool waitPush(const ir::Value& v);
+    /** Wait for a free output slot; false on shutdown/abort. */
+    bool waitSlot();
+    /** Pop one input value; false on shutdown/abort. */
     bool waitPop(ir::Value& v);
-    /** Service a drained run of values in order; false on shutdown. */
-    bool serviceIndirectBatch(const ir::Value* batch, size_t n);
+    /** Push into the slot waitSlot found free. */
+    void emit(const ir::Value& v);
     /** Count serviced values; every kHeartbeatInterval, maybeYield. */
-    void heartbeat(uint64_t n = 1);
+    void heartbeat(uint64_t n);
 
     uint64_t heartbeatCount_ = 0;
     ir::RAConfig cfg_;

@@ -2,6 +2,7 @@
 
 #include <cstdio>
 
+#include "base/hash.h"
 #include "base/logging.h"
 #include "metrics/collect.h"
 
@@ -44,7 +45,7 @@ hashOptions(const std::string& kernel_name, const comp::CompileOptions& o)
     for (int c : o.explicitCuts) num(c);
     s += '|';
     for (int c : o.forcedCuts) num(c);
-    return driver::fnv1a(s);
+    return fnv1a(s);
 }
 
 } // namespace
@@ -53,7 +54,7 @@ std::string
 cacheKey(const sim::SysConfig& cfg, const driver::CompileSpec& spec)
 {
     return metrics::configFingerprint(cfg) + ":" +
-           hex(driver::fnv1a(spec.source)) + ":" +
+           hex(fnv1a(spec.source)) + ":" +
            hex(hashOptions(spec.kernelName, spec.opts));
 }
 

@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "compiler/compiler.h"
 #include "frontend/frontend.h"
@@ -292,24 +294,53 @@ void k(const int* restrict a, long* restrict out, int n) {
 
 TEST(Pragmas, ReplicateCountIsBounded)
 {
-    // The count comes from untrusted source (phloemd requests): it must
-    // neither overflow an int nor reach the backends past kMaxReplicas.
-    auto src = [](const std::string& count) {
-        return "#pragma replicate(" + count + ")\n"
-               "void k(long* restrict out, int n) { out[0] = n; }\n";
+    // The count comes from untrusted source (phloemd requests): it is
+    // exactly one number in [1, kMaxReplicas] after "replicate" or in
+    // "replicate(...)", never an overflowed int or a count stitched
+    // together from stray digits. Every error quotes the pragma.
+    auto src = [](const std::string& pragma) {
+        return "#pragma " + pragma +
+               "\nvoid k(long* restrict out, int n) { out[0] = n; }\n";
     };
-    EXPECT_EQ(fe::compileKernel(src(std::to_string(fe::kMaxReplicas)))
-                  .ann.replicas,
-              fe::kMaxReplicas);
+    const std::vector<std::pair<std::string, int>> good = {
+        {"replicate 4", 4},
+        {"replicate(4)", 4},
+        {"replicate ( 4 ) ", 4},
+        {"replicate(" + std::to_string(fe::kMaxReplicas) + ")",
+         fe::kMaxReplicas},
+        // Merely starts with "replicate": an unknown pragma (warned).
+        {"replicated 3", 1},
+    };
+    for (const auto& [pragma, replicas] : good)
+        EXPECT_EQ(fe::compileKernel(src(pragma)).ann.replicas, replicas)
+            << pragma;
     const std::string limit =
-        "more than " + std::to_string(fe::kMaxReplicas) + " replicas";
-    for (const char* count : {"99999999999", "100000", "257"}) {
+        "asks for more than " + std::to_string(fe::kMaxReplicas) +
+        " replicas";
+    const std::string syntax = "expected 'replicate N' or 'replicate(N)'";
+    const std::vector<std::pair<std::string, std::string>> bad = {
+        {"replicate(99999999999)", limit},
+        {"replicate(100000)", limit},
+        {"replicate(257)", limit},
+        {"replicate(4) for 2 inputs", syntax},
+        {"replicate 4 2", syntax},
+        {"replicate(4)(2)", syntax},
+        {"replicate(4", syntax},
+        {"replicate", syntax},
+        {"replicate()", syntax},
+        {"replicate -3", syntax},
+        {"replicate(0)", "replica count must be at least 1"},
+        {"replicate 0", "replica count must be at least 1"},
+    };
+    for (const auto& [pragma, why] : bad) {
         try {
-            fe::compileKernel(src(count));
-            ADD_FAILURE() << count << ": accepted";
+            fe::compileKernel(src(pragma));
+            ADD_FAILURE() << pragma << ": accepted";
         } catch (const std::exception& e) {
-            EXPECT_NE(std::string(e.what()).find(limit), std::string::npos)
-                << count << ": " << e.what();
+            std::string msg = e.what();
+            EXPECT_NE(msg.find("'#pragma " + pragma + "': " + why),
+                      std::string::npos)
+                << pragma << ": " << msg;
         }
     }
 }

@@ -149,97 +149,9 @@ TEST(SpscQueue, PushBatchWrapsAroundRingSeam)
     EXPECT_EQ(q.deqCount(), static_cast<uint64_t>(produced));
 }
 
-TEST(SpscQueue, PopBatchClipsToAvailableAndPreservesOrder)
-{
-    rt::SpscQueue q(8);
-    ir::Value out[16];
-    EXPECT_EQ(q.popBatch(4, out), 0u) << "empty ring yields nothing";
-    for (int64_t i = 0; i < 6; ++i)
-        ASSERT_TRUE(q.tryPush(ir::Value::fromInt(100 + i)));
-    EXPECT_EQ(q.popBatch(16, out), 6u) << "batch clips to occupancy";
-    for (int64_t i = 0; i < 6; ++i)
-        EXPECT_EQ(out[i].asInt(), 100 + i);
-    EXPECT_EQ(q.popBatch(16, out), 0u) << "drained ring yields nothing";
-
-    // Partial drains: take less than is available, twice.
-    for (int64_t i = 0; i < 8; ++i)
-        ASSERT_TRUE(q.tryPush(ir::Value::fromInt(200 + i)));
-    EXPECT_EQ(q.popBatch(3, out), 3u);
-    for (int64_t i = 0; i < 3; ++i)
-        EXPECT_EQ(out[i].asInt(), 200 + i);
-    EXPECT_EQ(q.popBatch(3, out), 3u);
-    for (int64_t i = 0; i < 3; ++i)
-        EXPECT_EQ(out[i].asInt(), 203 + i);
-    EXPECT_EQ(q.popBatch(8, out), 2u) << "tail of the run";
-    EXPECT_EQ(out[0].asInt(), 206);
-    EXPECT_EQ(out[1].asInt(), 207);
-}
-
-TEST(SpscQueue, PopBatchWrapsAroundRingSeam)
-{
-    // Mirror of PushBatchWrapsAroundRingSeam: creep the read index
-    // through every alignment of the physical buffer so some drain
-    // always straddles the seam.
-    rt::SpscQueue q(5);
-    ir::Value out[4];
-    int64_t produced = 0;
-    int64_t consumed = 0;
-    for (int round = 0; round < 50; ++round) {
-        while (q.tryPush(ir::Value::fromInt(produced)))
-            ++produced;
-        size_t n = q.popBatch(4, out);
-        ASSERT_GE(n, 1u);
-        for (size_t k = 0; k < n; ++k)
-            ASSERT_EQ(out[k].asInt(), consumed + static_cast<int64_t>(k));
-        consumed += static_cast<int64_t>(n);
-    }
-    while (consumed < produced) {
-        size_t n = q.popBatch(4, out);
-        ASSERT_GE(n, 1u);
-        for (size_t k = 0; k < n; ++k)
-            ASSERT_EQ(out[k].asInt(), consumed + static_cast<int64_t>(k));
-        consumed += static_cast<int64_t>(n);
-    }
-    EXPECT_EQ(q.enqCount(), static_cast<uint64_t>(produced));
-    EXPECT_EQ(q.deqCount(), static_cast<uint64_t>(produced));
-}
-
-TEST(SpscQueue, PopBatchInterleavesWithSingleOps)
-{
-    // Batched and single-element operations on the same ring must see
-    // one FIFO: push singles, drain a batch, pop singles, drain again.
-    rt::SpscQueue q(8);
-    ir::Value v;
-    ir::Value out[8];
-    int64_t next_in = 0;
-    int64_t next_out = 0;
-    for (int round = 0; round < 20; ++round) {
-        ASSERT_TRUE(q.tryPush(ir::Value::fromInt(next_in++)));
-        ASSERT_TRUE(q.tryPush(ir::Value::fromInt(next_in++)));
-        ASSERT_EQ(q.pushBatch(2, [&](size_t k) {
-                      return ir::Value::fromInt(next_in +
-                                                static_cast<int64_t>(k));
-                  }),
-                  2u);
-        next_in += 2;
-        size_t n = q.popBatch(3, out);
-        ASSERT_EQ(n, 3u);
-        for (size_t k = 0; k < n; ++k)
-            ASSERT_EQ(out[k].asInt(), next_out + static_cast<int64_t>(k));
-        next_out += 3;
-        ASSERT_TRUE(q.tryPop(v));
-        ASSERT_EQ(v.asInt(), next_out++);
-    }
-    EXPECT_EQ(next_in, next_out);
-    EXPECT_FALSE(q.tryPop(v));
-    EXPECT_EQ(q.enqCount(), static_cast<uint64_t>(next_in));
-    EXPECT_EQ(q.deqCount(), static_cast<uint64_t>(next_in));
-}
-
 TEST(SpscQueue, BatchStatsAccounting)
 {
     rt::SpscQueue q(200);
-    ir::Value out[200];
     auto gen = [](size_t k) {
         return ir::Value::fromInt(static_cast<int64_t>(k));
     };
@@ -253,24 +165,10 @@ TEST(SpscQueue, BatchStatsAccounting)
     EXPECT_EQ(q.pushHist(0), 1u);
     EXPECT_EQ(q.pushHist(2), 1u);
     EXPECT_EQ(q.pushHist(7), 1u);
-
-    // Drains of 100 (bucket 6: 64-127), 50 (bucket 5), 7 (bucket 2).
-    ASSERT_EQ(q.popBatch(100, out), 100u);
-    ASSERT_EQ(q.popBatch(50, out), 50u);
-    ASSERT_EQ(q.popBatch(100, out), 7u);
-    EXPECT_EQ(q.popBatches(), 3u);
-    EXPECT_EQ(q.popBatchElems(), 157u);
-    EXPECT_EQ(q.popHist(6), 1u);
-    EXPECT_EQ(q.popHist(5), 1u);
-    EXPECT_EQ(q.popHist(2), 1u);
     EXPECT_EQ(q.enqCount(), 157u);
-    EXPECT_EQ(q.deqCount(), 157u);
     // Single-element ops do not touch batch counters.
     ASSERT_TRUE(q.tryPush(ir::Value::fromInt(1)));
-    ir::Value v;
-    ASSERT_TRUE(q.tryPop(v));
     EXPECT_EQ(q.pushBatches(), 3u);
-    EXPECT_EQ(q.popBatches(), 3u);
 }
 
 TEST(SpscQueue, MultiProducerCountsEveryElementOnce)
@@ -428,7 +326,6 @@ TEST(SpscQueue, MaxOccupancyMatchesOracleUnderRandomOps)
     rt::SpscQueue q(32);
     Rng rng(99);
     size_t occ = 0, oracle_max = 0;
-    ir::Value out[32];
     ir::Value v;
     auto gen = [](size_t k) {
         return ir::Value::fromInt(static_cast<int64_t>(k));
@@ -445,11 +342,15 @@ TEST(SpscQueue, MaxOccupancyMatchesOracleUnderRandomOps)
             break;
         }
         case 2:
-            if (q.tryPop(v))
+            // A run of pops as long, on average, as one push of either
+            // kind, so the occupancy keeps wandering over the ring.
+            for (size_t k = 1 + rng.nextBounded(14); k > 0 && q.tryPop(v);
+                 --k)
                 occ--;
             break;
         default:
-            occ -= q.popBatch(1 + rng.nextBounded(12), out);
+            // The RA's slot check refreshes the producer's head cache.
+            ASSERT_EQ(q.hasFreeSlot(), occ < 32) << "step " << step;
             break;
         }
         oracle_max = std::max(oracle_max, occ);
@@ -730,16 +631,6 @@ TEST(NativeRuntime, EngineMatchesSimulatorOnCompiledPipeline)
         fused += w.fusedSites;
     EXPECT_GT(fused, 0u);
 
-    // Stages pop their rings directly; only an indirect RA drains its
-    // input in batches, so pop batches show on those rings alone.
-    std::set<int> ra_inputs;
-    for (const auto& ra : res.pipeline->ras)
-        if (ra.mode == ir::RAMode::kIndirect)
-            ra_inputs.insert(ra.inQueue);
-    for (const auto& q : es.queues)
-        EXPECT_TRUE(q.popBatches == 0 || ra_inputs.count(q.id) == 1)
-            << "q" << q.id << " popped in batches";
-
     // Per-worker profile invariant: every retired instruction is either
     // an opcode execution or a branch.
     for (const auto& w : es.workers) {
@@ -1001,23 +892,77 @@ TEST(NativeRuntime, WatchdogPostMortemAttributesTheStall)
         if (q.id == 0) {
             found = true;
             EXPECT_EQ(q.residual, static_cast<uint64_t>(kDepth));
-            EXPECT_EQ(q.buffered, 0u);
         }
     EXPECT_TRUE(found);
-    EXPECT_NE(stats.error.find("q0: ring 4/4, consumer buffer 0\n"),
-              std::string::npos)
+    EXPECT_NE(stats.error.find("q0: ring 4/4\n"), std::string::npos)
         << stats.error;
 
-    // The report's queue family carries the same split: residual is the
-    // sum, residual_buffered the share an RA drained but never serviced.
+    // The report's queue family carries the same residual.
     metrics::Run run = metrics::nativeRunToMetrics("mispair", stats);
     const metrics::FamilyPoint* q0 =
         run.families["queue"].find({{"queue", "0"}});
     ASSERT_NE(q0, nullptr);
-    const auto& counters = q0->metrics.counters;
-    ASSERT_EQ(counters.count("residual_buffered"), 1u);
-    EXPECT_EQ(counters.at("residual_buffered"), 0u);
-    EXPECT_EQ(counters.at("residual"), static_cast<uint64_t>(kDepth));
+    EXPECT_EQ(q0->metrics.counters.at("residual"),
+              static_cast<uint64_t>(kDepth));
+}
+
+TEST(NativeRuntime, IndirectRaStrandsNothing)
+{
+    // The mispaired streams above with an indirect RA in the middle:
+    // the producer enqueues 2n indices, the RA translates them, and the
+    // consumer dequeues n values and halts. Like the simulator's RA, the
+    // native one pops an index only once its output ring has a free
+    // slot, so when the run jams both rings are exactly full and no
+    // index is held anywhere else.
+    constexpr int kDepth = 4;
+    constexpr int64_t kN = 63;
+    auto pipeline = std::make_unique<ir::Pipeline>();
+    pipeline->name = "ra-mispair";
+    {
+        ir::FunctionBuilder b("produce2n");
+        ir::RegId n = b.scalarParam("n");
+        b.forRange(b.constI(0), b.add(n, n), [&](ir::RegId i) {
+            b.enq(0, i);
+        });
+        pipeline->stages.push_back(b.finish());
+    }
+    {
+        ir::FunctionBuilder b("consume1n");
+        ir::RegId n = b.scalarParam("n");
+        ir::RegId v = b.newReg("v");
+        b.forRange(b.constI(0), n, [&](ir::RegId) { b.deqTo(1, v); });
+        pipeline->stages.push_back(b.finish());
+    }
+    ir::RAConfig ra;
+    ra.mode = ir::RAMode::kIndirect;
+    ra.arrayName = "table";
+    ra.inQueue = 0;
+    ra.outQueue = 1;
+    pipeline->ras.push_back(ra);
+    for (int id = 0; id < 2; ++id) {
+        ir::QueueConfig qc;
+        qc.id = id;
+        qc.depth = kDepth;
+        pipeline->queues.push_back(qc);
+    }
+
+    sim::Binding b;
+    b.makeArray("table", ir::ElemType::kI64, 2 * kN);
+    b.setScalarInt("n", kN);
+
+    rt::RuntimeOptions opt;
+    opt.deadlockTimeoutMs = 100;
+    rt::Runtime runtime(sim::SysConfig{}, opt);
+    rt::NativeStats stats = runtime.runPipeline(*pipeline, b);
+
+    ASSERT_FALSE(stats.ok);
+    ASSERT_EQ(stats.queues.size(), 2u);
+    for (const auto& q : stats.queues) {
+        EXPECT_EQ(q.residual, static_cast<uint64_t>(kDepth)) << "q" << q.id;
+        EXPECT_EQ(q.enq, q.deq + q.residual) << "q" << q.id;
+    }
+    EXPECT_NE(stats.error.find("q0: ring 4/4\n"), std::string::npos)
+        << stats.error;
 }
 
 // ---------------------------------------------------------------------

@@ -148,16 +148,12 @@ printNativeSummary(const metrics::Run& run)
     auto fam = run.families.find("queue");
     if (fam == run.families.end())
         return;
-    // Residue prints apart: only the ring's share is bounded by the
-    // queue depth; the rest sat drained in an indirect RA's batch.
-    std::printf("  %-8s %12s %12s %10s %10s %9s %8s %8s\n", "queue", "enq",
-                "deq", "enq-blk", "deq-blk", "max-occ", "ring", "buffered");
+    std::printf("  %-8s %12s %12s %10s %10s %9s %8s\n", "queue", "enq",
+                "deq", "enq-blk", "deq-blk", "max-occ", "residual");
     for (const auto& p : fam->second.points) {
         const metrics::MetricSet& ms = p.metrics;
         auto q = p.labels.find("queue");
-        uint64_t buffered = counterOr(ms, "residual_buffered");
-        std::printf("  q%-7s %12llu %12llu %10llu %10llu %9.0f %8llu "
-                    "%8llu\n",
+        std::printf("  q%-7s %12llu %12llu %10llu %10llu %9.0f %8llu\n",
                     q != p.labels.end() ? q->second.c_str() : "?",
                     static_cast<unsigned long long>(counterOr(ms, "enq")),
                     static_cast<unsigned long long>(counterOr(ms, "deq")),
@@ -167,8 +163,7 @@ printNativeSummary(const metrics::Run& run)
                         counterOr(ms, "deq_blocks")),
                     gaugeOr(ms, "max_occupancy"),
                     static_cast<unsigned long long>(
-                        counterOr(ms, "residual") - buffered),
-                    static_cast<unsigned long long>(buffered));
+                        counterOr(ms, "residual")));
     }
 }
 

@@ -26,7 +26,7 @@
  *                   compare outputs bit-for-bit)
  *   --size N        synthetic input size for --run (default 4096)
  *   --profile       with --run=native: per-opcode dynamic instruction
- *                   counts and per-queue batch-size statistics
+ *                   counts and per-queue scan-RA push-batch statistics
  *   --trace=PATH    with --run: write a stall-attribution trace as
  *                   Chrome trace_event JSON (load in Perfetto). Native
  *                   runs trace wall-clock ns; sim runs trace simulated
@@ -130,8 +130,8 @@ optionOperand(const char* flag, int argc, char** argv, int* i)
 }
 
 /**
- * Per-opcode dynamic counts and per-queue batch statistics from one
- * native run (--profile).
+ * Per-opcode dynamic counts and per-queue push-batch statistics from
+ * one native run (--profile).
  */
 void
 printProfile(const rt::NativeStats& st)
@@ -160,42 +160,27 @@ printProfile(const rt::NativeStats& st)
     std::printf("profile: %llu fused superinstruction sites (static)\n",
                 static_cast<unsigned long long>(fused));
 
-    std::printf("profile: queue batches (values per ring sync; pops "
-                "are indirect-RA drains):\n");
-    auto print_hist = [](const uint64_t (&hist)[rt::QueueStats::
-                                                   kBatchHistBuckets]) {
+    std::printf("profile: scan-RA push batches (values per ring sync):\n");
+    for (const auto& q : st.queues) {
+        if (q.pushBatches == 0)
+            continue;
+        std::printf("  q%-3d mean %7.1f over %8llu, hist:", q.id,
+                    q.meanPushBatch(),
+                    static_cast<unsigned long long>(q.pushBatches));
         // Buckets are log2: 1, 2-3, 4-7, ..., >= 128.
         for (int b = 0; b < rt::QueueStats::kBatchHistBuckets; ++b) {
-            if (hist[b] == 0)
+            if (q.pushHist[b] == 0)
                 continue;
             int lo = 1 << b;
             if (b == rt::QueueStats::kBatchHistBuckets - 1)
                 std::printf(" %d+:%llu", lo,
-                            static_cast<unsigned long long>(hist[b]));
+                            static_cast<unsigned long long>(q.pushHist[b]));
             else
                 std::printf(" %d-%d:%llu", lo, (1 << (b + 1)) - 1,
-                            static_cast<unsigned long long>(hist[b]));
-        }
-    };
-    for (const auto& q : st.queues) {
-        if (q.popBatches == 0 && q.pushBatches == 0)
-            continue;
-        std::printf("  q%-3d push mean %7.1f over %8llu",
-                    q.id, q.meanPushBatch(),
-                    static_cast<unsigned long long>(q.pushBatches));
-        if (q.popBatches > 0)
-            std::printf("   pop mean %7.1f over %8llu", q.meanPopBatch(),
-                        static_cast<unsigned long long>(q.popBatches));
-        std::printf("\n       push hist:");
-        print_hist(q.pushHist);
-        if (q.popBatches > 0) {
-            std::printf("\n       pop  hist:");
-            print_hist(q.popHist);
+                            static_cast<unsigned long long>(q.pushHist[b]));
         }
         std::printf("\n");
     }
-    if (st.meanPopBatch() > 0.0)
-        std::printf("profile: mean RA drain %.2f\n", st.meanPopBatch());
 
     if (st.sched.poolSize > 0) {
         std::printf("profile: scheduler: %d of %d pool workers used, "
