@@ -2,12 +2,15 @@
  * @file
  * Google-benchmark microbenchmarks of the library itself (not a paper
  * figure): frontend compilation, pipeline compilation, flattening,
- * simulator throughput, and the native runtime's ring round trip.
+ * simulator throughput, and the native runtime's ring round trip and
+ * ring stream.
  * Useful for keeping the tools fast enough for the autotuner's many
  * candidate compiles (paper: the search "completes in seconds").
  */
 
 #include <benchmark/benchmark.h>
+
+#include <string>
 
 #include "bench/bench_common.h"
 #include "compiler/compiler.h"
@@ -92,11 +95,49 @@ BM_SimulatorThroughput(benchmark::State& state)
 BENCHMARK(BM_SimulatorThroughput);
 
 /**
+ * Run `pipeline` once per iteration on a private one-worker pool, over
+ * an n-element writable "out" array and scalar n. The iteration time
+ * is the runtime's parallel region (NativeStats::wallNs), not pipeline
+ * setup; ns_per_<unit> and parks_per_<unit> divide by n per iteration.
+ */
+static void
+runOnOneWorker(benchmark::State& state, const ir::Pipeline& pipeline,
+               int64_t n, const std::string& unit)
+{
+    rt::Scheduler::Options sopt;
+    sopt.workers = 1;
+    rt::Scheduler pool(sopt);
+    rt::RuntimeOptions opt;
+    opt.schedulerOverride = &pool;
+    rt::Runtime runtime(sim::SysConfig{}, opt);
+
+    double wall_ns = 0;
+    uint64_t parks = 0;
+    for (auto _ : state) {
+        sim::Binding b;
+        b.makeArray("out", ir::ElemType::kI64, static_cast<size_t>(n));
+        b.setScalarInt("n", n);
+        rt::NativeStats stats = runtime.runPipeline(pipeline, b);
+        if (!stats.ok) {
+            state.SkipWithError(stats.error.c_str());
+            return;
+        }
+        benchmark::DoNotOptimize(b.array("out")->atInt(n - 1));
+        state.SetIterationTime(stats.wallNs * 1e-9);
+        wall_ns += stats.wallNs;
+        parks += stats.sched.parks;
+    }
+    const double units =
+        static_cast<double>(n) * static_cast<double>(state.iterations());
+    state.counters["ns_per_" + unit] = wall_ns / units;
+    state.counters["parks_per_" + unit] = static_cast<double>(parks) / units;
+}
+
+/**
  * Native queue handoff cost: a two-stage ping-pong through depth-1
- * rings on a private one-worker pool. "ping" enqueues i on q0 and waits
- * for "pong" to echo it back on q1, so each value is one round trip of
- * two same-worker handoffs, each a park. The iteration time is the
- * runtime's parallel region (NativeStats::wallNs), not pipeline setup.
+ * queues' rings on a private one-worker pool. "ping" enqueues i on q0
+ * and waits for "pong" to echo it back on q1, so each value is one
+ * round trip of two same-worker handoffs, each a park.
  */
 static void
 BM_RingRoundTrip(benchmark::State& state)
@@ -132,37 +173,46 @@ BM_RingRoundTrip(benchmark::State& state)
         qc.depth = 1;
         pipeline->queues.push_back(qc);
     }
-
-    rt::Scheduler::Options sopt;
-    sopt.workers = 1;
-    rt::Scheduler pool(sopt);
-    rt::RuntimeOptions opt;
-    opt.schedulerOverride = &pool;
-    rt::Runtime runtime(sim::SysConfig{}, opt);
-
-    double wall_ns = 0;
-    uint64_t parks = 0;
-    for (auto _ : state) {
-        sim::Binding b;
-        b.makeArray("out", ir::ElemType::kI64, static_cast<size_t>(n));
-        b.setScalarInt("n", n);
-        rt::NativeStats stats = runtime.runPipeline(*pipeline, b);
-        if (!stats.ok) {
-            state.SkipWithError(stats.error.c_str());
-            return;
-        }
-        benchmark::DoNotOptimize(b.array("out")->atInt(n - 1));
-        state.SetIterationTime(stats.wallNs * 1e-9);
-        wall_ns += stats.wallNs;
-        parks += stats.sched.parks;
-    }
-    const double round_trips =
-        static_cast<double>(n) * static_cast<double>(state.iterations());
-    state.counters["ns_per_round_trip"] = wall_ns / round_trips;
-    state.counters["parks_per_round_trip"] =
-        static_cast<double>(parks) / round_trips;
+    runOnOneWorker(state, *pipeline, n, "round_trip");
 }
 BENCHMARK(BM_RingRoundTrip)->Arg(20000)->UseManualTime();
+
+/**
+ * Native streaming cost: "produce" enqueues 0..n-1 into one
+ * default-depth queue's ring and "consume" stores each value it
+ * dequeues, on a private one-worker pool. The producer runs until the
+ * ring is full, then the consumer until it is empty, so the two park
+ * at most about once each per ring-full: parks_per_value <= ~2 / ring
+ * capacity. A ring deeper than a heartbeat's worth of values parks
+ * less still: every 4096 instructions a task yields to its runnable
+ * peer, which hands the ring over without a park.
+ */
+static void
+BM_RingStream(benchmark::State& state)
+{
+    const int64_t n = state.range(0);
+    auto pipeline = std::make_unique<ir::Pipeline>();
+    pipeline->name = "stream";
+    {
+        ir::FunctionBuilder b("produce");
+        ir::RegId count = b.scalarParam("n");
+        b.forRange(b.constI(0), count, [&](ir::RegId i) { b.enq(0, i); });
+        pipeline->stages.push_back(b.finish());
+    }
+    {
+        ir::FunctionBuilder b("consume");
+        ir::ArrayId out = b.arrayParam("out", ir::ElemType::kI64, true);
+        ir::RegId count = b.scalarParam("n");
+        ir::RegId v = b.newReg("v");
+        b.forRange(b.constI(0), count, [&](ir::RegId i) {
+            b.deqTo(0, v);
+            b.store(out, i, v);
+        });
+        pipeline->stages.push_back(b.finish());
+    }
+    runOnOneWorker(state, *pipeline, n, "value");
+}
+BENCHMARK(BM_RingStream)->Arg(200000)->UseManualTime();
 
 namespace {
 

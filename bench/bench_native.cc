@@ -7,8 +7,8 @@
  *  1. The workload suite, each compiled with the static flow and run on
  *     its first training input. This exercises the whole native stack
  *     (stages, RAs, control values) and validates outputs.
- *  2. A gather-reduce kernel sized for native execution: deep queues and
- *     reference accelerators that absorb the irregular inner loop. RAs
+ *  2. A gather-reduce kernel sized for native execution: reference
+ *     accelerators that absorb the irregular inner loop. RAs
  *     stream elements natively (no instruction dispatch), so the
  *     pipeline executes far fewer stage instructions per element than
  *     the serial baseline — this is the configuration expected to
@@ -243,16 +243,6 @@ buildGatherPipeline()
     scan.emitRangeCtrl = true;
     scan.rangeCtrlCode = ir::kCtrlNext;
     pipeline->ras.push_back(scan);
-
-    // Native execution prefers much deeper queues than the architectural
-    // default: depth bounds wake-up frequency, and each producer/consumer
-    // wake-up is a scheduling event on the host.
-    for (ir::QueueId q = kScanIn; q <= kScanOut; ++q) {
-        ir::QueueConfig qc;
-        qc.id = q;
-        qc.depth = 4096;
-        pipeline->queues.push_back(qc);
-    }
     return pipeline;
 }
 
@@ -335,7 +325,7 @@ benchGatherSum(int64_t rows, int64_t degree)
 
     double speedup = ser.wallMs() / pipe.wallMs();
     std::printf("%-12s %-12s serial %8.2f ms   pipeline %8.2f ms   "
-                "speedup %5.2fx   (%d threads + %d RAs, deep queues)\n",
+                "speedup %5.2fx   (%d threads + %d RAs)\n",
                 "gather_sum",
                 (std::to_string(rows) + "x" + std::to_string(degree))
                     .c_str(),
@@ -419,7 +409,7 @@ main(int argc, char** argv)
             writeBenchTrace(tracer, w.name, c->inputName);
     }
 
-    std::printf("\n=== RA-offload configuration (deep queues) ===\n");
+    std::printf("\n=== RA-offload configuration ===\n");
     bool won = benchGatherSum(rows, degree);
     std::printf(won ? "native pipeline beats native serial: yes\n"
                     : "native pipeline beats native serial: no "

@@ -1,6 +1,8 @@
 #include "driver/compile_service.h"
 
 #include <chrono>
+#include <set>
+#include <stdexcept>
 
 #include "base/hash.h"
 #include "metrics/collect.h"
@@ -80,6 +82,24 @@ synthesizeBinding(const ir::Function& fn, int64_t size,
         state ^= state << 17;
         return state;
     };
+
+    // Size the whole binding before allocating any of it.
+    const auto count = static_cast<uint64_t>(size) + 1;
+    uint64_t bytes = 0;
+    std::set<std::string> counted;
+    for (const auto& a : fn.arrays) {
+        if (binding.hasArray(a.name) || !counted.insert(a.name).second)
+            continue;
+        const auto elem = static_cast<uint64_t>(ir::elemSize(a.elem));
+        if (count > (kMaxBindingBytes - bytes) / elem)
+            throw std::runtime_error(
+                "synthesized inputs for " + std::to_string(fn.arrays.size()) +
+                " arrays at size " + std::to_string(size) +
+                " exceed the binding budget of " +
+                std::to_string(kMaxBindingBytes) +
+                " bytes (driver::kMaxBindingBytes)");
+        bytes += count * elem;
+    }
 
     for (const auto& a : fn.arrays) {
         if (binding.hasArray(a.name))

@@ -126,6 +126,14 @@ struct ExecOutcome
 };
 
 /**
+ * Most bytes of arrays synthesizeBinding allocates for one binding
+ * (1 GiB, far above any size the repo's tools ask for): a kernel with
+ * many array parameters at a large size would otherwise take
+ * (size+1) x element-bytes per array with no cap on the total.
+ */
+inline constexpr uint64_t kMaxBindingBytes = uint64_t{1} << 30;
+
+/**
  * Synthesize a deterministic binding from the kernel signature: arrays
  * get size+1 elements (room for CSR-style `row[i+1]` reads); read-only
  * integer arrays get pseudo-random values in [0, size) so indirect
@@ -133,7 +141,9 @@ struct ExecOutcome
  * scalars are bound to `size` (the conventional trip count) and float
  * scalars to 0.5. Calling twice with the same function and size yields
  * bit-identical images — the property the service's cache-vs-cold
- * bit-identity check rests on.
+ * bit-identity check rests on. Throws std::runtime_error, before
+ * allocating anything, when the arrays would take more than
+ * kMaxBindingBytes.
  */
 void synthesizeBinding(const ir::Function& fn, int64_t size,
                        sim::Binding& binding);

@@ -105,12 +105,27 @@ checkNativeStats(const rt::NativeStats& stats)
 {
     std::vector<std::string> problems;
     for (const auto& q : stats.queues) {
+        const std::string name = "queue " + std::to_string(q.id) + ": ";
         if (q.enq != q.deq + q.residual) {
-            problems.push_back(
-                "queue " + std::to_string(q.id) + ": pushes (" +
-                std::to_string(q.enq) + ") != pops (" +
-                std::to_string(q.deq) + ") + residual (" +
-                std::to_string(q.residual) + ")");
+            problems.push_back(name + "pushes (" + std::to_string(q.enq) +
+                               ") != pops (" + std::to_string(q.deq) +
+                               ") + residual (" +
+                               std::to_string(q.residual) + ")");
+        }
+        // A ring never holds more than its capacity, at any time or at
+        // the end of the run.
+        const auto cap = static_cast<uint64_t>(q.capacity);
+        if (q.maxOccupancy > cap) {
+            problems.push_back(name + "max occupancy (" +
+                               std::to_string(q.maxOccupancy) +
+                               ") > capacity (" + std::to_string(cap) +
+                               ")");
+        }
+        if (q.residual > cap) {
+            problems.push_back(name + "residual (" +
+                               std::to_string(q.residual) +
+                               ") > capacity (" + std::to_string(cap) +
+                               ")");
         }
     }
     return problems;

@@ -5,8 +5,13 @@
  *
  * Design (in the spirit of Lamport's ring with cached indices, as used
  * by modern pipeline runtimes):
- *  - capacity is exact (a queue of depth d holds at most d elements,
- *    matching SysConfig::queueDepth / QueueConfig::depth semantics);
+ *  - capacity is exact (a ring of capacity c holds at most c elements).
+ *    Runtime::runPipeline sizes each ring from its queue's architectural
+ *    depth (ringCapacities in runtime.h), so the host ring is deeper than
+ *    the Pipette queue it stands for; depth never changes output;
+ *  - the slots are allocated but never value-initialized: a slot is
+ *    always written before the tail publishes it, so a short run touches
+ *    only the slots it fills;
  *  - producer and consumer indices live on separate cache lines so the
  *    hot path has no false sharing; each side additionally caches the
  *    other side's index and re-reads it only when the ring looks
@@ -31,7 +36,8 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <vector>
+#include <memory>
+#include <new>
 
 #include "base/logging.h"
 #include "ir/type.h"
@@ -55,17 +61,19 @@ cpuRelax()
 class SpscQueue
 {
   public:
-    explicit SpscQueue(int depth)
-        : depth_(depth), slots_(static_cast<size_t>(depth) + 1),
-          buf_(static_cast<size_t>(depth) + 1)
+    explicit SpscQueue(int capacity)
+        : capacity_(capacity), slots_(static_cast<size_t>(capacity) + 1),
+          buf_(static_cast<ir::Value*>(
+              ::operator new(slots_ * sizeof(ir::Value))))
     {
-        phloem_assert(depth >= 1, "queue depth must be positive");
+        phloem_assert(capacity >= 1, "ring capacity must be positive");
     }
 
     SpscQueue(const SpscQueue&) = delete;
     SpscQueue& operator=(const SpscQueue&) = delete;
 
-    int depth() const { return depth_; }
+    /** Most values the ring holds at once. */
+    int capacity() const { return capacity_; }
 
     /** Mark the ring multi-producer before any endpoint uses it. */
     void
@@ -261,8 +269,8 @@ class SpscQueue
      * is an upper bound on the true occupancy — never an underestimate.
      * That makes the stale value safe as a *trigger* but wrong as a
      * *measurement*: recording it directly over-reports the mark (it
-     * can even exceed depth). So only when the stale candidate would
-     * raise the mark do we pay one acquire load to refresh the cache
+     * can even exceed the capacity). So only when the stale candidate
+     * would raise the mark do we pay one acquire load to refresh the cache
      * and recompute; any true new maximum still trips the trigger, so
      * the mark stays exact while the hot path (occ <= maxOcc_) stays
      * free of coherence traffic.
@@ -329,9 +337,20 @@ class SpscQueue
         return true;
     }
 
-    const int depth_;
+    /** Frees the slot storage; ir::Value is trivially destructible. */
+    struct FreeSlots
+    {
+        void operator()(ir::Value* p) const { ::operator delete(p); }
+    };
+
+    const int capacity_;
     const size_t slots_;
-    std::vector<ir::Value> buf_;
+    /**
+     * Uninitialized slots (see the file comment): ir::Value is an
+     * implicit-lifetime aggregate, so the allocation itself creates the
+     * slots' objects.
+     */
+    std::unique_ptr<ir::Value[], FreeSlots> buf_;
     /** Read-only once the run starts; both sides read it per op. */
     bool multiProducer_ = false;
 

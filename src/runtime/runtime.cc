@@ -2,6 +2,7 @@
 
 #include <sys/resource.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <memory>
@@ -41,7 +42,44 @@ workerMain(W& worker, RunControl& ctl)
     }
 }
 
+/** Queue-id stride between replicas, matching the simulator exactly. */
+int
+queueStride(const ir::Pipeline& pipeline)
+{
+    int max_qid = ir::maxQueueId(pipeline);
+    int stride =
+        pipeline.queueStride > 0 ? pipeline.queueStride : max_qid + 1;
+    phloem_assert(stride >= max_qid + 1, "queue stride too small");
+    return stride;
+}
+
 } // namespace
+
+std::vector<int>
+ringCapacities(const ir::Pipeline& pipeline, const sim::SysConfig& cfg)
+{
+    int stride = queueStride(pipeline);
+    int replicas = std::max(1, pipeline.replicas);
+    std::vector<int> depths(static_cast<size_t>(stride), cfg.queueDepth);
+    for (const auto& qc : pipeline.queues)
+        if (qc.depth > 0)
+            depths[static_cast<size_t>(qc.id)] = qc.depth;
+    int64_t total = 0;
+    for (int d : depths)
+        total += d;
+    total *= replicas;
+    // d * scale <= max(d, kRingSlotBudget), so the product fits an int.
+    int64_t scale = std::clamp<int64_t>(
+        kRingSlotBudget / std::max<int64_t>(total, 1), 1, kRingDepthScale);
+
+    std::vector<int> caps;
+    caps.reserve(static_cast<size_t>(stride) *
+                 static_cast<size_t>(replicas));
+    for (int r = 0; r < replicas; ++r)
+        for (int d : depths)
+            caps.push_back(static_cast<int>(d * scale));
+    return caps;
+}
 
 ResourceUsage
 ResourceUsage::processNow()
@@ -69,11 +107,7 @@ Runtime::runPipeline(const ir::Pipeline& pipeline, sim::Binding& binding,
     const std::vector<sim::Program>* pre_flattened = prep.programs;
     int replicas = std::max(1, pipeline.replicas);
 
-    // Queue-id stride between replicas, matching the simulator exactly.
-    int max_qid = ir::maxQueueId(pipeline);
-    int stride =
-        pipeline.queueStride > 0 ? pipeline.queueStride : max_qid + 1;
-    phloem_assert(stride >= max_qid + 1, "queue stride too small");
+    int stride = queueStride(pipeline);
 
     int stages_per_replica = static_cast<int>(pipeline.stages.size());
     int total_threads = stages_per_replica * replicas;
@@ -84,19 +118,12 @@ Runtime::runPipeline(const ir::Pipeline& pipeline, sim::Binding& binding,
     phloem_assert(total_workers <= 4096,
                   "refusing to schedule that many tasks");
 
-    // Build the rings: default depth from the architecture config,
-    // per-queue overrides from the pipeline.
+    // Build the rings, each a multiple of its architectural depth.
     int num_queues = stride * replicas;
     std::vector<std::unique_ptr<SpscQueue>> queues;
     queues.reserve(static_cast<size_t>(num_queues));
-    std::vector<int> depths(static_cast<size_t>(stride), cfg_.queueDepth);
-    for (const auto& qc : pipeline.queues)
-        if (qc.depth > 0)
-            depths[static_cast<size_t>(qc.id)] = qc.depth;
-    for (int i = 0; i < num_queues; ++i)
-        queues.push_back(
-            std::make_unique<SpscQueue>(depths[static_cast<size_t>(
-                i % stride)]));
+    for (int cap : ringCapacities(pipeline, cfg_))
+        queues.push_back(std::make_unique<SpscQueue>(cap));
 
     std::vector<SpscQueue*> queue_ptrs;
     queue_ptrs.reserve(queues.size());
@@ -278,7 +305,7 @@ Runtime::runPipeline(const ir::Pipeline& pipeline, sim::Binding& binding,
             continue;
         QueueStats qs;
         qs.id = i;
-        qs.depth = q.depth();
+        qs.capacity = q.capacity();
         qs.enq = q.enqCount();
         qs.deq = q.deqCount();
         qs.enqBlocks = q.enqBlocks();
@@ -305,7 +332,7 @@ Runtime::runPipeline(const ir::Pipeline& pipeline, sim::Binding& binding,
             if (qs.residual > 0)
                 residuals += "  q" + std::to_string(qs.id) + ": ring " +
                              std::to_string(qs.residual) + "/" +
-                             std::to_string(qs.depth) + "\n";
+                             std::to_string(qs.capacity) + "\n";
         if (!residuals.empty())
             out.error += "\nresidual occupancy:\n" + residuals;
         if (tracer != nullptr)

@@ -5,7 +5,8 @@
  *
  * This is the "what if the paper's hardware were software" backend: one
  * resumable task per pipeline stage (per replica), one task per software
- * reference accelerator, and one bounded ring per architectural queue.
+ * reference accelerator, and one bounded ring per architectural queue
+ * (deeper than the queue: see ringCapacities).
  * Every pipeline runs on a fixed-size shared pool (runtime/sched.h)
  * sized to the machine, all of a replica's tasks on one home worker, so
  * many pipelines — or one pipeline with more stages than cores — share
@@ -24,6 +25,7 @@
 #ifndef PHLOEM_RUNTIME_RUNTIME_H
 #define PHLOEM_RUNTIME_RUNTIME_H
 
+#include <cstdint>
 #include <vector>
 
 #include "ir/pipeline.h"
@@ -33,6 +35,28 @@
 #include "sim/config.h"
 
 namespace phloem::rt {
+
+/**
+ * Native rings are deeper than the architectural queues they stand for.
+ * A Pipette queue only has to hide a few cycles per handoff; on the host
+ * a handoff between co-located tasks is a fiber park and switch, so
+ * each ring holds kRingDepthScale x its queue's depth, unless the run's
+ * rings would then exceed kRingSlotBudget slots (16 bytes each): the
+ * factor then shrinks to fit, but never below 1. Depth never changes a
+ * pipeline's output, and a deeper ring cannot add a deadlock, so the
+ * simulator stays the depth-faithful oracle.
+ */
+inline constexpr int kRingDepthScale = 64;
+inline constexpr int64_t kRingSlotBudget = int64_t{1} << 20;
+
+/**
+ * Host ring capacity for every queue a run of `pipeline` builds, by
+ * absolute (replica-strided) queue id: the queue's depth (its
+ * QueueConfig override, else cfg.queueDepth) times
+ * min(kRingDepthScale, max(1, kRingSlotBudget / sum of all depths)).
+ */
+std::vector<int> ringCapacities(const ir::Pipeline& pipeline,
+                                const sim::SysConfig& cfg);
 
 /**
  * Caller-supplied pre-flattened stage programs, one per stage in stage

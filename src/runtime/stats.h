@@ -21,7 +21,11 @@ struct QueueStats
 {
     /** Absolute queue id (replica-strided, as in the simulator). */
     int id = 0;
-    int depth = 0;
+    /**
+     * Slots of the host ring: a multiple of the queue's architectural
+     * depth (rt::ringCapacities), not the depth itself.
+     */
+    int capacity = 0;
     uint64_t enq = 0;
     uint64_t deq = 0;
     /** Times the producer found the ring full and had to wait. */
@@ -32,7 +36,7 @@ struct QueueStats
     uint64_t maxOccupancy = 0;
     /**
      * Elements still in the ring when the stage threads halted (at most
-     * depth: every consumer, stage or RA, pops one value at a time).
+     * capacity: every consumer, stage or RA, pops one value at a time).
      * Nonzero means a producer out-ran its consumer's demand — the
      * signature of a mispaired stream (the fuzzer's deadlock
      * post-mortems key on it).

@@ -192,7 +192,8 @@ waitBlocked(RunControl& ctl, trace::TraceBuffer* tb, SpscQueue& q, int abs_q,
     if (enq) {
         pt.ready = [](const ParkTarget& p) {
             const auto* ring = static_cast<const SpscQueue*>(p.obj);
-            return ring->sizeApprox() < static_cast<size_t>(ring->depth());
+            return ring->sizeApprox() <
+                   static_cast<size_t>(ring->capacity());
         };
     } else {
         pt.ready = [](const ParkTarget& p) {
@@ -252,9 +253,9 @@ class StageBarrier
  * dominant pairs in one dispatch. Dynamic counts match the simulator's
  * exactly (fused pairs count two).
  *
- * Queue ops go straight to the ring: a value stays in its fixed-depth
+ * Queue ops go straight to the ring: a value stays in its fixed-capacity
  * ring until a deq moves it into a register, as in the simulator, so a
- * ring holds at most its architectural depth. Each op's fast path
+ * ring holds at most its capacity. Each op's fast path
  * (tryPush/tryPop/tryPeek) is inline; only the blocked path
  * (waitBlocked) is out of line.
  */

@@ -423,6 +423,7 @@ TEST(Metrics, CheckerCatchesQueueImbalance)
     rt::NativeStats nstats;
     rt::QueueStats nq;
     nq.id = 1;
+    nq.capacity = 4;
     nq.enq = 7;
     nq.deq = 7;
     nq.residual = 1;
@@ -430,6 +431,48 @@ TEST(Metrics, CheckerCatchesQueueImbalance)
     EXPECT_EQ(metrics::checkNativeStats(nstats).size(), 1u);
     nstats.queues[0].residual = 0;
     EXPECT_TRUE(metrics::checkNativeStats(nstats).empty());
+}
+
+/** A balanced native ring of capacity 4 that once held all 4 slots. */
+rt::NativeStats
+fullRingStats()
+{
+    rt::NativeStats stats;
+    rt::QueueStats q;
+    q.id = 2;
+    q.capacity = 4;
+    q.enq = 10;
+    q.deq = 6;
+    q.residual = 4;
+    q.maxOccupancy = 4;
+    stats.queues.push_back(q);
+    return stats;
+}
+
+TEST(Metrics, CheckerCatchesOccupancyPastCapacity)
+{
+    EXPECT_TRUE(metrics::checkNativeStats(fullRingStats()).empty());
+    rt::NativeStats stats = fullRingStats();
+    stats.queues[0].maxOccupancy = 5;
+    auto problems = metrics::checkNativeStats(stats);
+    ASSERT_EQ(problems.size(), 1u);
+    EXPECT_NE(problems[0].find("queue 2: max occupancy (5) > capacity (4)"),
+              std::string::npos)
+        << problems[0];
+}
+
+TEST(Metrics, CheckerCatchesResidualPastCapacity)
+{
+    // Books balance (10 = 5 + 5), but a capacity-4 ring cannot end the
+    // run holding 5 values.
+    rt::NativeStats stats = fullRingStats();
+    stats.queues[0].deq = 5;
+    stats.queues[0].residual = 5;
+    auto problems = metrics::checkNativeStats(stats);
+    ASSERT_EQ(problems.size(), 1u);
+    EXPECT_NE(problems[0].find("queue 2: residual (5) > capacity (4)"),
+              std::string::npos)
+        << problems[0];
 }
 
 TEST(Metrics, RealPipelinedSimRunBalancesBooks)

@@ -759,16 +759,91 @@ TEST(NativeRuntime, ReplicatedBfsMatchesGolden)
             << "vertex " << v;
 }
 
+TEST(NativeRuntime, DistributeRingsFillAcrossWorkers)
+{
+    // Four replicas on a private 4-worker pool, one home each. Every
+    // replica's producer deals 0..n-1 round-robin over the replicas
+    // (enqDist with selector i), so each consumer's ring has all four
+    // producers behind it; the consumers burn `work` per value, so the
+    // producers fill those multi-producer rings and park on their shared
+    // waiter lists, which take the lock and the notifier's fence.
+    constexpr int kReplicas = 4;
+    auto pipeline = std::make_unique<ir::Pipeline>();
+    pipeline->name = "deal";
+    pipeline->replicas = kReplicas;
+    {
+        ir::FunctionBuilder b("deal");
+        ir::RegId n = b.scalarParam("n");
+        b.forRange(b.constI(0), n, [&](ir::RegId i) { b.enqDist(0, i, i); });
+        pipeline->stages.push_back(b.finish());
+    }
+    {
+        ir::FunctionBuilder b("sum");
+        ir::ArrayId out = b.arrayParam("out", ir::ElemType::kI64, true);
+        ir::RegId n = b.scalarParam("n");
+        ir::RegId v = b.newReg("v");
+        ir::RegId acc = b.newReg("acc");
+        b.constTo(acc, 0);
+        b.forRange(b.constI(0), n, [&](ir::RegId) {
+            b.deqTo(0, v);
+            b.work(v, 200);
+            b.movTo(acc, b.add(acc, v));
+        });
+        b.store(out, b.constI(0), acc);
+        pipeline->stages.push_back(b.finish());
+    }
+    const int cap = rt::ringCapacities(*pipeline, sim::SysConfig{})[0];
+    // Each consumer gets n / 4 values from each of the four producers.
+    const int64_t n = 4 * static_cast<int64_t>(cap);
+
+    sim::Binding b;
+    b.setScalarInt("n", n);
+    std::vector<sim::ArrayBuffer*> outs;
+    for (int r = 0; r < kReplicas; ++r) {
+        outs.push_back(b.makeArray("out@" + std::to_string(r),
+                                   ir::ElemType::kI64, 1));
+        b.bindReplica(r, "out", outs.back());
+    }
+
+    rt::Scheduler::Options sopt;
+    sopt.workers = kReplicas;
+    rt::Scheduler pool(sopt);
+    rt::RuntimeOptions opt;
+    opt.schedulerOverride = &pool;
+    rt::Runtime runtime(sim::SysConfig{}, opt);
+    rt::NativeStats stats = runtime.runPipeline(*pipeline, b);
+    ASSERT_TRUE(stats.ok) << stats.error;
+
+    // Consumer r sums 4 x (r, r + 4, r + 8, ... < n).
+    const int64_t m = n / kReplicas;
+    for (int r = 0; r < kReplicas; ++r)
+        EXPECT_EQ(outs[static_cast<size_t>(r)]->atInt(0),
+                  kReplicas * (kReplicas * m * (m - 1) / 2 + r * m))
+            << "replica " << r;
+
+    uint64_t enq_blocks = 0;
+    for (const auto& q : stats.queues) {
+        EXPECT_EQ(q.capacity, cap) << "q" << q.id;
+        EXPECT_LE(q.maxOccupancy, static_cast<uint64_t>(cap)) << "q" << q.id;
+        enq_blocks += q.enqBlocks;
+    }
+    EXPECT_GT(enq_blocks, 0u) << "no producer ever found a ring full";
+    EXPECT_EQ(std::set<int>(stats.sched.homes.begin(),
+                            stats.sched.homes.end())
+                  .size(),
+              static_cast<size_t>(kReplicas));
+}
+
 // ---------------------------------------------------------------------
 // Deadlock monitor.
 // ---------------------------------------------------------------------
 
 TEST(NativeRuntime, WatchdogAbortsStuckPipeline)
 {
-    // One stage enqueues past a depth-4 queue that nothing ever drains:
-    // the producer parks forever and the deadlock monitor must abort
-    // the run, naming the parked task and its ring, instead of hanging
-    // the process.
+    // One stage enqueues past a depth-4 queue's ring that nothing ever
+    // drains: the producer parks forever and the deadlock monitor must
+    // abort the run, naming the parked task and its ring, instead of
+    // hanging the process.
     auto pipeline = std::make_unique<ir::Pipeline>();
     pipeline->name = "jam";
     {
@@ -781,9 +856,10 @@ TEST(NativeRuntime, WatchdogAbortsStuckPipeline)
     qc.id = 0;
     qc.depth = 4;
     pipeline->queues.push_back(qc);
+    const int cap = rt::ringCapacities(*pipeline, sim::SysConfig{})[0];
 
     sim::Binding b;
-    b.setScalarInt("n", 64);
+    b.setScalarInt("n", 4 * cap + 3);
 
     rt::RuntimeOptions opt;
     opt.deadlockTimeoutMs = 100;
@@ -837,9 +913,8 @@ TEST(NativeRuntime, WatchdogPostMortemAttributesTheStall)
     // ring with the consumer gone. The deadlock report must name the
     // blocked queue, quantify the residual occupancy, and — when a
     // tracer is attached — append each worker's trailing trace events.
-    // n is not a multiple of the depth, so a consumer that drained the
-    // ring ahead of its deqs would strand values past the depth.
-    constexpr int kDepth = 4;
+    // n is not a multiple of the ring's capacity, so a consumer that
+    // drained the ring ahead of its deqs would strand values past it.
     auto pipeline = std::make_unique<ir::Pipeline>();
     pipeline->name = "mispair";
     {
@@ -859,11 +934,12 @@ TEST(NativeRuntime, WatchdogPostMortemAttributesTheStall)
     }
     ir::QueueConfig qc;
     qc.id = 0;
-    qc.depth = kDepth;
+    qc.depth = 4;
     pipeline->queues.push_back(qc);
+    const int cap = rt::ringCapacities(*pipeline, sim::SysConfig{})[0];
 
     sim::Binding b;
-    b.setScalarInt("n", 63);
+    b.setScalarInt("n", 4 * cap + 3);
 
     trace::Tracer tracer{trace::Timebase::kWallNs};
     rt::RuntimeOptions opt;
@@ -891,10 +967,12 @@ TEST(NativeRuntime, WatchdogPostMortemAttributesTheStall)
     for (const auto& q : stats.queues)
         if (q.id == 0) {
             found = true;
-            EXPECT_EQ(q.residual, static_cast<uint64_t>(kDepth));
+            EXPECT_EQ(q.capacity, cap);
+            EXPECT_EQ(q.residual, static_cast<uint64_t>(cap));
         }
     EXPECT_TRUE(found);
-    EXPECT_NE(stats.error.find("q0: ring 4/4\n"), std::string::npos)
+    const std::string full = std::to_string(cap) + "/" + std::to_string(cap);
+    EXPECT_NE(stats.error.find("q0: ring " + full + "\n"), std::string::npos)
         << stats.error;
 
     // The report's queue family carries the same residual.
@@ -903,7 +981,7 @@ TEST(NativeRuntime, WatchdogPostMortemAttributesTheStall)
         run.families["queue"].find({{"queue", "0"}});
     ASSERT_NE(q0, nullptr);
     EXPECT_EQ(q0->metrics.counters.at("residual"),
-              static_cast<uint64_t>(kDepth));
+              static_cast<uint64_t>(cap));
 }
 
 TEST(NativeRuntime, IndirectRaStrandsNothing)
@@ -913,9 +991,8 @@ TEST(NativeRuntime, IndirectRaStrandsNothing)
     // consumer dequeues n values and halts. Like the simulator's RA, the
     // native one pops an index only once its output ring has a free
     // slot, so when the run jams both rings are exactly full and no
-    // index is held anywhere else.
-    constexpr int kDepth = 4;
-    constexpr int64_t kN = 63;
+    // index is held anywhere else. n exceeds both rings together and is
+    // not a multiple of their capacity.
     auto pipeline = std::make_unique<ir::Pipeline>();
     pipeline->name = "ra-mispair";
     {
@@ -942,13 +1019,15 @@ TEST(NativeRuntime, IndirectRaStrandsNothing)
     for (int id = 0; id < 2; ++id) {
         ir::QueueConfig qc;
         qc.id = id;
-        qc.depth = kDepth;
+        qc.depth = 4;
         pipeline->queues.push_back(qc);
     }
+    const int cap = rt::ringCapacities(*pipeline, sim::SysConfig{})[0];
+    const int64_t n = 4 * cap + 3;
 
     sim::Binding b;
-    b.makeArray("table", ir::ElemType::kI64, 2 * kN);
-    b.setScalarInt("n", kN);
+    b.makeArray("table", ir::ElemType::kI64, static_cast<size_t>(2 * n));
+    b.setScalarInt("n", n);
 
     rt::RuntimeOptions opt;
     opt.deadlockTimeoutMs = 100;
@@ -958,11 +1037,85 @@ TEST(NativeRuntime, IndirectRaStrandsNothing)
     ASSERT_FALSE(stats.ok);
     ASSERT_EQ(stats.queues.size(), 2u);
     for (const auto& q : stats.queues) {
-        EXPECT_EQ(q.residual, static_cast<uint64_t>(kDepth)) << "q" << q.id;
+        EXPECT_EQ(q.capacity, cap) << "q" << q.id;
+        EXPECT_EQ(q.residual, static_cast<uint64_t>(cap)) << "q" << q.id;
         EXPECT_EQ(q.enq, q.deq + q.residual) << "q" << q.id;
     }
-    EXPECT_NE(stats.error.find("q0: ring 4/4\n"), std::string::npos)
+    const std::string full = std::to_string(cap) + "/" + std::to_string(cap);
+    EXPECT_NE(stats.error.find("q0: ring " + full + "\n"), std::string::npos)
         << stats.error;
+}
+
+TEST(NativeRuntime, RingCapacityScalesDepthWithinBudget)
+{
+    // A host ring holds kRingDepthScale (64) x its queue's architectural
+    // depth: a depth-1 queue gets 64 slots, a depth-4 one 256.
+    auto pipeline = std::make_unique<ir::Pipeline>();
+    pipeline->name = "two-depths";
+    {
+        ir::FunctionBuilder b("produce");
+        ir::RegId n = b.scalarParam("n");
+        b.forRange(b.constI(0), n, [&](ir::RegId i) {
+            b.enq(0, i);
+            b.enq(1, i);
+        });
+        pipeline->stages.push_back(b.finish());
+    }
+    {
+        ir::FunctionBuilder b("consume");
+        ir::RegId n = b.scalarParam("n");
+        ir::RegId v = b.newReg("v");
+        b.forRange(b.constI(0), n, [&](ir::RegId) {
+            b.deqTo(0, v);
+            b.deqTo(1, v);
+        });
+        pipeline->stages.push_back(b.finish());
+    }
+    for (int id = 0; id < 2; ++id) {
+        ir::QueueConfig qc;
+        qc.id = id;
+        qc.depth = id == 0 ? 1 : 4;
+        pipeline->queues.push_back(qc);
+    }
+    EXPECT_EQ(rt::ringCapacities(*pipeline, sim::SysConfig{}),
+              (std::vector<int>{64, 256}));
+
+    sim::Binding b;
+    b.setScalarInt("n", 1000);
+    rt::Runtime runtime;
+    rt::NativeStats stats = runtime.runPipeline(*pipeline, b);
+    ASSERT_TRUE(stats.ok) << stats.error;
+    ASSERT_EQ(stats.queues.size(), 2u);
+    EXPECT_EQ(stats.queues[0].capacity, 64);
+    EXPECT_EQ(stats.queues[1].capacity, 256);
+    for (const auto& q : stats.queues)
+        EXPECT_LE(q.maxOccupancy, static_cast<uint64_t>(q.capacity));
+
+    // 256 replicas of a compiled pipeline would take 64x their depths
+    // in far more than kRingSlotBudget slots; the factor shrinks to the
+    // largest that fits, the same for every ring.
+    auto kernel = fe::compileKernel(kFilterKernel);
+    comp::CompileOptions copts;
+    copts.numStages = 4;
+    copts.replicas = 256;
+    auto res = comp::compilePipeline(*kernel.fn, copts);
+    ASSERT_TRUE(res.pipeline != nullptr);
+    ASSERT_EQ(res.pipeline->replicas, 256);
+    const sim::SysConfig cfg;
+    std::vector<int> caps = rt::ringCapacities(*res.pipeline, cfg);
+    ASSERT_FALSE(caps.empty());
+    EXPECT_EQ(caps.size() % 256, 0u);
+    const int scale = caps[0] / cfg.queueDepth;
+    EXPECT_GE(scale, 1);
+    EXPECT_LT(scale, rt::kRingDepthScale);
+    int64_t slots = 0;
+    for (int c : caps) {
+        EXPECT_EQ(c, scale * cfg.queueDepth);
+        slots += c;
+    }
+    EXPECT_LE(slots, rt::kRingSlotBudget);
+    EXPECT_GT(slots / scale * (scale + 1), rt::kRingSlotBudget)
+        << "a larger factor would still have fit";
 }
 
 // ---------------------------------------------------------------------

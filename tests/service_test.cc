@@ -519,6 +519,26 @@ TEST(ServiceServer, ReportsCompileErrorsWithoutDying)
         EXPECT_TRUE(resp.ok);
     }
 
+    // 200 double arrays at the largest size the server runs would
+    // synthesize 201 x 32 MiB of inputs; the binding budget refuses the
+    // run before allocating any of it, and the server keeps serving.
+    svc::Request many;
+    many.op = "run";
+    many.size = opts.maxRunSize;
+    many.source = "#pragma phloem\nvoid wide(";
+    for (int k = 0; k < 200; ++k)
+        many.source += "const double* restrict a" + std::to_string(k) + ", ";
+    many.source += "double* restrict out, int n) "
+                   "{ for (int i = 0; i < n; i++) { out[i] = a0[i]; } }\n";
+    ASSERT_TRUE(client.call(many, &resp, &err)) << err;
+    EXPECT_FALSE(resp.ok);
+    EXPECT_NE(resp.error.find("run failed: "), std::string::npos)
+        << resp.error;
+    EXPECT_NE(resp.error.find("driver::kMaxBindingBytes"), std::string::npos)
+        << resp.error;
+    ASSERT_TRUE(client.call(ping, &resp, &err)) << err;
+    EXPECT_TRUE(resp.ok);
+
     // A hostile frame: 1 MB of '[' used to overflow the recursive JSON
     // parser's stack and take the daemon down. It must be an ordinary
     // bad-request error, with the same connection still serving. (The
