@@ -2,14 +2,15 @@
  * @file
  * Google-benchmark microbenchmarks of the library itself (not a paper
  * figure): frontend compilation, pipeline compilation, flattening,
- * simulator throughput, and the native runtime's ring round trip and
- * ring stream.
+ * simulator throughput, and the native runtime's ring round trip, RA
+ * round trip and ring stream.
  * Useful for keeping the tools fast enough for the autotuner's many
  * candidate compiles (paper: the search "completes in seconds").
  */
 
 #include <benchmark/benchmark.h>
 
+#include <functional>
 #include <string>
 
 #include "bench/bench_common.h"
@@ -96,13 +97,15 @@ BENCHMARK(BM_SimulatorThroughput);
 
 /**
  * Run `pipeline` once per iteration on a private one-worker pool, over
- * an n-element writable "out" array and scalar n. The iteration time
- * is the runtime's parallel region (NativeStats::wallNs), not pipeline
- * setup; ns_per_<unit> and parks_per_<unit> divide by n per iteration.
+ * an n-element writable "out" array and scalar n, plus whatever `bind`
+ * adds. The iteration time is the runtime's parallel region
+ * (NativeStats::wallNs), not pipeline setup; ns_per_<unit> and
+ * parks_per_<unit> divide by n per iteration.
  */
 static void
 runOnOneWorker(benchmark::State& state, const ir::Pipeline& pipeline,
-               int64_t n, const std::string& unit)
+               int64_t n, const std::string& unit,
+               const std::function<void(sim::Binding&)>& bind = {})
 {
     rt::Scheduler::Options sopt;
     sopt.workers = 1;
@@ -117,6 +120,8 @@ runOnOneWorker(benchmark::State& state, const ir::Pipeline& pipeline,
         sim::Binding b;
         b.makeArray("out", ir::ElemType::kI64, static_cast<size_t>(n));
         b.setScalarInt("n", n);
+        if (bind)
+            bind(b);
         rt::NativeStats stats = runtime.runPipeline(pipeline, b);
         if (!stats.ok) {
             state.SkipWithError(stats.error.c_str());
@@ -178,6 +183,63 @@ BM_RingRoundTrip(benchmark::State& state)
 BENCHMARK(BM_RingRoundTrip)->Arg(20000)->UseManualTime();
 
 /**
+ * Round trip through an indirect RA, the shape of spmm's stage cycle
+ * (s0 -> q -> RA -> q -> s1 -> q -> s0): "ping" enqueues i on q0, the
+ * RA turns it into table[i] on q1, and "pong" stores that and echoes it
+ * back on q2, all through depth-1 queues' rings on a private one-worker
+ * pool. Each value crosses every ring once per round trip, and each
+ * round trip parks as often as the runtime needs handoffs for it.
+ */
+static void
+BM_RaRoundTrip(benchmark::State& state)
+{
+    const int64_t n = state.range(0);
+    auto pipeline = std::make_unique<ir::Pipeline>();
+    pipeline->name = "ra-pingpong";
+    {
+        ir::FunctionBuilder b("ping");
+        ir::RegId count = b.scalarParam("n");
+        ir::RegId echo = b.newReg("echo");
+        b.forRange(b.constI(0), count, [&](ir::RegId i) {
+            b.enq(0, i);
+            b.deqTo(2, echo);
+        });
+        pipeline->stages.push_back(b.finish());
+    }
+    {
+        ir::FunctionBuilder b("pong");
+        ir::ArrayId out = b.arrayParam("out", ir::ElemType::kI64, true);
+        ir::RegId count = b.scalarParam("n");
+        ir::RegId v = b.newReg("v");
+        b.forRange(b.constI(0), count, [&](ir::RegId i) {
+            b.deqTo(1, v);
+            b.store(out, i, v);
+            b.enq(2, v);
+        });
+        pipeline->stages.push_back(b.finish());
+    }
+    ir::RAConfig ra;
+    ra.mode = ir::RAMode::kIndirect;
+    ra.arrayName = "table";
+    ra.inQueue = 0;
+    ra.outQueue = 1;
+    pipeline->ras.push_back(ra);
+    for (int q : {0, 1, 2}) {
+        ir::QueueConfig qc;
+        qc.id = q;
+        qc.depth = 1;
+        pipeline->queues.push_back(qc);
+    }
+    runOnOneWorker(state, *pipeline, n, "round_trip", [n](sim::Binding& b) {
+        auto* table =
+            b.makeArray("table", ir::ElemType::kI64, static_cast<size_t>(n));
+        for (int64_t i = 0; i < n; ++i)
+            table->setInt(i, 2 * i + 1);
+    });
+}
+BENCHMARK(BM_RaRoundTrip)->Arg(20000)->UseManualTime();
+
+/**
  * Native streaming cost: "produce" enqueues 0..n-1 into one
  * default-depth queue's ring and "consume" stores each value it
  * dequeues, on a private one-worker pool. The producer runs until the
@@ -217,18 +279,30 @@ BENCHMARK(BM_RingStream)->Arg(200000)->UseManualTime();
 namespace {
 
 /**
- * Console output as usual, but each benchmark's timing also lands in
- * the shared metrics report (one run per benchmark, real/cpu ns as
- * lower-is-better gauges) so run_benches.sh can diff tool performance
- * like any other report.
+ * The display google-benchmark's own flags choose (--benchmark_format,
+ * --benchmark_color, ...), plus each benchmark's timing and user
+ * counters in the shared metrics report (one run per benchmark, real/cpu
+ * ns and every counter as gauges) so run_benches.sh can diff tool
+ * performance like any other report.
  */
-class ReportingReporter : public benchmark::ConsoleReporter
+class ReportingReporter : public benchmark::BenchmarkReporter
 {
   public:
+    ReportingReporter()
+        : display_(benchmark::CreateDefaultDisplayReporter())
+    {
+    }
+
+    bool
+    ReportContext(const Context& context) override
+    {
+        return display_->ReportContext(context);
+    }
+
     void
     ReportRuns(const std::vector<Run>& reports) override
     {
-        ConsoleReporter::ReportRuns(reports);
+        display_->ReportRuns(reports);
         for (const auto& run : reports) {
             if (run.error_occurred)
                 continue;
@@ -239,8 +313,16 @@ class ReportingReporter : public benchmark::ConsoleReporter
             r->top.setGauge("cpu_ns", run.GetAdjustedCPUTime());
             r->top.addCounter(
                 "iterations", static_cast<uint64_t>(run.iterations));
+            for (const auto& [name, counter] : run.counters)
+                r->top.setGauge(name, counter.value);
         }
     }
+
+    void Finalize() override { display_->Finalize(); }
+
+  private:
+    /** Owned by google-benchmark: a process-lifetime object. */
+    BenchmarkReporter* display_;
 };
 
 } // namespace

@@ -25,7 +25,7 @@
  * it runs on one pool worker's thread (sched.h: a replica's tasks share
  * one home): those tasks run one at a time, so program order alone
  * decides which side sees the other, and the list takes no lock. The
- * parker keeps its fence either way; it also pairs with the stop/abort
+ * parker keeps its fence either way; it also pairs with the abort
  * wakes that SchedRun::wakeAllTasks sends from other threads.
  */
 

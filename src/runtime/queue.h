@@ -16,9 +16,10 @@
  *    hot path has no false sharing; each side additionally caches the
  *    other side's index and re-reads it only when the ring looks
  *    full/empty, which removes most cross-core coherence traffic;
- *  - tryPush/tryPop never block; a blocked op parks its task on the
- *    ring's waiter lists (waitBlocked in runtime/worker.h, where abort
- *    and shutdown are checked), and each successful op wakes the other
+ *  - tryPush/tryPop never block. A stage's blocked op (waitBlocked in
+ *    runtime/worker.cc) first pumps the reference accelerator on the
+ *    other side of the ring, if one feeds or drains it, then parks its
+ *    task on a ring's waiter lists; each successful op wakes the other
  *    side's waiters.
  *
  * Queues targeted by kEnqDist have one producer *per replica*; those are
@@ -44,6 +45,8 @@
 #include "runtime/park.h"
 
 namespace phloem::rt {
+
+class RAWorker;
 
 /** Pause the core briefly inside a spin loop. */
 inline void
@@ -87,6 +90,27 @@ class SpscQueue
 
     /** The tasks parked on this ring: blocked producers and consumer. */
     QueueWaiters& waiters() { return waiters_; }
+
+    /**
+     * The reference accelerator that pushes into this ring (feeder) or
+     * pops it (drainer), or null where a stage does. Set once, before
+     * the run starts, by the RA's constructor.
+     */
+    RAWorker* feeder() const { return feeder_; }
+    RAWorker* drainer() const { return drainer_; }
+    void
+    setFeeder(RAWorker* ra)
+    {
+        phloem_assert(feeder_ == nullptr, "a ring has at most one feeding RA");
+        feeder_ = ra;
+    }
+    void
+    setDrainer(RAWorker* ra)
+    {
+        phloem_assert(drainer_ == nullptr,
+                      "a ring has at most one draining RA");
+        drainer_ = ra;
+    }
 
     /** Producer side: enqueue v; false when the ring is full. */
     bool
@@ -353,6 +377,9 @@ class SpscQueue
     std::unique_ptr<ir::Value[], FreeSlots> buf_;
     /** Read-only once the run starts; both sides read it per op. */
     bool multiProducer_ = false;
+    /** Read-only once the run starts; read on blocked paths only. */
+    RAWorker* feeder_ = nullptr;
+    RAWorker* drainer_ = nullptr;
 
     // Consumer-owned line: index plus the consumer's cache of tail.
     alignas(64) std::atomic<size_t> head_{0};

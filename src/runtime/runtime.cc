@@ -30,10 +30,9 @@ elapsedNs(Clock::time_point t0, Clock::time_point t1)
             .count());
 }
 
-/** Task body shared by all workers: route exceptions to RunControl. */
-template <typename W>
+/** Task body of every stage: route exceptions to RunControl. */
 void
-workerMain(W& worker, RunControl& ctl)
+workerMain(StageWorker& worker, RunControl& ctl)
 {
     try {
         worker.run();
@@ -112,10 +111,8 @@ Runtime::runPipeline(const ir::Pipeline& pipeline, sim::Binding& binding,
     int stages_per_replica = static_cast<int>(pipeline.stages.size());
     int total_threads = stages_per_replica * replicas;
     phloem_assert(total_threads >= 1, "pipeline has no stages");
-    int total_workers =
-        total_threads + static_cast<int>(pipeline.ras.size()) * replicas;
     // Tasks, not threads: a wide pipeline costs stacks, not cores.
-    phloem_assert(total_workers <= 4096,
+    phloem_assert(total_threads <= 4096,
                   "refusing to schedule that many tasks");
 
     // Build the rings, each a multiple of its architectural depth.
@@ -184,6 +181,8 @@ Runtime::runPipeline(const ir::Pipeline& pipeline, sim::Binding& binding,
         }
     }
 
+    // Each RA links itself to its rings as their feeder and drainer,
+    // for the stages that pump it.
     std::vector<std::unique_ptr<RAWorker>> ra_workers;
     for (int r = 0; r < replicas; ++r) {
         for (const auto& ra : pipeline.ras) {
@@ -193,9 +192,7 @@ Runtime::runPipeline(const ir::Pipeline& pipeline, sim::Binding& binding,
             ra_workers.push_back(std::make_unique<RAWorker>(
                 std::move(name), ra, binding.array(ra.arrayName, r),
                 queue_ptrs[static_cast<size_t>(ra.inQueue + r * stride)],
-                queue_ptrs[static_cast<size_t>(ra.outQueue + r * stride)],
-                &ctl));
-            ra_workers.back()->traceInQ = ra.inQueue + r * stride;
+                queue_ptrs[static_cast<size_t>(ra.outQueue + r * stride)]));
             ra_workers.back()->traceOutQ = ra.outQueue + r * stride;
         }
     }
@@ -243,39 +240,27 @@ Runtime::runPipeline(const ir::Pipeline& pipeline, sim::Binding& binding,
         });
     }
 
-    // Parallel region: run every worker as a task on the pool, wait for
-    // the stage tasks (their halt defines completion — RAs never write
-    // memory), then release the RAs.
+    // Parallel region: run every stage as a task on the pool and wait
+    // for all of them (the RAs run inside them).
     ResourceUsage ru0 = ResourceUsage::processNow();
     Scheduler& sched = opt_.schedulerOverride != nullptr
                            ? *opt_.schedulerOverride
                            : Scheduler::shared();
     auto run = sched.createRun(&ctl);
     ctl.schedRun = run.get();
-    // Both worker lists are replica-major: a replica's RAs and stages
-    // share one home worker.
-    const size_t ras_per_replica = pipeline.ras.size();
-    for (size_t k = 0; k < ra_workers.size(); ++k)
-        run->addTask(ra_workers[k]->stats.name, /*is_stage=*/false,
-                     static_cast<int>(k / ras_per_replica),
-                     [&ctl, worker = ra_workers[k].get()] {
-                         workerMain(*worker, ctl);
-                     });
+    // The stage list is replica-major: a replica's stages share one
+    // home worker.
     for (size_t k = 0; k < stage_workers.size(); ++k)
         run->addTask(
-            stage_workers[k]->stats.name, /*is_stage=*/true,
+            stage_workers[k]->stats.name,
             static_cast<int>(k / static_cast<size_t>(stages_per_replica)),
             [&ctl, worker = stage_workers[k].get()] {
                 workerMain(*worker, ctl);
             });
     auto t0 = Clock::now();
     run->start();
-    run->waitStages();
-    auto t1 = Clock::now();
-    ctl.stop.store(true, std::memory_order_release);
-    // RAs parked on drained inputs cannot observe stop; wake them.
-    run->wakeAllTasks();
     run->waitAll();
+    auto t1 = Clock::now();
     NativeStats out;
     out.sched.poolSize = sched.poolSize();
     out.sched.workersUsed = run->workersUsed();

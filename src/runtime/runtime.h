@@ -4,9 +4,10 @@
  * threads connected by lock-free SPSC ring buffers.
  *
  * This is the "what if the paper's hardware were software" backend: one
- * resumable task per pipeline stage (per replica), one task per software
- * reference accelerator, and one bounded ring per architectural queue
- * (deeper than the queue: see ringCapacities).
+ * resumable task per pipeline stage (per replica), software reference
+ * accelerators that those stages pump from their blocked queue ops, and
+ * one bounded ring per architectural queue (deeper than the queue: see
+ * ringCapacities).
  * Every pipeline runs on a fixed-size shared pool (runtime/sched.h)
  * sized to the machine, all of a replica's tasks on one home worker, so
  * many pipelines — or one pipeline with more stages than cores — share

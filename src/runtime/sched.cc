@@ -282,10 +282,10 @@ taskEntry(Task* t)
 
 // ---------------------------------------------------------------- Task
 
-Task::Task(SchedRun* run, std::string name, bool is_stage, int replica,
+Task::Task(SchedRun* run, std::string name, int replica,
            std::function<void()> body)
-    : run_(run), name_(std::move(name)), isStage_(is_stage),
-      replica_(replica), body_(std::move(body)),
+    : run_(run), name_(std::move(name)), replica_(replica),
+      body_(std::move(body)),
       stack_(new char[kTaskStackSize])
 {
     fc_.stackBottom = stack_.get();
@@ -342,14 +342,11 @@ SchedRun::~SchedRun()
 }
 
 void
-SchedRun::addTask(std::string name, bool is_stage, int replica,
-                  std::function<void()> body)
+SchedRun::addTask(std::string name, int replica, std::function<void()> body)
 {
     phloem_assert(replica >= 0, "negative replica index ", replica);
-    tasks_.push_back(std::make_unique<Task>(this, std::move(name), is_stage,
-                                            replica, std::move(body)));
-    if (is_stage)
-        ++stageLive_;
+    tasks_.push_back(std::make_unique<Task>(this, std::move(name), replica,
+                                            std::move(body)));
     ++totalLive_;
 }
 
@@ -384,13 +381,6 @@ SchedRun::workersUsed() const
 }
 
 void
-SchedRun::waitStages()
-{
-    std::unique_lock<std::mutex> lk(mu_);
-    cv_.wait(lk, [this] { return stageLive_ == 0; });
-}
-
-void
 SchedRun::waitAll()
 {
     std::unique_lock<std::mutex> lk(mu_);
@@ -400,11 +390,11 @@ SchedRun::waitAll()
 void
 SchedRun::wakeAllTasks()
 {
-    // Notifier side of the park handshake for stop and abort: orders
-    // the caller's ctl.stop / abortFlag store before unpark()'s state
-    // loads. Its partner is the fence in Scheduler::parkCurrent: either
-    // a parking task's re-check sees the flag, or we see the task
-    // kParking/kParked and wake it.
+    // Notifier side of the park handshake for abort: orders the
+    // caller's abortFlag store before unpark()'s state loads. Its
+    // partner is the fence in Scheduler::parkCurrent: either a parking
+    // task's re-check sees the flag, or we see the task kParking/kParked
+    // and wake it.
     std::atomic_thread_fence(std::memory_order_seq_cst);
     for (auto& t : tasks_)
         sched_->unpark(t.get());
@@ -505,7 +495,7 @@ Scheduler::maybeYield()
 }
 
 void
-Scheduler::parkCurrent(const ParkTarget& pt, RunControl& ctl, bool stoppable)
+Scheduler::parkCurrent(const ParkTarget& pt, RunControl& ctl)
 {
     Task* t = tlsTask_;
     phloem_assert(t != nullptr && pt.list != nullptr,
@@ -518,10 +508,9 @@ Scheduler::parkCurrent(const ParkTarget& pt, RunControl& ctl, bool stoppable)
     // our registration before the re-check, so either we observe the
     // notifier's push/pop here, or the notifier observes us on the
     // list and wakes us. It also pairs with the fence in
-    // SchedRun::wakeAllTasks, the stop/abort notifier.
+    // SchedRun::wakeAllTasks, the abort notifier.
     std::atomic_thread_fence(std::memory_order_seq_cst);
-    bool ready = pt.ready(pt) || ctl.aborted() ||
-                 (stoppable && ctl.stop.load(std::memory_order_acquire));
+    bool ready = pt.ready(pt) || ctl.aborted();
     if (!ready) {
         // Complete the park here: every resumption of this task runs
         // on its home's thread, so none can start before we switch out.
@@ -551,8 +540,8 @@ Scheduler::parkCurrent(const ParkTarget& pt, RunControl& ctl, bool stoppable)
             ++t->unparks_;
         }
     }
-    // Deregister ourselves: a cancelled park, and direct unparks (stop,
-    // abort) that flip our state without touching the waiter list,
+    // Deregister ourselves: a cancelled park, and a direct unpark
+    // (abort) that flips our state without touching the waiter list,
     // leave us on it, and a stale entry must not survive into the next
     // park. An empty list cannot hold us: the waker that took us off
     // published the new count before unparking us.
@@ -751,8 +740,6 @@ Scheduler::finishTask(Task* t)
     // counts (and destroy r, cv included) until the lock drops, so the
     // notify never touches a dead condvar.
     std::lock_guard<std::mutex> g(r->mu_);
-    if (t->isStage_)
-        --r->stageLive_;
     --r->totalLive_;
     r->cv_.notify_all();
 }
@@ -797,16 +784,13 @@ Scheduler::checkRuns(uint64_t now_ns)
 {
     std::lock_guard<std::mutex> g(runsMu_);
     for (SchedRun* r : runs_) {
-        int stage_live = 0;
         int total_live = 0;
         {
             std::lock_guard<std::mutex> g2(r->mu_);
-            stage_live = r->stageLive_;
             total_live = r->totalLive_;
         }
-        // Completion phase: every stage halted, the caller is about
-        // to set stop and wake the drained RAs. Parked RAs are normal.
-        if (stage_live == 0 || total_live == 0) {
+        // Finished: the caller is about to unregister the run.
+        if (total_live == 0) {
             r->allParkedSinceNs_ = 0;
             continue;
         }

@@ -2,17 +2,18 @@
  * @file
  * Shared task scheduler for the native runtime.
  *
- * Every pipeline runs here: each stage/RA worker is a resumable
- * *task*, a stackful fiber scheduled onto a fixed-size pool of OS
- * workers, default `hardware_concurrency`, each with its own run
- * queue. Wide pipelines and phloemd's concurrent requests therefore
- * share the host without one OS thread per stage.
+ * Every pipeline runs here: each stage worker is a resumable *task*,
+ * a stackful fiber scheduled onto a fixed-size pool of OS workers,
+ * default `hardware_concurrency`, each with its own run queue (a
+ * reference accelerator is no task: its stages pump it, worker.h).
+ * Wide pipelines and phloemd's concurrent requests therefore share the
+ * host without one OS thread per stage.
  *
  * Placement follows the paper's core mapping: one pipeline's stages
  * are SMT threads of one core, replicas go to successive cores. Every
  * replica gets one *home* worker when its run starts, the one with the
- * fewest live homed tasks, and all of that replica's stage and RA
- * tasks only ever run there. A queue handoff between two tasks of a
+ * fewest live homed tasks, and all of that replica's stage tasks only
+ * ever run there. A queue handoff between two tasks of a
  * replica is then a same-core fiber switch, never a cross-core cache
  * line exchange, and nothing is stolen.
  *
@@ -93,11 +94,11 @@ struct FiberCtx
     void* tsanFiber = nullptr;
 };
 
-/** One stage/RA worker as a schedulable fiber. */
+/** One stage worker as a schedulable fiber. */
 class Task
 {
   public:
-    Task(SchedRun* run, std::string name, bool is_stage, int replica,
+    Task(SchedRun* run, std::string name, int replica,
          std::function<void()> body);
     ~Task();
 
@@ -116,7 +117,6 @@ class Task
 
     SchedRun* run_;
     std::string name_;
-    bool isStage_;
     /** Pipeline replica this task belongs to; it shares the home. */
     int replica_;
     std::function<void()> body_;
@@ -153,11 +153,10 @@ class SchedRun
     SchedRun& operator=(const SchedRun&) = delete;
 
     /**
-     * Add a task before start(). Stage tasks define completion. Tasks
-     * with the same replica index share one home worker.
+     * Add a task before start(). Tasks with the same replica index
+     * share one home worker.
      */
-    void addTask(std::string name, bool is_stage, int replica,
-                 std::function<void()> body);
+    void addTask(std::string name, int replica, std::function<void()> body);
 
     /**
      * Give each replica a home worker, enqueue every task there, and
@@ -165,16 +164,13 @@ class SchedRun
      */
     void start();
 
-    /** Block the caller until every stage task finished. */
-    void waitStages();
-
     /** Block the caller until every task finished. */
     void waitAll();
 
     /**
-     * Unpark every parked task (idempotent, callable from any
-     * thread): used after ctl.stop so drained RAs exit, and by
-     * RunControl::fail so an aborting run cannot strand sleepers.
+     * Unpark every parked task (idempotent, callable from any thread):
+     * RunControl::fail calls it so an aborting run cannot strand
+     * sleepers.
      */
     void wakeAllTasks();
 
@@ -210,7 +206,6 @@ class SchedRun
 
     std::mutex mu_;
     std::condition_variable cv_;
-    int stageLive_ = 0;
     int totalLive_ = 0;
     bool started_ = false;
 
@@ -273,15 +268,13 @@ class Scheduler
 
     /**
      * Two-phase park of the current task on pt.list. Registers,
-     * re-checks pt.ready / abort / (stoppable && stop) under the
-     * Dekker fence pairing, and either cancels or parks: it switches
-     * straight into the front task of its home's own deque, or to the
-     * worker when that deque is empty or the inbox holds work, until a
-     * waker unparks it. Spurious returns are allowed; the caller's
+     * re-checks pt.ready / abort under the Dekker fence pairing, and
+     * either cancels or parks: it switches straight into the front task
+     * of its home's own deque, or to the worker when that deque is
+     * empty or the inbox holds work, until a waker unparks it. Spurious returns are allowed; the caller's
      * wait loop re-checks the ring. Must run on a task, with a list.
      */
-    static void parkCurrent(const ParkTarget& pt, RunControl& ctl,
-                            bool stoppable);
+    static void parkCurrent(const ParkTarget& pt, RunControl& ctl);
 
     /**
      * Make t runnable if parked (or cancel an in-flight park): requeue

@@ -48,7 +48,7 @@ enum class EventKind : uint8_t {
     kEnqBlock,    ///< producer waited on a full ring     [span]
     kDeqBlock,    ///< consumer waited on an empty ring   [span]
     kBarrierWait, ///< stage waited at a kBarrier         [span]
-    kRaService,   ///< scan RA streamed a burst           [span, arg=n]
+    kRaService,   ///< a pump ran RA steps                [span, arg=n]
     kHalt,        ///< worker halted                      [instant]
     kQueueOcc,    ///< sampled queue occupancy            [counter, arg=occ]
 
@@ -72,7 +72,7 @@ struct Event
     /** Timebase units (see Timebase). end == begin for instants. */
     uint64_t begin = 0;
     uint64_t end = 0;
-    /** kRaService: elements in the burst; kQueueOcc: occupancy. */
+    /** kRaService: values the pump pushed; kQueueOcc: occupancy. */
     uint64_t arg = 0;
 };
 

@@ -8,6 +8,120 @@
 
 namespace phloem::rt {
 
+namespace {
+
+/**
+ * The one step of every blocked wait (queue op or barrier): false once
+ * the run has aborted. Otherwise it parks the calling task on pt.list
+ * until a notifier or an abort wakes it, and returns true so the caller
+ * re-checks its condition. Deadlock detection is the scheduler's
+ * all-parked monitor, whose fail() the abort check here observes once
+ * the task is woken.
+ */
+bool
+parkStep(RunControl& ctl, const ParkTarget& pt)
+{
+    if (ctl.aborted())
+        return false;
+    // Park straight away: every task is homed, so the peer that would
+    // satisfy this wait usually shares the worker and cannot run until
+    // we switch out; spinning would only delay it.
+    Scheduler::parkCurrent(pt, ctl);
+    return true;
+}
+
+/** Which side of a ring a blocked queue op waits on. */
+enum class QueueWait : uint8_t {
+    kEnq,   ///< producer: the ring is full
+    kDeq,   ///< consumer: the ring is empty
+    kPeek,  ///< consumer reading the front without popping
+};
+
+/** "enq", "deq" or "peek": park diagnostics and deadlock reports. */
+const char*
+queueWaitName(QueueWait kind)
+{
+    switch (kind) {
+      case QueueWait::kEnq:
+        return "enq";
+      case QueueWait::kDeq:
+        return "deq";
+      case QueueWait::kPeek:
+        break;
+    }
+    return "peek";
+}
+
+/**
+ * The blocked path of every stage queue op, entered once its inline
+ * fast path failed. If an RA drains the ring (enq) or feeds it
+ * (deq/peek), pump it first and retry `attempt`: the stage does the
+ * RA's work instead of waiting for it. Only when that cannot complete
+ * the op does the stage count a block on the ring and park, between
+ * retries, until the op succeeds or the run aborts. Behind an RA chain
+ * it parks where the next useful move must come from: a consumer on
+ * the chain's first input ring, woken by the next push there, and a
+ * producer on the chain's last output ring, woken by the next pop
+ * there. Returns true iff the op completed; a wait that parked is
+ * recorded as one trace span on `tb` (null when tracing is off).
+ */
+template <typename Attempt>
+bool
+waitBlocked(RunControl& ctl, trace::TraceBuffer* tb, SpscQueue& q, int abs_q,
+            QueueWait kind, Attempt&& attempt)
+{
+    const bool enq = kind == QueueWait::kEnq;
+    RAWorker* ra = enq ? q.drainer() : q.feeder();
+    auto retry = [&] {
+        if (ra != nullptr) {
+            if (enq)
+                ra->pumpIn();
+            else
+                ra->pumpOut();
+        }
+        return attempt();
+    };
+    // The fast path just failed: only a pump can change that before
+    // the park's own re-check.
+    if (ra != nullptr && retry())
+        return true;
+
+    SpscQueue* ring = &q;
+    if (ra != nullptr)
+        ring = enq ? &ra->chainOut() : &ra->chainIn();
+    ParkTarget pt;
+    pt.list = enq ? &ring->waiters().producers : &ring->waiters().consumers;
+    if (enq) {
+        pt.ready = [](const ParkTarget& p) {
+            const auto* r = static_cast<const SpscQueue*>(p.obj);
+            return r->sizeApprox() < static_cast<size_t>(r->capacity());
+        };
+    } else {
+        pt.ready = [](const ParkTarget& p) {
+            return static_cast<const SpscQueue*>(p.obj)->sizeApprox() > 0;
+        };
+    }
+    pt.obj = ring;
+    pt.what = queueWaitName(kind);
+    pt.q = abs_q;
+
+    if (enq)
+        q.noteEnqBlocked();
+    else
+        q.noteDeqBlocked();
+    uint64_t t0 = tb != nullptr ? tb->now() : 0;
+    bool ok = false;
+    while (!ok && parkStep(ctl, pt))
+        ok = retry();
+    if (tb != nullptr)
+        tb->record(enq ? trace::EventKind::kEnqBlock
+                       : trace::EventKind::kDeqBlock,
+                   abs_q, t0, tb->now());
+    return ok;
+}
+
+} // namespace
+
 // ---------------------------------------------------------------------
 // StageBarrier.
 // ---------------------------------------------------------------------
@@ -36,7 +150,7 @@ StageBarrier::arriveAndWait(RunControl& ctl)
     pt.arg = gen;
     pt.what = "barrier";
     while (generation_.load(std::memory_order_acquire) == gen)
-        if (!parkStep(ctl, /*stoppable=*/false, pt))
+        if (!parkStep(ctl, pt))
             return false;
     return !ctl.aborted();
 }
@@ -93,21 +207,21 @@ bool
 StageWorker::pushBlocked(SpscQueue& q, int abs_q, const ir::Value& v)
 {
     return waitBlocked(*ctl_, traceBuf, q, abs_q, QueueWait::kEnq,
-                       /*stoppable=*/false, [&] { return q.tryPush(v); });
+                       [&] { return q.tryPush(v); });
 }
 
 bool
 StageWorker::popBlocked(SpscQueue& q, int abs_q, ir::Value& v)
 {
     return waitBlocked(*ctl_, traceBuf, q, abs_q, QueueWait::kDeq,
-                       /*stoppable=*/false, [&] { return q.tryPop(v); });
+                       [&] { return q.tryPop(v); });
 }
 
 bool
 StageWorker::peekBlocked(SpscQueue& q, int abs_q, ir::Value& v)
 {
     return waitBlocked(*ctl_, traceBuf, q, abs_q, QueueWait::kPeek,
-                       /*stoppable=*/false, [&] { return q.tryPeek(v); });
+                       [&] { return q.tryPeek(v); });
 }
 
 // ---------------------------------------------------------------------
@@ -507,47 +621,38 @@ const StageWorker::Handler StageWorker::kDispatch[kNumDOps] = {
 
 RAWorker::RAWorker(std::string name, const ir::RAConfig& cfg,
                    sim::ArrayBuffer* array, SpscQueue* in_q,
-                   SpscQueue* out_q, RunControl* ctl)
-    : cfg_(cfg), array_(array), inQ_(in_q), outQ_(out_q), ctl_(ctl)
+                   SpscQueue* out_q)
+    : cfg_(cfg), array_(array), inQ_(in_q), outQ_(out_q)
 {
-    // waitSlot's reservation holds only while no one else can push.
+    // A step's slot reservation holds only while no one else can push,
+    // and a pump runs on its stages' home worker only while the ring it
+    // pops is fed by one stage of that replica.
     phloem_assert(!outQ_->multiProducer(),
                   "an RA must be its output ring's only producer");
+    phloem_assert(!inQ_->multiProducer(),
+                  "an RA's input ring must have a single producer");
+    inQ_->setDrainer(this);
+    outQ_->setFeeder(this);
     stats.name = std::move(name);
     stats.isStage = false;
 }
 
-void
-RAWorker::heartbeat(uint64_t n)
+SpscQueue&
+RAWorker::chainIn() const
 {
-    heartbeatCount_ += n;
-    if (heartbeatCount_ >= kHeartbeatInterval) {
-        heartbeatCount_ = 0;
-        // A streaming RA must not starve the runnable peers homed on
-        // its worker.
-        Scheduler::maybeYield();
-    }
+    const RAWorker* ra = this;
+    while (ra->inQ_->feeder() != nullptr)
+        ra = ra->inQ_->feeder();
+    return *ra->inQ_;
 }
 
-bool
-RAWorker::waitSlot()
+SpscQueue&
+RAWorker::chainOut() const
 {
-    // Stoppable: once every stage task halted, nothing reads the output
-    // ring any more, so the RA just exits.
-    return outQ_->hasFreeSlot() ||
-           waitBlocked(*ctl_, traceBuf, *outQ_, traceOutQ, QueueWait::kEnq,
-                       /*stoppable=*/true,
-                       [&] { return outQ_->hasFreeSlot(); });
-}
-
-bool
-RAWorker::waitPop(ir::Value& v)
-{
-    // An empty input after shutdown is the normal RA exit path (RAs
-    // never see an end-of-stream value).
-    return inQ_->tryPop(v) ||
-           waitBlocked(*ctl_, traceBuf, *inQ_, traceInQ, QueueWait::kDeq,
-                       /*stoppable=*/true, [&] { return inQ_->tryPop(v); });
+    const RAWorker* ra = this;
+    while (ra->outQ_->drainer() != nullptr)
+        ra = ra->outQ_->drainer();
+    return *ra->outQ_;
 }
 
 void
@@ -558,76 +663,103 @@ RAWorker::emit(const ir::Value& v)
 }
 
 void
-RAWorker::run()
+RAWorker::traceService(uint64_t t0, size_t n)
 {
-    runLoop();
-    if (traceBuf) {
-        uint64_t t = traceBuf->now();
-        traceBuf->record(trace::EventKind::kHalt, -1, t, t);
+    if (traceBuf != nullptr && n > 0)
+        traceBuf->record(trace::EventKind::kRaService, traceOutQ, t0,
+                         traceBuf->now(), n);
+}
+
+bool
+RAWorker::step(size_t* pushed)
+{
+    if (phase_ == Phase::kScanning) {
+        if (scanCur_ < scanEnd_) {
+            // Stream the rest of the range as one batch per ring refill:
+            // elements are published with a single release store, which
+            // is where the RA's native-speed advantage comes from. The
+            // reserved slot makes it at least one.
+            size_t want = static_cast<size_t>(scanEnd_ - scanCur_);
+            size_t n = outQ_->pushBatch(want, [&](size_t k) {
+                return array_->load(scanCur_ + static_cast<int64_t>(k));
+            });
+            scanCur_ += static_cast<int64_t>(n);
+            stats.raElements += n;
+            *pushed += n;
+            return true;
+        }
+        phase_ = Phase::kIdle;
+        if (cfg_.emitRangeCtrl) {
+            emit(ir::Value::makeControl(cfg_.rangeCtrlCode));
+            stats.raCtrlForwarded++;
+            ++*pushed;
+            return true;
+        }
     }
+
+    ir::Value e;
+    if (!inQ_->tryPop(e))
+        return false;
+    if (e.isControl()) {
+        // Control values pass through RAs, delimiting streams.
+        phase_ = Phase::kIdle;
+        stats.raCtrlForwarded++;
+        emit(e);
+        ++*pushed;
+    } else if (cfg_.mode == ir::RAMode::kIndirect) {
+        emit(array_->load(e.asInt()));
+        stats.raElements++;
+        ++*pushed;
+    } else if (phase_ == Phase::kIdle) {
+        pendingStart_ = e.asInt();
+        phase_ = Phase::kHaveStart;
+    } else {
+        scanCur_ = pendingStart_;
+        scanEnd_ = e.asInt();
+        phase_ = Phase::kScanning;
+    }
+    return true;
+}
+
+size_t
+RAWorker::pumpOut()
+{
+    uint64_t t0 = traceBuf != nullptr ? traceBuf->now() : 0;
+    size_t pushed = 0;
+    // One RAEntity::step per iteration: reserve an output slot first, so
+    // whatever the step takes off the input can always be passed on.
+    while (outQ_->hasFreeSlot()) {
+        if (step(&pushed))
+            continue;
+        // The input ran dry: refill it from the RA upstream, if any.
+        RAWorker* up = inQ_->feeder();
+        if (up == nullptr || up->pumpOut() == 0)
+            break;
+    }
+    traceService(t0, pushed);
+    return pushed;
 }
 
 void
-RAWorker::runLoop()
+RAWorker::pumpIn()
 {
-    enum class Phase : uint8_t { kIdle, kHaveStart, kScanning };
-    Phase phase = Phase::kIdle;
-    int64_t pending_start = 0;
-    int64_t scan_cur = 0;
-    int64_t scan_end = 0;
-
-    // One RAEntity::step per iteration: reserve an output slot first, so
-    // whatever the step takes off the input can always be passed on.
-    while (waitSlot()) {
-        if (phase == Phase::kScanning) {
-            if (scan_cur < scan_end) {
-                // Stream the rest of the range as one batch per ring
-                // refill: elements are published with a single release
-                // store, which is where the RA's native-speed advantage
-                // comes from. The reserved slot makes it at least one.
-                size_t want = static_cast<size_t>(scan_end - scan_cur);
-                uint64_t t0 = traceBuf ? traceBuf->now() : 0;
-                size_t pushed = outQ_->pushBatch(want, [&](size_t k) {
-                    return array_->load(scan_cur + static_cast<int64_t>(k));
-                });
-                if (traceBuf)
-                    traceBuf->record(trace::EventKind::kRaService,
-                                     traceOutQ, t0, traceBuf->now(),
-                                     pushed);
-                heartbeat(pushed);
-                scan_cur += static_cast<int64_t>(pushed);
-                stats.raElements += pushed;
-                continue;
-            }
-            phase = Phase::kIdle;
-            if (cfg_.emitRangeCtrl) {
-                emit(ir::Value::makeControl(cfg_.rangeCtrlCode));
-                stats.raCtrlForwarded++;
-                continue;
-            }
+    uint64_t t0 = traceBuf != nullptr ? traceBuf->now() : 0;
+    size_t pushed = 0;
+    for (;;) {
+        if (!outQ_->hasFreeSlot()) {
+            // The output is full: make room by draining the RA
+            // downstream, if any.
+            RAWorker* down = outQ_->drainer();
+            if (down == nullptr)
+                break;
+            down->pumpIn();
+            if (!outQ_->hasFreeSlot())
+                break;
         }
-
-        ir::Value e;
-        if (!waitPop(e))
-            return;
-        heartbeat(1);
-        if (e.isControl()) {
-            // Control values pass through RAs, delimiting streams.
-            phase = Phase::kIdle;
-            stats.raCtrlForwarded++;
-            emit(e);
-        } else if (cfg_.mode == ir::RAMode::kIndirect) {
-            emit(array_->load(e.asInt()));
-            stats.raElements++;
-        } else if (phase == Phase::kIdle) {
-            pending_start = e.asInt();
-            phase = Phase::kHaveStart;
-        } else {
-            scan_cur = pending_start;
-            scan_end = e.asInt();
-            phase = Phase::kScanning;
-        }
+        if (!step(&pushed))
+            break;
     }
+    traceService(t0, pushed);
 }
 
 } // namespace phloem::rt

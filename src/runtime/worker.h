@@ -6,17 +6,18 @@
  * A StageWorker runs one stage's sim::flatten instruction stream,
  * pre-decoded (runtime/decode.h), through the same functional core the
  * simulator uses (sim/eval.h), so the two backends agree bit-for-bit.
- * Queue ops block on the SPSC rings through waitBlocked() below;
- * control values arriving at a kDeq with a handler transfer to the
- * handler pc exactly as the simulated hardware does.
+ * A blocked queue op pumps the RA beside its ring, if any, then parks
+ * (waitBlocked in worker.cc); control values arriving at a kDeq with a
+ * handler transfer to the handler pc exactly as the simulated hardware
+ * does.
  *
  * An RAWorker replays sim/machine.cc's RAEntity state machine in
  * software: indirect mode turns dequeued indices into loaded elements;
  * scan mode streams [start, end) ranges, optionally delimited with a
  * range control value. Control values pass through unchanged. Like a
- * stage, an RA holds no value outside its rings. RA workers never write
- * memory, so they can be shut down as soon as every stage task has
- * halted.
+ * stage, an RA holds no value outside its rings. An RA is not a task:
+ * its replica's stages pump it from their blocked queue ops, so a run
+ * is complete once every stage task has halted.
  */
 
 #ifndef PHLOEM_RUNTIME_WORKER_H
@@ -80,15 +81,13 @@ struct RuntimeOptions
 };
 
 /**
- * Run-wide shared control state: the shutdown/abort flags, the run's
- * scheduler task group, and the first error.
+ * Run-wide shared control state: the abort flag, the run's scheduler
+ * task group, and the first error.
  */
 struct RunControl
 {
     RuntimeOptions opt;
 
-    /** All stage tasks have halted; RA workers drain and exit. */
-    std::atomic<bool> stop{false};
     /** A worker failed (exception, deadlock, budget); everyone unwinds. */
     std::atomic<bool> abortFlag{false};
 
@@ -123,96 +122,6 @@ struct RunControl
         return abortFlag.load(std::memory_order_acquire);
     }
 };
-
-/**
- * The one step of every blocked wait (queue op or barrier): false once
- * the run has aborted, or stopped for a `stoppable` wait. Otherwise it
- * parks the calling task on pt.list until a notifier or an abort wakes
- * it, and returns true so the caller re-checks its condition. Deadlock
- * detection is the scheduler's all-parked monitor, whose fail() the
- * abort check here observes once the task is woken.
- */
-inline bool
-parkStep(RunControl& ctl, bool stoppable, const ParkTarget& pt)
-{
-    if (ctl.aborted() ||
-        (stoppable && ctl.stop.load(std::memory_order_acquire)))
-        return false;
-    // Park straight away: every task is homed, so the peer that would
-    // satisfy this wait usually shares the worker and cannot run until
-    // we switch out; spinning would only delay it.
-    Scheduler::parkCurrent(pt, ctl, stoppable);
-    return true;
-}
-
-/** Which side of a ring a blocked queue op waits on. */
-enum class QueueWait : uint8_t {
-    kEnq,   ///< producer: the ring is full
-    kDeq,   ///< consumer: the ring is empty
-    kPeek,  ///< consumer reading the front without popping
-};
-
-/** "enq", "deq" or "peek": park diagnostics and deadlock reports. */
-inline const char*
-queueWaitName(QueueWait kind)
-{
-    switch (kind) {
-      case QueueWait::kEnq:
-        return "enq";
-      case QueueWait::kDeq:
-        return "deq";
-      case QueueWait::kPeek:
-        break;
-    }
-    return "peek";
-}
-
-/**
- * The blocked path of every queue op, entered once its inline fast path
- * failed: count the block on the ring, then retry `attempt`, parking on
- * the ring's waiter list between tries (parkStep), until it succeeds or
- * the run stops. Returns true iff the op completed. Every outcome
- * records the wait as one trace span on `tb` (null when tracing is
- * off). `stoppable` waits also end on RunControl::stop.
- */
-template <typename Attempt>
-bool
-waitBlocked(RunControl& ctl, trace::TraceBuffer* tb, SpscQueue& q, int abs_q,
-            QueueWait kind, bool stoppable, Attempt&& attempt)
-{
-    const bool enq = kind == QueueWait::kEnq;
-    if (enq)
-        q.noteEnqBlocked();
-    else
-        q.noteDeqBlocked();
-    uint64_t t0 = tb != nullptr ? tb->now() : 0;
-
-    ParkTarget pt;
-    pt.list = enq ? &q.waiters().producers : &q.waiters().consumers;
-    if (enq) {
-        pt.ready = [](const ParkTarget& p) {
-            const auto* ring = static_cast<const SpscQueue*>(p.obj);
-            return ring->sizeApprox() <
-                   static_cast<size_t>(ring->capacity());
-        };
-    } else {
-        pt.ready = [](const ParkTarget& p) {
-            return static_cast<const SpscQueue*>(p.obj)->sizeApprox() > 0;
-        };
-    }
-    pt.obj = &q;
-    pt.what = queueWaitName(kind);
-    pt.q = abs_q;
-
-    bool ok = attempt();
-    while (!ok && parkStep(ctl, stoppable, pt))
-        ok = attempt();
-    if (tb != nullptr)
-        tb->record(enq ? trace::EventKind::kEnqBlock
-                       : trace::EventKind::kDeqBlock,
-                   abs_q, t0, tb->now());
-    return ok;
-}
 
 /**
  * Sense-reversing barrier for the pipeline's stage workers (kBarrier).
@@ -355,47 +264,77 @@ class StageWorker
 };
 
 /**
- * One software reference accelerator as a pool task: the native twin of
- * sim/machine.cc's RAEntity::step. Each step first waits for a free slot
- * on the output ring, then pops one input value and passes it on, so no
- * value ever sits outside a ring.
+ * One software reference accelerator: the native twin of
+ * sim/machine.cc's RAEntity::step, run by its replica's stages rather
+ * than as a task of its own. A stage whose queue op finds an RA's
+ * output ring empty pumps the RA forward (pumpOut); one that finds an
+ * RA's input ring full pumps it onward (pumpIn). Each step first
+ * reserves a free slot on the output ring, then pops one input value
+ * and passes it on, so no value ever sits outside a ring; the step's
+ * state lives here between pumps. Pumps run only on the replica's home
+ * worker: the RA is the only producer of its output ring and the only
+ * consumer of its input ring, and that ring's producer is one stage of
+ * the same replica.
  */
 class RAWorker
 {
   public:
+    /** Registers itself as in_q's drainer and out_q's feeder. */
     RAWorker(std::string name, const ir::RAConfig& cfg,
-             sim::ArrayBuffer* array, SpscQueue* in_q, SpscQueue* out_q,
-             RunControl* ctl);
+             sim::ArrayBuffer* array, SpscQueue* in_q, SpscQueue* out_q);
 
-    /** Task body: service requests until shutdown. */
-    void run();
+    RAWorker(const RAWorker&) = delete;
+    RAWorker& operator=(const RAWorker&) = delete;
+
+    /**
+     * Step while the output ring has a free slot, pulling the upstream
+     * RA when the input ring runs dry. Returns the values pushed.
+     */
+    size_t pumpOut();
+    /**
+     * Step while the input ring holds work, draining the downstream RA
+     * when the output ring is full.
+     */
+    void pumpIn();
+
+    /**
+     * The first input ring of this RA's chain (the ring a stage feeds)
+     * and the last output ring (the ring a stage drains): where a stage
+     * that pumped in vain parks, as consumer and producer respectively.
+     */
+    SpscQueue& chainIn() const;
+    SpscQueue& chainOut() const;
 
     WorkerStats stats;
 
-    /** This worker's trace ring, or null when tracing is off. */
+    /** This RA's trace lane, or null when tracing is off. */
     trace::TraceBuffer* traceBuf = nullptr;
-    /** Absolute ids of inQ_/outQ_ for trace attribution (-1 unset). */
-    int traceInQ = -1;
+    /** Absolute id of outQ_ for trace attribution (-1 unset). */
     int traceOutQ = -1;
 
   private:
-    /** Service loop (run() wraps it to trace the halt). */
-    void runLoop();
-    /** Wait for a free output slot; false on shutdown/abort. */
-    bool waitSlot();
-    /** Pop one input value; false on shutdown/abort. */
-    bool waitPop(ir::Value& v);
-    /** Push into the slot waitSlot found free. */
-    void emit(const ir::Value& v);
-    /** Count serviced values; every kHeartbeatInterval, maybeYield. */
-    void heartbeat(uint64_t n);
+    enum class Phase : uint8_t { kIdle, kHaveStart, kScanning };
 
-    uint64_t heartbeatCount_ = 0;
+    /**
+     * One RAEntity::step with the output slot already reserved: adds
+     * the values it pushes to *pushed, and returns false when it needs
+     * an input value and the input ring is empty.
+     */
+    bool step(size_t* pushed);
+    /** Push into the slot the caller found free. */
+    void emit(const ir::Value& v);
+    /** Record one kRaService span for a pump that pushed n > 0 values. */
+    void traceService(uint64_t t0, size_t n);
+
     ir::RAConfig cfg_;
     sim::ArrayBuffer* array_;
     SpscQueue* inQ_;
     SpscQueue* outQ_;
-    RunControl* ctl_;
+
+    Phase phase_ = Phase::kIdle;
+    int64_t pendingStart_ = 0;
+    int64_t scanCur_ = 0;
+    int64_t scanEnd_ = 0;
 };
 
 } // namespace phloem::rt

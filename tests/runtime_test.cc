@@ -1046,6 +1046,215 @@ TEST(NativeRuntime, IndirectRaStrandsNothing)
         << stats.error;
 }
 
+// ---------------------------------------------------------------------
+// Reference accelerators run inside their replica's stages.
+// ---------------------------------------------------------------------
+
+TEST(NativeRuntime, RaInputDrainedByItsProducer)
+{
+    // The producer pushes cap(in) + cap(out)/2 indices into an indirect
+    // RA while its consumer waits on a separate "go" ring, so no
+    // consumer pumps the RA yet. The producer's blocked enq must pump
+    // the RA itself, moving indices on into the output ring, or the
+    // run deadlocks with the input ring full.
+    auto pipeline = std::make_unique<ir::Pipeline>();
+    pipeline->name = "ra-producer-pump";
+    {
+        ir::FunctionBuilder b("produce");
+        ir::RegId count = b.scalarParam("n");
+        b.forRange(b.constI(0), count, [&](ir::RegId i) { b.enq(0, i); });
+        b.enq(2, b.constI(1));
+        pipeline->stages.push_back(b.finish());
+    }
+    {
+        ir::FunctionBuilder b("consume");
+        ir::ArrayId out = b.arrayParam("out", ir::ElemType::kI64, true);
+        ir::RegId count = b.scalarParam("n");
+        ir::RegId v = b.newReg("v");
+        b.deqTo(2, v);
+        b.forRange(b.constI(0), count, [&](ir::RegId i) {
+            b.deqTo(1, v);
+            b.store(out, i, v);
+        });
+        pipeline->stages.push_back(b.finish());
+    }
+    ir::RAConfig ra;
+    ra.mode = ir::RAMode::kIndirect;
+    ra.arrayName = "table";
+    ra.inQueue = 0;
+    ra.outQueue = 1;
+    pipeline->ras.push_back(ra);
+    for (int id = 0; id < 3; ++id) {
+        ir::QueueConfig qc;
+        qc.id = id;
+        qc.depth = 4;
+        pipeline->queues.push_back(qc);
+    }
+    const std::vector<int> caps =
+        rt::ringCapacities(*pipeline, sim::SysConfig{});
+    ASSERT_EQ(caps, (std::vector<int>{256, 256, 256}));
+    const int64_t n = caps[0] + caps[1] / 2;
+
+    sim::Binding b;
+    auto* table =
+        b.makeArray("table", ir::ElemType::kI64, static_cast<size_t>(n));
+    for (int64_t i = 0; i < n; ++i)
+        table->setInt(i, 3 * i + 1);
+    b.makeArray("out", ir::ElemType::kI64, static_cast<size_t>(n));
+    b.setScalarInt("n", n);
+
+    rt::Scheduler::Options sopt;
+    sopt.workers = 1;
+    rt::Scheduler pool(sopt);
+    rt::RuntimeOptions opt;
+    opt.schedulerOverride = &pool;
+    opt.deadlockTimeoutMs = 1000;
+    rt::Runtime runtime(sim::SysConfig{}, opt);
+    rt::NativeStats stats = runtime.runPipeline(*pipeline, b);
+    ASSERT_TRUE(stats.ok) << stats.error;
+    for (int64_t i = 0; i < n; ++i)
+        ASSERT_EQ(b.array("out")->atInt(i), 3 * i + 1) << "index " << i;
+}
+
+TEST(NativeRuntime, ChainedRasPumpAtDepthOne)
+{
+    // stage -> indirect RA -> scan RA -> stage, every queue at depth 1
+    // (64-slot rings): "produce" sends index pairs (i, i+1), the
+    // indirect RA turns them into offs[i], offs[i+1], and the scan RA
+    // streams vals over each range, so "consume" reads vals[offs[0]..]
+    // in order. A consumer that finds the scan RA's input dry must pull
+    // the indirect RA upstream, and wait on the chain's first ring.
+    // "consume" is stage 0, so on one worker it runs, finds the chain
+    // dry and parks first; with n = 10 the producer never fills a ring,
+    // so only its pushes into that first ring can wake the consumer.
+    auto pipeline = std::make_unique<ir::Pipeline>();
+    pipeline->name = "ra-chain";
+    {
+        ir::FunctionBuilder b("consume");
+        ir::ArrayId out = b.arrayParam("out", ir::ElemType::kI64, true);
+        ir::RegId total = b.scalarParam("total");
+        ir::RegId v = b.newReg("v");
+        b.forRange(b.constI(0), total, [&](ir::RegId k) {
+            b.deqTo(2, v);
+            b.store(out, k, v);
+        });
+        pipeline->stages.push_back(b.finish());
+    }
+    {
+        ir::FunctionBuilder b("produce");
+        ir::RegId count = b.scalarParam("n");
+        ir::RegId one = b.constI(1);
+        b.forRange(b.constI(0), count, [&](ir::RegId i) {
+            b.enq(0, i);
+            b.enq(0, b.add(i, one));
+        });
+        pipeline->stages.push_back(b.finish());
+    }
+    ir::RAConfig offs;
+    offs.mode = ir::RAMode::kIndirect;
+    offs.arrayName = "offs";
+    offs.inQueue = 0;
+    offs.outQueue = 1;
+    pipeline->ras.push_back(offs);
+    ir::RAConfig scan;
+    scan.mode = ir::RAMode::kScan;
+    scan.arrayName = "vals";
+    scan.inQueue = 1;
+    scan.outQueue = 2;
+    pipeline->ras.push_back(scan);
+    for (int id = 0; id < 3; ++id) {
+        ir::QueueConfig qc;
+        qc.id = id;
+        qc.depth = 1;
+        pipeline->queues.push_back(qc);
+    }
+    EXPECT_EQ(rt::ringCapacities(*pipeline, sim::SysConfig{}),
+              (std::vector<int>{64, 64, 64}));
+
+    auto bind = [](sim::Binding& b, int n) {
+        Rng rng(11);
+        auto* o = b.makeArray("offs", ir::ElemType::kI64,
+                              static_cast<size_t>(n) + 1);
+        int64_t at = 5;
+        for (int i = 0; i <= n; ++i) {
+            o->setInt(i, at);
+            at += static_cast<int64_t>(rng.nextBounded(8));
+        }
+        auto* vals = b.makeArray("vals", ir::ElemType::kI64,
+                                 static_cast<size_t>(at));
+        for (int64_t k = 0; k < at; ++k)
+            vals->setInt(k, 1000 + 7 * k);
+        const int64_t total = o->atInt(n) - o->atInt(0);
+        b.makeArray("out", ir::ElemType::kI64, static_cast<size_t>(total));
+        b.setScalarInt("n", n);
+        b.setScalarInt("total", total);
+        return total;
+    };
+
+    rt::Scheduler::Options sopt;
+    sopt.workers = 1;
+    rt::Scheduler pool(sopt);
+    rt::RuntimeOptions opt;
+    opt.schedulerOverride = &pool;
+    opt.deadlockTimeoutMs = 1000;
+    rt::Runtime runtime(sim::SysConfig{}, opt);
+    for (int n : {10, 777}) {
+        sim::Binding nb;
+        const int64_t total = bind(nb, n);
+        rt::NativeStats stats = runtime.runPipeline(*pipeline, nb);
+        ASSERT_TRUE(stats.ok) << "n=" << n << ": " << stats.error;
+        for (int64_t k = 0; k < total; ++k)
+            ASSERT_EQ(nb.array("out")->atInt(k), 1000 + 7 * (5 + k))
+                << "n=" << n << ", index " << k;
+
+        sim::Binding sb;
+        bind(sb, n);
+        sim::Machine machine(test::testConfig());
+        auto sstats = machine.runPipeline(*pipeline, sb);
+        ASSERT_FALSE(sstats.deadlock) << sstats.deadlockInfo;
+        EXPECT_TRUE(sb.array("out")->contentEquals(*nb.array("out")))
+            << "n=" << n;
+    }
+}
+
+TEST(NativeRuntime, RunSchedulesOnlyStageTasks)
+{
+    // A reference accelerator is no task: a run starts one task per
+    // stage per replica, however many RAs its stages pump. Each replica
+    // runs the whole filter into its own "out".
+    auto kernel = fe::compileKernel(kFilterKernel);
+    comp::CompileOptions copts;
+    copts.numStages = 4;
+    copts.replicas = 2;
+    auto res = comp::compilePipeline(*kernel.fn, copts);
+    ASSERT_TRUE(res.ok());
+    const ir::Pipeline& p = *res.pipeline;
+    ASSERT_EQ(p.replicas, 2);
+    ASSERT_FALSE(p.ras.empty());
+
+    rt::Scheduler::Options sopt;
+    sopt.workers = 2;
+    rt::Scheduler pool(sopt);
+    rt::RuntimeOptions opt;
+    opt.schedulerOverride = &pool;
+    rt::Runtime runtime(sim::SysConfig{}, opt);
+    sim::Binding b;
+    setupFilter(b);
+    const size_t n = b.array("out")->size();
+    for (int r = 0; r < p.replicas; ++r)
+        b.bindReplica(r, "out",
+                      b.makeArray("out@" + std::to_string(r),
+                                  ir::ElemType::kI64, n));
+    const uint64_t before = pool.counters().tasksStarted;
+    rt::NativeStats stats = runtime.runPipeline(p, b);
+    ASSERT_TRUE(stats.ok) << stats.error;
+    EXPECT_EQ(pool.counters().tasksStarted - before,
+              p.stages.size() * static_cast<size_t>(p.replicas));
+    EXPECT_EQ(stats.numRAWorkers,
+              static_cast<int>(p.ras.size()) * p.replicas);
+    EXPECT_TRUE(b.array("out@0")->contentEquals(*b.array("out@1")));
+}
+
 TEST(NativeRuntime, RingCapacityScalesDepthWithinBudget)
 {
     // A host ring holds kRingDepthScale (64) x its queue's architectural
@@ -1146,12 +1355,16 @@ TEST(NativeRuntime, SchedulerOversubscribedLivePipelineIsNotKilled)
     // pool workers must look like a busy machine, not a deadlock. On a
     // one-worker pool every task but one is descheduled (kRunnable) at
     // any instant, and the run far outlasts the 60 ms timeout — the
-    // wall-time heuristic this replaced would have killed it.
+    // wall-time heuristic this replaced would have killed it. Depth-1
+    // queues (64-slot rings) make the stages fill their rings and park.
     auto kernel = fe::compileKernel(kHeavyFilterKernel);
     comp::CompileOptions copts;
     copts.numStages = 8;
     auto res = comp::compilePipeline(*kernel.fn, copts);
     ASSERT_TRUE(res.ok());
+    ASSERT_FALSE(res.pipeline->queues.empty());
+    for (auto& qc : res.pipeline->queues)
+        qc.depth = 1;
 
     rt::Scheduler::Options sopt;
     sopt.workers = 1;
@@ -1171,8 +1384,8 @@ TEST(NativeRuntime, SchedulerOversubscribedLivePipelineIsNotKilled)
     EXPECT_GT(stats.wallMs(), opt.deadlockTimeoutMs) << stats.wallMs();
 
     EXPECT_EQ(stats.sched.poolSize, 1);
-    // >= 2x oversubscribed: every stage and RA shares the one worker.
-    EXPECT_GE(stats.numStageThreads + stats.numRAWorkers, 2);
+    // >= 2x oversubscribed: every stage task shares the one worker.
+    EXPECT_GE(stats.numStageThreads, 2);
     // Blocked tasks parked instead of spinning the pool.
     EXPECT_GT(stats.sched.parks, 0u);
     EXPECT_GT(stats.sched.unparks, 0u);
@@ -1428,14 +1641,14 @@ TEST(NativeRuntime, SchedulerFiberKeepsItsFpControlState)
     int fresh_mode = -1;
     // Same replica, same home: "setter" runs first, parks, then "peer"
     // runs on that worker and wakes it.
-    run->addTask("setter", /*is_stage=*/true, /*replica=*/0, [&] {
+    run->addTask("setter", /*replica=*/0, [&] {
         std::fesetround(FE_UPWARD);
         while (!go.load())
-            rt::Scheduler::parkCurrent(pt, ctl, /*stoppable=*/false);
+            rt::Scheduler::parkCurrent(pt, ctl);
         resumed_mode = std::fegetround();
         std::fesetround(FE_TONEAREST);
     });
-    run->addTask("peer", /*is_stage=*/true, /*replica=*/0, [&] {
+    run->addTask("peer", /*replica=*/0, [&] {
         peer_mode = std::fegetround();
         go.store(true);
         std::atomic_thread_fence(std::memory_order_seq_cst);
@@ -1443,7 +1656,7 @@ TEST(NativeRuntime, SchedulerFiberKeepsItsFpControlState)
             waiters.wakeAll();
     });
     std::fesetround(FE_DOWNWARD);
-    run->addTask("fresh", /*is_stage=*/true, /*replica=*/1,
+    run->addTask("fresh", /*replica=*/1,
                  [&] { fresh_mode = std::fegetround(); });
     std::fesetround(FE_TONEAREST);
     run->start();
