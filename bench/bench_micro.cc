@@ -99,8 +99,10 @@ BENCHMARK(BM_SimulatorThroughput);
  * Run `pipeline` once per iteration on a private one-worker pool, over
  * an n-element writable "out" array and scalar n, plus whatever `bind`
  * adds. The iteration time is the runtime's parallel region
- * (NativeStats::wallNs), not pipeline setup; ns_per_<unit> and
- * parks_per_<unit> divide by n per iteration.
+ * (NativeStats::wallNs), not pipeline setup; ns_per_<unit>,
+ * parks_per_<unit> and switches_per_<unit> divide by n per iteration.
+ * A switch is a queue block (enq plus deq blocks): the blocked stage
+ * hands its replica's loop to the next stage.
  */
 static void
 runOnOneWorker(benchmark::State& state, const ir::Pipeline& pipeline,
@@ -116,6 +118,7 @@ runOnOneWorker(benchmark::State& state, const ir::Pipeline& pipeline,
 
     double wall_ns = 0;
     uint64_t parks = 0;
+    uint64_t switches = 0;
     for (auto _ : state) {
         sim::Binding b;
         b.makeArray("out", ir::ElemType::kI64, static_cast<size_t>(n));
@@ -131,18 +134,21 @@ runOnOneWorker(benchmark::State& state, const ir::Pipeline& pipeline,
         state.SetIterationTime(stats.wallNs * 1e-9);
         wall_ns += stats.wallNs;
         parks += stats.sched.parks;
+        switches += stats.totalEnqBlocks() + stats.totalDeqBlocks();
     }
     const double units =
         static_cast<double>(n) * static_cast<double>(state.iterations());
     state.counters["ns_per_" + unit] = wall_ns / units;
     state.counters["parks_per_" + unit] = static_cast<double>(parks) / units;
+    state.counters["switches_per_" + unit] =
+        static_cast<double>(switches) / units;
 }
 
 /**
  * Native queue handoff cost: a two-stage ping-pong through depth-1
  * queues' rings on a private one-worker pool. "ping" enqueues i on q0
  * and waits for "pong" to echo it back on q1, so each value is one
- * round trip of two same-worker handoffs, each a park.
+ * round trip of two same-replica handoffs, each a stage switch.
  */
 static void
 BM_RingRoundTrip(benchmark::State& state)
@@ -188,7 +194,8 @@ BENCHMARK(BM_RingRoundTrip)->Arg(20000)->UseManualTime();
  * RA turns it into table[i] on q1, and "pong" stores that and echoes it
  * back on q2, all through depth-1 queues' rings on a private one-worker
  * pool. Each value crosses every ring once per round trip, and each
- * round trip parks as often as the runtime needs handoffs for it.
+ * round trip switches stages as often as the runtime needs handoffs
+ * for it.
  */
 static void
 BM_RaRoundTrip(benchmark::State& state)
@@ -243,11 +250,11 @@ BENCHMARK(BM_RaRoundTrip)->Arg(20000)->UseManualTime();
  * Native streaming cost: "produce" enqueues 0..n-1 into one
  * default-depth queue's ring and "consume" stores each value it
  * dequeues, on a private one-worker pool. The producer runs until the
- * ring is full, then the consumer until it is empty, so the two park
- * at most about once each per ring-full: parks_per_value <= ~2 / ring
- * capacity. A ring deeper than a heartbeat's worth of values parks
- * less still: every 4096 instructions a task yields to its runnable
- * peer, which hands the ring over without a park.
+ * ring is full, then the consumer until it is empty, so the two switch
+ * at most about once each per ring-full: switches_per_value <= ~2 /
+ * ring capacity. A ring deeper than a heartbeat's worth of values
+ * switches less still: every 4096 instructions a stage hands over to
+ * the next one, which takes the ring over without a block.
  */
 static void
 BM_RingStream(benchmark::State& state)

@@ -126,12 +126,42 @@ synthesizeBinding(const ir::Function& fn, int64_t size,
     }
 }
 
+namespace {
+
+/** Does any stage distribute its stream over the replicas (kEnqDist)? */
+bool
+distributes(const std::vector<sim::Program>& programs)
+{
+    for (const auto& prog : programs)
+        for (const auto& inst : prog.code)
+            if (inst.kind == sim::Inst::Kind::kOp &&
+                inst.opcode == ir::Opcode::kEnqDist)
+                return true;
+    return false;
+}
+
+} // namespace
+
 ExecOutcome
 runCompiled(const CompiledPipeline& cp, const RunSpec& spec,
             sim::Binding& binding)
 {
     ExecOutcome out;
     const std::string& name = cp.kernel.fn->name;
+    const int replicas = cp.compiled.pipeline->replicas;
+    if (replicas > 1 && !distributes(cp.programs)) {
+        // One synthesized binding has one copy of every array, so the
+        // replicas would each redo the whole kernel over it and race on
+        // its outputs.
+        out.error = name + ": #pragma replicate " + std::to_string(replicas) +
+                    " without distribution would run " +
+                    std::to_string(replicas) +
+                    " whole copies of the kernel over one set of arrays; "
+                    "add a #pragma distribute boundary, or drop replicate";
+        out.native.ok = false;
+        out.native.error = out.error;
+        return out;
+    }
     auto t0 = Clock::now();
     if (spec.backend == Backend::kNative) {
         rt::RuntimeOptions ropts;

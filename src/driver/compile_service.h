@@ -95,9 +95,10 @@ struct RunSpec
     int64_t size = 4096;
     sim::SysConfig cfg;
     /**
-     * Native deadlock timeout: ends a run in which every live task has
-     * stayed parked this long. A run that keeps computing is bounded
-     * only by maxInstructions.
+     * Native deadlock timeout: ends a run in which every replica has
+     * stayed parked this long on waits across replicas (a replica
+     * deadlocked on its own fails at once). A run that keeps computing
+     * is bounded only by maxInstructions.
      */
     int deadlockTimeoutMs = 10000;
     /** Dynamic instruction budget per worker (runaway backstop). */
@@ -153,7 +154,10 @@ void synthesizeBinding(const ir::Function& fn, int64_t size,
  * Native runs reuse the pipeline's pre-flattened programs (no
  * per-request flatten); sim runs include the Fig. 11 energy gauges in
  * the metrics run. Deadlocks and worker failures come back as
- * ok=false with the backend's diagnostic.
+ * ok=false with the backend's diagnostic. So does, on both backends
+ * and before running anything, a pipeline replicated without a
+ * distribute boundary: its replicas would share the binding's one copy
+ * of every array.
  */
 ExecOutcome runCompiled(const CompiledPipeline& cp, const RunSpec& spec,
                        sim::Binding& binding);

@@ -1,32 +1,29 @@
 /**
  * @file
- * Parking primitives shared between the SPSC rings and the task
- * scheduler: the waiter lists a blocked task registers on, and the
- * ParkTarget descriptor a blocking wait hands to the scheduler.
+ * Parking primitives shared between the rings, the stage barrier and
+ * the task scheduler: the waiter lists a parked task registers on, and
+ * the ParkTarget descriptor that names one wait.
  *
- * This header is deliberately tiny and free of scheduler internals so
- * queue.h can embed waiter lists without pulling in fibers or worker
- * pools. The lifecycle contract:
+ * Only a wait that crosses replicas parks. A stage waiting on its own
+ * replica's rings is switched out by its replica's loop (worker.h:
+ * Replica), which runs on one pool worker; a replica task parks only
+ * when each of its live stages is blocked and some wait on a ring that
+ * other replicas push into (a multi-producer distribute ring) or on a
+ * barrier whose parties span replicas. So a waiter list belongs to one
+ * of those, and its parker and notifier can run on different OS
+ * threads. The lifecycle contract:
  *
- *   parker:   state = Parking; list->add(self); seq_cst fence;
- *             re-check condition; park or cancel (sched.cc).
- *   notifier: perform the push/pop; seq_cst fence; if the list is
- *             non-empty, wake every waiter.
+ *   parker:   state = Parking; list->add(task) for every target;
+ *             seq_cst fence; re-check every target; park or cancel
+ *             (Scheduler::park in sched.cc).
+ *   notifier: perform the push/pop/arrival; seq_cst fence; if the list
+ *             is non-empty, wake every waiter.
  *
  * The symmetric fences are the Dekker handshake that makes a lost
  * wakeup impossible: either the parker's re-check observes the
  * notifier's operation, or the notifier's list check observes the
- * parker's registration. Spurious wakeups are allowed and handled by
- * the wait loops (they re-check the ring and re-park).
- *
- * The notifier's fence and the list's lock are needed only where the
- * parker and the notifier can run on different OS threads. A list is
- * *home-local* when every task that registers on it or wakes through
- * it runs on one pool worker's thread (sched.h: a replica's tasks share
- * one home): those tasks run one at a time, so program order alone
- * decides which side sees the other, and the list takes no lock. The
- * parker keeps its fence either way; it also pairs with the abort
- * wakes that SchedRun::wakeAllTasks sends from other threads.
+ * parker's registration. Spurious wakeups are allowed: a woken replica
+ * runs its stages again and re-parks if nothing moved.
  */
 
 #ifndef PHLOEM_RUNTIME_PARK_H
@@ -42,23 +39,16 @@ namespace phloem::rt {
 class Task;
 
 /**
- * A list of tasks blocked on one condition (one side of a ring, or a
- * barrier). A shared list is spinlocked, the lock held only for
- * pointer insert/remove; wakers take waiters off under the lock and
- * unpark them outside it. A home-local list (see above) skips the
- * lock. Multi-producer rings can have several blocked producers, so
- * this is a list, not a slot.
+ * A list of tasks parked on one condition (one side of a distribute
+ * ring, or a barrier). It is spinlocked, the lock held only for pointer
+ * insert/remove; wakers take waiters off under the lock and unpark them
+ * outside it. Several replicas can wait on one distribute ring, so this
+ * is a list, not a slot.
  */
 class WaitList
 {
   public:
-    /** A new list is shared; rings mark theirs home-local. */
-    explicit WaitList(bool shared = true) : shared_(shared) {}
-
-    /** Make the list shared; call before any task uses it. */
-    void setShared() { shared_ = true; }
-
-    /** Cheap notifier-side check; on a shared list, call after a fence. */
+    /** Cheap notifier-side check; call after the notifier's fence. */
     bool
     empty() const
     {
@@ -118,41 +108,34 @@ class WaitList
     void
     lock()
     {
-        if (!shared_)
-            return;
         while (lock_.exchange(true, std::memory_order_acquire)) {
         }
     }
 
-    void
-    unlock()
-    {
-        if (shared_)
-            lock_.store(false, std::memory_order_release);
-    }
+    void unlock() { lock_.store(false, std::memory_order_release); }
 
-    bool shared_;
     std::atomic<bool> lock_{false};
     std::atomic<int> count_{0};
     std::vector<Task*> items_;
 };
 
 /**
- * Waiter slots for one ring: blocked producers and the consumer.
- * Home-local until the ring is marked multi-producer.
+ * Waiter lists for one ring: replicas parked on its producer side (the
+ * ring is full) and on its consumer side (empty). Only a multi-producer
+ * ring ever has waiters.
  */
 struct QueueWaiters
 {
-    WaitList producers{/*shared=*/false};
-    WaitList consumers{/*shared=*/false};
+    WaitList producers;
+    WaitList consumers;
 };
 
 /**
- * Where a blocked wait parks and how to re-check its condition.
+ * One wait a parking task registers for, and how to re-check it.
  * `ready` must be a pure read of shared state (fresh acquire loads);
- * the scheduler calls it between registering on `list` and actually
- * yielding the worker, and cannot-miss semantics come from the fence
- * pairing described above. `list` must not be null.
+ * the scheduler calls it between registering on `list` and parking,
+ * and cannot-miss semantics come from the fence pairing described
+ * above. `list` must not be null.
  */
 struct ParkTarget
 {
@@ -160,8 +143,6 @@ struct ParkTarget
     bool (*ready)(const ParkTarget&) = nullptr;
     const void* obj = nullptr;  ///< queue or barrier the wait is on
     uint64_t arg = 0;           ///< e.g. the barrier generation awaited
-    const char* what = "";      ///< "enq"/"deq"/"peek"/"barrier"
-    int q = -1;                 ///< absolute queue id for diagnostics
 };
 
 } // namespace phloem::rt

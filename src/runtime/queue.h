@@ -18,16 +18,17 @@
  *    full/empty, which removes most cross-core coherence traffic;
  *  - tryPush/tryPop never block. A stage's blocked op (waitBlocked in
  *    runtime/worker.cc) first pumps the reference accelerator on the
- *    other side of the ring, if one feeds or drains it, then parks its
- *    task on a ring's waiter lists; each successful op wakes the other
- *    side's waiters.
+ *    other side of the ring, if one feeds or drains it, then leaves its
+ *    op pending and lets its replica's loop run another stage.
  *
  * Queues targeted by kEnqDist have one producer *per replica*; those are
  * marked multi-producer and pushes serialize on a tiny spinlock (the
  * consumer side stays lock-free). They are also the only rings whose
- * endpoints run on different pool workers, so only they pay the
- * notifier's fence and lock their waiter lists (park.h); every other
- * ring's producer, consumer and waiters share one home worker.
+ * endpoints run in different replicas, so only they have waiters: a
+ * replica whose stages can move only once such a ring changes parks on
+ * its waiter lists (park.h), and only their pushes and pops pay the
+ * notifier's fence. Every other ring's producer and consumer are stages
+ * (or pumped RAs) of one replica, run by one loop on one thread.
  */
 
 #ifndef PHLOEM_RUNTIME_QUEUE_H
@@ -79,16 +80,13 @@ class SpscQueue
     int capacity() const { return capacity_; }
 
     /** Mark the ring multi-producer before any endpoint uses it. */
-    void
-    setMultiProducer()
-    {
-        multiProducer_ = true;
-        waiters_.producers.setShared();
-        waiters_.consumers.setShared();
-    }
+    void setMultiProducer() { multiProducer_ = true; }
     bool multiProducer() const { return multiProducer_; }
 
-    /** The tasks parked on this ring: blocked producers and consumer. */
+    /**
+     * The replica tasks parked on this ring's producer and consumer
+     * sides; only a multi-producer ring has any.
+     */
     QueueWaiters& waiters() { return waiters_; }
 
     /**
@@ -240,17 +238,17 @@ class SpscQueue
   private:
     /**
      * Notifier side of the parking handshake (park.h): after making
-     * data visible, wake blocked consumers. On a multi-producer ring
-     * the seq_cst fence orders our index store before the waiter-list
-     * check — the Dekker mirror of the parker's register-then-recheck.
-     * Any other ring's parker runs on this thread, so it is either
-     * already on the list or has yet to re-check the ring.
+     * data visible on a multi-producer ring, wake the replicas parked
+     * on its consumer side. The seq_cst fence orders our index store
+     * before the waiter-list check — the Dekker mirror of the parker's
+     * register-then-recheck. No task ever parks on another ring.
      */
     void
     notifyData()
     {
-        if (multiProducer_)
-            std::atomic_thread_fence(std::memory_order_seq_cst);
+        if (!multiProducer_)
+            return;
+        std::atomic_thread_fence(std::memory_order_seq_cst);
         if (!waiters_.consumers.empty())
             waiters_.consumers.wakeAll();
     }
@@ -259,8 +257,9 @@ class SpscQueue
     void
     notifySpace()
     {
-        if (multiProducer_)
-            std::atomic_thread_fence(std::memory_order_seq_cst);
+        if (!multiProducer_)
+            return;
+        std::atomic_thread_fence(std::memory_order_seq_cst);
         if (!waiters_.producers.empty())
             waiters_.producers.wakeAll();
     }
@@ -400,7 +399,7 @@ class SpscQueue
     alignas(64) std::atomic<bool> pushLock_{false};
     std::atomic<uint64_t> enqBlocks_{0};
 
-    /** Parked tasks; both sides read the counts after every op. */
+    /** Parked replicas; read only on a multi-producer ring. */
     alignas(64) QueueWaiters waiters_;
 };
 

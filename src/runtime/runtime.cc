@@ -30,17 +30,6 @@ elapsedNs(Clock::time_point t0, Clock::time_point t1)
             .count());
 }
 
-/** Task body of every stage: route exceptions to RunControl. */
-void
-workerMain(StageWorker& worker, RunControl& ctl)
-{
-    try {
-        worker.run();
-    } catch (const std::exception& e) {
-        ctl.fail(worker.stats.name + ": " + e.what());
-    }
-}
-
 /** Queue-id stride between replicas, matching the simulator exactly. */
 int
 queueStride(const ir::Pipeline& pipeline)
@@ -111,9 +100,10 @@ Runtime::runPipeline(const ir::Pipeline& pipeline, sim::Binding& binding,
     int stages_per_replica = static_cast<int>(pipeline.stages.size());
     int total_threads = stages_per_replica * replicas;
     phloem_assert(total_threads >= 1, "pipeline has no stages");
-    // Tasks, not threads: a wide pipeline costs stacks, not cores.
+    // Stage contexts, not threads: a wide pipeline costs memory, not
+    // cores.
     phloem_assert(total_threads <= 4096,
-                  "refusing to schedule that many tasks");
+                  "refusing to schedule that many stages");
 
     // Build the rings, each a multiple of its architectural depth.
     int num_queues = stride * replicas;
@@ -166,7 +156,7 @@ Runtime::runPipeline(const ir::Pipeline& pipeline, sim::Binding& binding,
     RunControl ctl;
     ctl.opt = opt_;
 
-    StageBarrier barrier(total_threads);
+    StageBarrier barrier(total_threads, /*spans_replicas=*/replicas > 1);
 
     std::vector<std::unique_ptr<StageWorker>> stage_workers;
     for (int r = 0; r < replicas; ++r) {
@@ -240,23 +230,29 @@ Runtime::runPipeline(const ir::Pipeline& pipeline, sim::Binding& binding,
         });
     }
 
-    // Parallel region: run every stage as a task on the pool and wait
-    // for all of them (the RAs run inside them).
+    // One task per replica: a loop over its stages (the stage list is
+    // replica-major), which pump their replica's RAs.
+    std::vector<std::unique_ptr<Replica>> replica_loops;
+    for (int r = 0; r < replicas; ++r) {
+        std::vector<StageWorker*> stages;
+        for (int s = 0; s < stages_per_replica; ++s)
+            stages.push_back(
+                stage_workers[static_cast<size_t>(r * stages_per_replica + s)]
+                    .get());
+        replica_loops.push_back(
+            std::make_unique<Replica>(std::move(stages), &ctl));
+    }
+
+    // Parallel region: run every replica as a task on the pool and wait
+    // for all of them.
     ResourceUsage ru0 = ResourceUsage::processNow();
     Scheduler& sched = opt_.schedulerOverride != nullptr
                            ? *opt_.schedulerOverride
                            : Scheduler::shared();
     auto run = sched.createRun(&ctl);
     ctl.schedRun = run.get();
-    // The stage list is replica-major: a replica's stages share one
-    // home worker.
-    for (size_t k = 0; k < stage_workers.size(); ++k)
-        run->addTask(
-            stage_workers[k]->stats.name,
-            static_cast<int>(k / static_cast<size_t>(stages_per_replica)),
-            [&ctl, worker = stage_workers[k].get()] {
-                workerMain(*worker, ctl);
-            });
+    for (auto& loop : replica_loops)
+        run->addTask(loop.get());
     auto t0 = Clock::now();
     run->start();
     run->waitAll();
@@ -354,18 +350,23 @@ Runtime::runSerial(const ir::Function& fn, sim::Binding& binding)
 
     RunControl ctl;
     ctl.opt = opt_;
-    StageBarrier barrier(1);
+    StageBarrier barrier(1, /*spans_replicas=*/false);
     StageWorker worker(fn.name, &prog, binding, /*replica=*/0,
                        /*queue_offset=*/0, /*queue_stride=*/0,
                        /*num_replicas=*/1, {}, &barrier, &ctl);
     if (opt_.tracer != nullptr)
         worker.traceBuf = opt_.tracer->addWorker(fn.name,
                                                  /*is_stage=*/true);
+    // A one-stage replica on the caller's thread: off the pool it never
+    // yields, and with no rings it never parks.
+    Replica loop({&worker}, &ctl);
+    std::vector<ParkTarget> unused;
 
     ResourceUsage ru0 = ResourceUsage::processNow();
     auto t0 = Clock::now();
-    workerMain(worker, ctl);
+    TaskStep step = loop.resume(unused);
     auto t1 = Clock::now();
+    phloem_assert(step == TaskStep::kDone, "a serial run finishes in one call");
 
     NativeStats out;
     out.wallNs = elapsedNs(t0, t1);

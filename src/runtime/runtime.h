@@ -4,15 +4,16 @@
  * threads connected by lock-free SPSC ring buffers.
  *
  * This is the "what if the paper's hardware were software" backend: one
- * resumable task per pipeline stage (per replica), software reference
- * accelerators that those stages pump from their blocked queue ops, and
- * one bounded ring per architectural queue (deeper than the queue: see
- * ringCapacities).
+ * resumable context per pipeline stage (per replica), software
+ * reference accelerators that those stages pump from their blocked
+ * queue ops, and one bounded ring per architectural queue (deeper than
+ * the queue: see ringCapacities).
  * Every pipeline runs on a fixed-size shared pool (runtime/sched.h)
- * sized to the machine, all of a replica's tasks on one home worker, so
- * many pipelines — or one pipeline with more stages than cores — share
- * the host without thread oversubscription; a task blocked on a
- * full/empty ring parks and yields its pool worker.
+ * sized to the machine, each replica as one task on one home worker
+ * that switches among its stages the way a Pipette core switches SMT
+ * threads: a stage blocked on a full/empty ring gives way to the next
+ * one. Many pipelines — or one pipeline with more stages than cores —
+ * share the host without thread oversubscription.
  * It executes the same sim::flatten instruction stream as the
  * simulator, through the same functional core (sim/eval.h), so its
  * output is bit-for-bit identical to the simulator's — which the
@@ -40,7 +41,8 @@ namespace phloem::rt {
 /**
  * Native rings are deeper than the architectural queues they stand for.
  * A Pipette queue only has to hide a few cycles per handoff; on the host
- * a handoff between co-located tasks is a fiber park and switch, so
+ * a handoff between a replica's stages is a return to its loop and a
+ * stage switch, so
  * each ring holds kRingDepthScale x its queue's depth, unless the run's
  * rings would then exceed kRingSlotBudget slots (16 bytes each): the
  * factor then shrinks to fit, but never below 1. Depth never changes a

@@ -1,71 +1,26 @@
 /**
  * @file
- * Fiber scheduler implementation. See sched.h for the model and
+ * Task scheduler implementation. See sched.h for the model and
  * DESIGN.md §12 for the protocol write-up.
  *
- * Fibers run on heap stacks. On x86-64 they switch with a hand-written
- * stack switch (below); elsewhere with swapcontext. Under ASan and TSan
- * every switch is annotated with the sanitizer fiber API so the CI
- * sanitizer jobs see through it: ASan needs the fake-stack
- * save/restore pair around every switch, TSan needs one fiber handle
- * per task (and per pool thread) and a switch notification
- * immediately before each switch. Without these, ASan reports bogus
- * stack-use-after-return and TSan loses the happens-before edges that
- * the scheduler's queue handoffs establish.
+ * A task is a stackless body that a worker calls on its own thread, so
+ * the pool is plain threads: the sanitizers see every handoff as an
+ * ordinary call, lock or atomic on one of them.
  */
 
 #include "runtime/sched.h"
 
-#include <pthread.h>
-#include <ucontext.h>
-
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
-#include <cstring>
-#include <new>
 
 #include "base/logging.h"
 #include "base/thread_name.h"
 #include "runtime/worker.h"
 
-#if defined(__SANITIZE_ADDRESS__)
-#define PHLOEM_ASAN 1
-#endif
-#if defined(__SANITIZE_THREAD__)
-#define PHLOEM_TSAN 1
-#endif
-#if defined(__has_feature)
-#if __has_feature(address_sanitizer) && !defined(PHLOEM_ASAN)
-#define PHLOEM_ASAN 1
-#endif
-#if __has_feature(thread_sanitizer) && !defined(PHLOEM_TSAN)
-#define PHLOEM_TSAN 1
-#endif
-#endif
-
-#if defined(PHLOEM_ASAN)
-#include <sanitizer/common_interface_defs.h>
-#endif
-#if defined(PHLOEM_TSAN)
-#include <sanitizer/tsan_interface.h>
-#endif
-
 namespace phloem::rt {
 
-void taskEntry(Task* t);
-
 namespace {
-
-/**
- * Fiber stacks are heap allocations; sanitizers map shadow for them
- * lazily but burn more of each frame, so give them headroom there.
- */
-#if defined(PHLOEM_ASAN) || defined(PHLOEM_TSAN)
-constexpr size_t kTaskStackSize = 1024 * 1024;
-#else
-constexpr size_t kTaskStackSize = 256 * 1024;
-#endif
 
 /** Pool-size ceiling: a fat-finger guard, not a real limit. */
 constexpr int kMaxWorkers = 256;
@@ -81,228 +36,9 @@ nowNs()
 
 std::atomic<Scheduler*> g_sharedSched{nullptr};
 
-#if defined(__x86_64__)
-
-/*
- * The x86-64 stack switch. swapcontext also saves and restores the
- * signal mask, an rt_sigprocmask syscall on every call; a park costs
- * two. This switch pushes only what the SysV ABI makes callee-saved —
- * rbx, rbp, r12-r15, the MXCSR and the x87 control word — onto the
- * outgoing stack, stores that stack pointer in *from_sp, loads to_sp
- * and pops the incoming fiber's state. Fibers therefore run with the
- * pool thread's signal mask. The FP control words stay per fiber, as
- * they were under swapcontext. The switch keeps no CET shadow stack.
- *
- * A fiber's first entry "returns" into phloem_fiber_start with the
- * entry function in r13 and its argument in r12 (see SavedFrame).
- */
-extern "C" void phloem_fiber_switch(void** from_sp, void* to_sp);
-extern "C" void phloem_fiber_start();
-
-asm(R"(
-    .text
-    .globl  phloem_fiber_switch
-    .hidden phloem_fiber_switch
-    .type   phloem_fiber_switch, @function
-    .p2align 4
-phloem_fiber_switch:
-    pushq   %rbp
-    pushq   %rbx
-    pushq   %r12
-    pushq   %r13
-    pushq   %r14
-    pushq   %r15
-    subq    $16, %rsp
-    stmxcsr 8(%rsp)
-    fnstcw  (%rsp)
-    movq    %rsp, (%rdi)
-    movq    %rsi, %rsp
-    fldcw   (%rsp)
-    ldmxcsr 8(%rsp)
-    addq    $16, %rsp
-    popq    %r15
-    popq    %r14
-    popq    %r13
-    popq    %r12
-    popq    %rbx
-    popq    %rbp
-    ret
-    .size   phloem_fiber_switch, .-phloem_fiber_switch
-
-    .globl  phloem_fiber_start
-    .hidden phloem_fiber_start
-    .type   phloem_fiber_start, @function
-    .p2align 4
-phloem_fiber_start:
-    .cfi_startproc
-    .cfi_undefined rip
-    movq    %r12, %rdi
-    callq   *%r13
-    ud2
-    .cfi_endproc
-    .size   phloem_fiber_start, .-phloem_fiber_start
-)");
-
-/**
- * What phloem_fiber_switch leaves at a suspended fiber's saved stack
- * pointer, in pop order. A new fiber's stack starts with one: its FP
- * control words are the creating thread's, as getcontext would have
- * captured them; r12/r13 carry the entry argument and function;
- * rbp = 0 ends frame-pointer walks; and `ret` enters
- * phloem_fiber_start with the stack 16-byte aligned for its call.
- */
-struct SavedFrame
-{
-    uint64_t fpuCw, mxcsr, r15, r14, r13, r12, rbx, rbp, ret;
-    /** Alignment slot, then a null return address above the entry. */
-    uint64_t pad[2];
-};
-static_assert(sizeof(SavedFrame) % 16 == 8,
-              "the entry's call must see a 16-byte-aligned stack");
-
-void
-initFiber(FiberCtx& fc, char* stack, size_t size, Task* t)
-{
-    auto top = reinterpret_cast<uintptr_t>(stack + size) & ~uintptr_t{15};
-    auto* f = reinterpret_cast<SavedFrame*>(top - sizeof(SavedFrame));
-    *f = SavedFrame{};
-    uint16_t fpu_cw = 0;
-    uint32_t mxcsr = 0;
-    asm volatile("fnstcw %0" : "=m"(fpu_cw));
-    asm volatile("stmxcsr %0" : "=m"(mxcsr));
-    f->fpuCw = fpu_cw;
-    f->mxcsr = mxcsr;
-    f->r13 = reinterpret_cast<uint64_t>(&taskEntry);
-    f->r12 = reinterpret_cast<uint64_t>(t);
-    f->ret = reinterpret_cast<uint64_t>(&phloem_fiber_start);
-    fc.sp = f;
-}
-
-#else
-
-/**
- * Portable switch: swapcontext, with the suspended side's ucontext_t
- * on its own stack so that FiberCtx::sp means the same thing as on
- * x86-64.
- */
-void
-phloem_fiber_switch(void** from_sp, void* to_sp)
-{
-    ucontext_t self;
-    *from_sp = &self;
-    swapcontext(&self, static_cast<ucontext_t*>(to_sp));
-}
-
-/** makecontext trampoline: reassemble the Task* from two uints. */
-void
-taskTrampoline(unsigned hi, unsigned lo)
-{
-    taskEntry(reinterpret_cast<Task*>((static_cast<uintptr_t>(hi) << 32) |
-                                      static_cast<uintptr_t>(lo)));
-}
-
-/** The entry context sits at the top of the fiber's own stack. */
-void
-initFiber(FiberCtx& fc, char* stack, size_t size, Task* t)
-{
-    auto top = (reinterpret_cast<uintptr_t>(stack + size) -
-                sizeof(ucontext_t)) &
-               ~uintptr_t{15};
-    auto* uc = new (reinterpret_cast<void*>(top)) ucontext_t;
-    getcontext(uc);
-    uc->uc_stack.ss_sp = stack;
-    uc->uc_stack.ss_size = top - reinterpret_cast<uintptr_t>(stack);
-    uc->uc_link = nullptr;
-    auto p = reinterpret_cast<uintptr_t>(t);
-    makecontext(uc, reinterpret_cast<void (*)()>(&taskTrampoline), 2,
-                static_cast<unsigned>(p >> 32),
-                static_cast<unsigned>(p & 0xffffffffull));
-    fc.sp = uc;
-}
-
-#endif
-
-/**
- * Switch from fiber `from` to fiber `to` and eventually return when
- * something switches back into `from`. Either side may be a pool
- * thread's native context.
- */
-void
-switchFiber(FiberCtx& from, FiberCtx& to)
-{
-#if defined(PHLOEM_ASAN)
-    __sanitizer_start_switch_fiber(&from.fakeStack, to.stackBottom,
-                                   to.stackSize);
-#endif
-#if defined(PHLOEM_TSAN)
-    __tsan_switch_to_fiber(to.tsanFiber, 0);
-#endif
-    phloem_fiber_switch(&from.sp, to.sp);
-#if defined(PHLOEM_ASAN)
-    __sanitizer_finish_switch_fiber(from.fakeStack, nullptr, nullptr);
-#endif
-}
-
-/**
- * Final switch out of a finished task back to its worker: the null
- * fake-stack save tells ASan this fiber is dying so its fake frames
- * can be released. Never returns.
- */
-[[noreturn]] void
-switchFiberFinal(FiberCtx& from, FiberCtx& to)
-{
-#if defined(PHLOEM_ASAN)
-    __sanitizer_start_switch_fiber(nullptr, to.stackBottom, to.stackSize);
-#endif
-#if defined(PHLOEM_TSAN)
-    __tsan_switch_to_fiber(to.tsanFiber, 0);
-#endif
-    phloem_fiber_switch(&from.sp, to.sp);
-    __builtin_unreachable();
-}
-
 } // namespace
 
 thread_local Scheduler::Worker* Scheduler::tlsWorker_ = nullptr;
-thread_local Task* Scheduler::tlsTask_ = nullptr;
-
-/** First activation of a task fiber lands here. */
-void
-taskEntry(Task* t)
-{
-#if defined(PHLOEM_ASAN)
-    // First entry into this fiber: no fake stack was saved for it yet.
-    __sanitizer_finish_switch_fiber(nullptr, nullptr, nullptr);
-#endif
-    t->body_();
-    t->exit_ = Task::Exit::kDone;
-    auto* w = static_cast<Scheduler::Worker*>(t->home_);
-    switchFiberFinal(t->fc_, w->ctx);
-}
-
-// ---------------------------------------------------------------- Task
-
-Task::Task(SchedRun* run, std::string name, int replica,
-           std::function<void()> body)
-    : run_(run), name_(std::move(name)), replica_(replica),
-      body_(std::move(body)),
-      stack_(new char[kTaskStackSize])
-{
-    fc_.stackBottom = stack_.get();
-    fc_.stackSize = kTaskStackSize;
-    initFiber(fc_, stack_.get(), kTaskStackSize, this);
-#if defined(PHLOEM_TSAN)
-    fc_.tsanFiber = __tsan_create_fiber(0);
-#endif
-}
-
-Task::~Task()
-{
-#if defined(PHLOEM_TSAN)
-    if (fc_.tsanFiber != nullptr)
-        __tsan_destroy_fiber(fc_.tsanFiber);
-#endif
-}
 
 // ------------------------------------------------------------ WaitList
 
@@ -342,11 +78,9 @@ SchedRun::~SchedRun()
 }
 
 void
-SchedRun::addTask(std::string name, int replica, std::function<void()> body)
+SchedRun::addTask(TaskBody* body)
 {
-    phloem_assert(replica >= 0, "negative replica index ", replica);
-    tasks_.push_back(std::make_unique<Task>(this, std::move(name), replica,
-                                            std::move(body)));
+    tasks_.push_back(std::make_unique<Task>(this, body));
     ++totalLive_;
 }
 
@@ -392,9 +126,9 @@ SchedRun::wakeAllTasks()
 {
     // Notifier side of the park handshake for abort: orders the
     // caller's abortFlag store before unpark()'s state loads. Its
-    // partner is the fence in Scheduler::parkCurrent: either a parking
-    // task's re-check sees the flag, or we see the task kParking/kParked
-    // and wake it.
+    // partner is the fence in Scheduler::park: either a parking task's
+    // re-check sees the flag, or we see the task kParking/kParked and
+    // wake it.
     std::atomic_thread_fence(std::memory_order_seq_cst);
     for (auto& t : tasks_)
         sched_->unpark(t.get());
@@ -481,75 +215,60 @@ Scheduler::createRun(RunControl* ctl)
     return std::unique_ptr<SchedRun>(new SchedRun(this, ctl));
 }
 
-void
-Scheduler::maybeYield()
+bool
+Scheduler::shouldYield()
 {
-    Task* t = tlsTask_;
-    if (t == nullptr)
-        return;
-    auto* w = static_cast<Worker*>(t->home_);
-    if (w->local.empty() && w->inboxSize.load(std::memory_order_relaxed) == 0)
-        return;
-    t->exit_ = Task::Exit::kYield;
-    switchFiber(t->fc_, w->ctx);
+    const Worker* w = tlsWorker_;
+    return w != nullptr &&
+           (!w->local.empty() ||
+            w->inboxSize.load(std::memory_order_relaxed) > 0);
 }
 
-void
-Scheduler::parkCurrent(const ParkTarget& pt, RunControl& ctl)
+bool
+Scheduler::park(Task* t)
 {
-    Task* t = tlsTask_;
-    phloem_assert(t != nullptr && pt.list != nullptr,
-                  "parkCurrent needs a pool task and a waiter list");
-    t->parkWhat_.store(pt.what, std::memory_order_relaxed);
-    t->parkQ_.store(pt.q, std::memory_order_relaxed);
+    phloem_assert(!t->waits_.empty(), "a parking task needs a wait");
     t->state_.store(TaskState::kParking, std::memory_order_release);
-    pt.list->add(t);
-    // Dekker handshake with the notifier (park.h): the fence orders
-    // our registration before the re-check, so either we observe the
-    // notifier's push/pop here, or the notifier observes us on the
-    // list and wakes us. It also pairs with the fence in
+    for (const ParkTarget& pt : t->waits_)
+        pt.list->add(t);
+    // Dekker handshake with the notifiers (park.h): the fence orders
+    // our registrations before the re-checks, so either we observe a
+    // notifier's push/pop/arrival here, or it observes us on its list
+    // and wakes us. It also pairs with the fence in
     // SchedRun::wakeAllTasks, the abort notifier.
     std::atomic_thread_fence(std::memory_order_seq_cst);
-    bool ready = pt.ready(pt) || ctl.aborted();
+    bool ready = t->run_->ctl_->aborted();
+    for (const ParkTarget& pt : t->waits_)
+        ready = ready || pt.ready(pt);
     if (!ready) {
-        // Complete the park here: every resumption of this task runs
-        // on its home's thread, so none can start before we switch out.
         ++t->parks_;
         TaskState expect = TaskState::kParking;
         if (t->state_.compare_exchange_strong(expect, TaskState::kParked,
                                               std::memory_order_acq_rel)) {
-            t->exit_ = Task::Exit::kPark;
-            auto* w = static_cast<Worker*>(t->home_);
-            if (w->local.empty() ||
-                w->inboxSize.load(std::memory_order_relaxed) > 0) {
-                // Nothing queued here, or other threads queued work:
-                // the worker drains its inbox or sleeps.
-                switchFiber(t->fc_, w->ctx);
-            } else {
-                // Straight to the next runnable task: usually the
-                // other end of the ring, just woken to the front.
-                Task* n = w->local.front();
-                w->local.pop_front();
-                enter(*w, n);
-                switchFiber(t->fc_, n->fc_);
-            }
-            // Resumed: whoever switched in counted the unpark.
-        } else {
-            // A waker got in first (kUnparkRequested): the wake-up
-            // condition may already hold, so run on as if woken.
-            ++t->unparks_;
+            // Parked. A waker may requeue t at once, but only this
+            // thread, t's home, runs it, after this dispatch returns.
+            t->parked_ = true;
+            return true;
         }
+        // A waker got in first (kUnparkRequested): a target may already
+        // be ready, so run on as if woken.
+        ++t->unparks_;
     }
-    // Deregister ourselves: a cancelled park, and a direct unpark
-    // (abort) that flips our state without touching the waiter list,
-    // leave us on it, and a stale entry must not survive into the next
-    // park. An empty list cannot hold us: the waker that took us off
-    // published the new count before unparking us.
-    if (!pt.list->empty())
-        pt.list->remove(t);
+    leaveWaitLists(t);
     t->state_.store(TaskState::kRunning, std::memory_order_release);
-    t->parkWhat_.store("", std::memory_order_relaxed);
-    t->parkQ_.store(-1, std::memory_order_relaxed);
+    return false;
+}
+
+void
+Scheduler::leaveWaitLists(Task* t)
+{
+    // A waker takes only its own list's entry, and a cancelled park or
+    // an abort wake takes none, so drop every stale entry before the
+    // body lists new waits. A list whose count is 0 cannot hold t: the
+    // waker that took t off published the new count before unparking.
+    for (const ParkTarget& pt : t->waits_)
+        if (!pt.list->empty())
+            pt.list->remove(t);
 }
 
 void
@@ -586,37 +305,24 @@ Scheduler::unpark(Task* t)
 void
 Scheduler::place(SchedRun& r)
 {
-    std::vector<int> tasks_per_replica;
-    for (const auto& t : r.tasks_) {
-        const auto rep = static_cast<size_t>(t->replica_);
-        if (rep >= tasks_per_replica.size())
-            tasks_per_replica.resize(rep + 1, 0);
-        ++tasks_per_replica[rep];
-    }
-    r.homes_.assign(tasks_per_replica.size(), 0);
-    {
-        // Under the lock, a run's choice counts the tasks of every run
-        // placed before it, so concurrent runs and the replicas of one
-        // run spread over the pool.
-        std::lock_guard<std::mutex> g(placeMu_);
-        const size_t n = workers_.size();
-        for (size_t rep = 0; rep < tasks_per_replica.size(); ++rep) {
-            size_t best = placeNext_ % n;
-            for (size_t k = 1; k < n; ++k) {
-                size_t i = (placeNext_ + k) % n;
-                if (workers_[i]->homed.load(std::memory_order_relaxed) <
-                    workers_[best]->homed.load(std::memory_order_relaxed))
-                    best = i;
-            }
-            workers_[best]->homed.fetch_add(tasks_per_replica[rep],
-                                            std::memory_order_relaxed);
-            r.homes_[rep] = static_cast<int>(best);
-            placeNext_ = best + 1;
+    r.homes_.assign(r.tasks_.size(), 0);
+    // Under the lock, a run's choice counts the tasks of every run
+    // placed before it, so concurrent runs and the replicas of one run
+    // spread over the pool.
+    std::lock_guard<std::mutex> g(placeMu_);
+    const size_t n = workers_.size();
+    for (size_t k = 0; k < r.tasks_.size(); ++k) {
+        size_t best = placeNext_ % n;
+        for (size_t j = 1; j < n; ++j) {
+            size_t i = (placeNext_ + j) % n;
+            if (workers_[i]->homed.load(std::memory_order_relaxed) <
+                workers_[best]->homed.load(std::memory_order_relaxed))
+                best = i;
         }
-    }
-    for (auto& t : r.tasks_) {
-        const int home = r.homes_[static_cast<size_t>(t->replica_)];
-        t->home_ = workers_[static_cast<size_t>(home)].get();
+        workers_[best]->homed.fetch_add(1, std::memory_order_relaxed);
+        r.homes_[k] = static_cast<int>(best);
+        r.tasks_[k]->home_ = workers_[best].get();
+        placeNext_ = best + 1;
     }
 }
 
@@ -674,58 +380,38 @@ Scheduler::workerLoop(Worker& w)
 {
     tlsWorker_ = &w;
     setCurrentThreadName("phl-sched/" + std::to_string(w.idx));
-#if defined(PHLOEM_TSAN)
-    w.ctx.tsanFiber = __tsan_get_current_fiber();
-#endif
-    // ASan needs the pool thread's own stack bounds to switch back to.
-    pthread_attr_t attr;
-    if (pthread_getattr_np(pthread_self(), &attr) == 0) {
-        void* addr = nullptr;
-        size_t size = 0;
-        pthread_attr_getstack(&attr, &addr, &size);
-        w.ctx.stackBottom = addr;
-        w.ctx.stackSize = size;
-        pthread_attr_destroy(&attr);
-    }
     while (Task* t = next(w))
         dispatch(w, t);
 }
 
 void
-Scheduler::enter(Worker& w, Task* t)
+Scheduler::dispatch(Worker& w, Task* t)
 {
     std::atomic<bool>& ran = t->run_->ranOn_[w.idx];
     if (!ran.load(std::memory_order_relaxed))
         ran.store(true, std::memory_order_relaxed);
-    // Only a wake makes a parked task runnable again.
-    if (t->exit_ == Task::Exit::kPark)
+    if (t->parked_) {
+        // Only a wake makes a parked task runnable again.
         ++t->unparks_;
-    t->exit_ = Task::Exit::kNone;
+        t->parked_ = false;
+        leaveWaitLists(t);
+    }
     t->state_.store(TaskState::kRunning, std::memory_order_release);
-    tlsTask_ = t;
-}
-
-void
-Scheduler::dispatch(Worker& w, Task* t)
-{
-    enter(w, t);
-    switchFiber(w.ctx, t->fc_);
-    // Parking tasks switch among themselves, so the task that switched
-    // back to the worker need not be t.
-    Task* back = tlsTask_;
-    tlsTask_ = nullptr;
-    switch (back->exit_) {
-    case Task::Exit::kDone:
-        finishTask(back);
-        break;
-    case Task::Exit::kYield:
-        ++back->yields_;
-        back->state_.store(TaskState::kRunnable, std::memory_order_release);
-        submit(w, back, /*front=*/false);
-        break;
-    case Task::Exit::kPark:  // parkCurrent completed the park
-    case Task::Exit::kNone:
-        break;
+    for (;;) {
+        switch (t->body_->resume(t->waits_)) {
+        case TaskStep::kDone:
+            finishTask(t);
+            return;
+        case TaskStep::kYield:
+            ++t->yields_;
+            t->state_.store(TaskState::kRunnable, std::memory_order_release);
+            submit(w, t, /*front=*/false);
+            return;
+        case TaskStep::kPark:
+            if (park(t))
+                return;
+            break;  // cancelled: a wait already ended, so run on
+        }
     }
 }
 
@@ -822,16 +508,10 @@ Scheduler::checkRuns(uint64_t now_ns)
                           " live tasks parked with nothing runnable for " +
                           std::to_string(r->ctl_->opt.deadlockTimeoutMs) +
                           " ms";
-        for (const auto& t : r->tasks_) {
-            if (t->state_.load(std::memory_order_acquire) !=
+        for (const auto& t : r->tasks_)
+            if (t->state_.load(std::memory_order_acquire) ==
                 TaskState::kParked)
-                continue;
-            msg += "\n  " + t->name() + " parked on " +
-                   t->parkWhat_.load(std::memory_order_relaxed);
-            int q = t->parkQ_.load(std::memory_order_relaxed);
-            if (q >= 0)
-                msg += " q" + std::to_string(q);
-        }
+                t->body_->describeWaits(msg);
         // fail() wakes every parked task (SchedRun::wakeAllTasks) so the
         // run unwinds and the caller's post-mortem path takes over.
         r->ctl_->fail(msg);

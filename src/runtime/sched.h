@@ -2,33 +2,36 @@
  * @file
  * Shared task scheduler for the native runtime.
  *
- * Every pipeline runs here: each stage worker is a resumable *task*,
- * a stackful fiber scheduled onto a fixed-size pool of OS workers,
- * default `hardware_concurrency`, each with its own run queue (a
- * reference accelerator is no task: its stages pump it, worker.h).
- * Wide pipelines and phloemd's concurrent requests therefore share the
- * host without one OS thread per stage.
+ * Every pipeline runs here: each replica is one resumable *task*, a
+ * stackless body (TaskBody) that a fixed-size pool of OS workers,
+ * default `hardware_concurrency`, calls until it is done; each worker
+ * has its own run queue. A replica's body is a loop over its stages
+ * (worker.h: Replica) that switches to another stage whenever one
+ * blocks, the way a Pipette core switches SMT thread contexts, so the
+ * pool never sees a stage or a reference accelerator. Wide pipelines
+ * and phloemd's concurrent requests therefore share the host without
+ * one OS thread, or one stack, per stage.
  *
  * Placement follows the paper's core mapping: one pipeline's stages
  * are SMT threads of one core, replicas go to successive cores. Every
- * replica gets one *home* worker when its run starts, the one with the
- * fewest live homed tasks, and all of that replica's stage tasks only
- * ever run there. A queue handoff between two tasks of a
- * replica is then a same-core fiber switch, never a cross-core cache
- * line exchange, and nothing is stolen.
+ * task gets one *home* worker when its run starts, the one with the
+ * fewest live homed tasks, and only ever runs there; nothing is
+ * stolen.
  *
- * Blocking keeps the SPSC-ring semantics bit-for-bit: a task that
- * finds a ring full/empty registers on the ring's waiter list
- * (park.h), re-checks, and parks — switching straight into the next
- * task of its home worker's queue at ~0 CPU cost. The push/pop on the
- * other side unparks it onto that queue: at the front, without waking
- * anyone, when the waker already runs there.
+ * A task parks only on waits that cross replicas: a multi-producer
+ * (distribute) ring, or a barrier whose parties span replicas. Its body
+ * lists those waits as ParkTargets and returns kPark; the worker then
+ * registers the task on every target's waiter list (park.h), re-checks,
+ * and parks it or runs it on. The push, pop or arrival on the other
+ * side unparks it onto its home's queue.
  *
- * The scheduler is the runtime's only deadlock detector: a run is
- * deadlocked iff *every* live task is Parked (nothing runnable,
- * nothing running) and stays so for the run's timeout. A merely
- * descheduled task is Runnable, so an oversubscribed-but-live pipeline
- * can never trip the monitor.
+ * Deadlock detection has two tiers. A body finds the deadlocks it can
+ * see whole: a replica whose stages wait only on each other reports
+ * one at once. The scheduler's monitor finds the rest: a run is
+ * deadlocked iff *every* live task is Parked (nothing runnable, nothing
+ * running) and stays so for the run's timeout. A merely descheduled
+ * task is Runnable, so an oversubscribed-but-live pipeline can never
+ * trip the monitor.
  *
  * See DESIGN.md §12 for the task state machine and parking protocol.
  */
@@ -40,7 +43,6 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -58,14 +60,14 @@ class SchedRun;
 /**
  * Task lifecycle. Transitions:
  *   Runnable -> Running            (a worker dispatches it)
- *   Running  -> Parking            (task registered on a waiter list)
- *   Parking  -> Running            (cancel: condition ready on re-check)
+ *   Running  -> Parking            (its body asked to park; registered)
+ *   Parking  -> Running            (cancel: a target ready on re-check)
  *   Parking  -> UnparkRequested    (a waker raced the park)
- *   Parking  -> Parked             (the task completed its own park)
- *   UnparkRequested -> Running     (the task sees the race and runs on)
+ *   Parking  -> Parked             (the worker completed the park)
+ *   UnparkRequested -> Running     (the worker sees the race, runs on)
  *   Parked   -> Runnable           (a waker unparks it)
  *   Running  -> Runnable           (cooperative yield)
- *   Running  -> Done               (body returned)
+ *   Running  -> Done               (body finished)
  * The Parking/UnparkRequested split is what makes a wake that lands
  * mid-park impossible to lose and impossible to double-enqueue.
  */
@@ -78,59 +80,67 @@ enum class TaskState : uint8_t {
     kDone,
 };
 
-/** One fiber: saved stack pointer + sanitizer bookkeeping (sched.cc). */
-struct FiberCtx
-{
-    /**
-     * While the fiber is switched out: where its saved machine state
-     * sits, on its own stack (see switchFiber in sched.cc).
-     */
-    void* sp = nullptr;
-    void* stackBottom = nullptr;
-    size_t stackSize = 0;
-    /** ASan fake-stack handle saved across a suspension. */
-    void* fakeStack = nullptr;
-    /** TSan fiber handle (null when TSan is off). */
-    void* tsanFiber = nullptr;
+/** What a task body asks of its worker when it returns. */
+enum class TaskStep : uint8_t {
+    kDone,   ///< finished: the task never runs again
+    kYield,  ///< other tasks are queued here (Scheduler::shouldYield)
+    kPark,   ///< blocked on the ParkTargets it listed
 };
 
-/** One stage worker as a schedulable fiber. */
+/**
+ * The resumable body of a task: all of its state lives in the object,
+ * so the pool calls resume() afresh each time it runs the task.
+ */
+class TaskBody
+{
+  public:
+    virtual ~TaskBody() = default;
+
+    /**
+     * Run on the task's home worker until finished, until
+     * Scheduler::shouldYield() says others wait for the worker, or
+     * until nothing can move without another task. In that last case,
+     * replace `park` with every wait another task can end and return
+     * kPark; the next resume() follows a wake, or the cancel of a park
+     * whose target was already ready. Must not throw.
+     */
+    virtual TaskStep resume(std::vector<ParkTarget>& park) = 0;
+
+    /**
+     * Append one "\n  ..." line per wait of the task to a deadlock
+     * report. The monitor calls it while the task is parked, from its
+     * own thread, so it may read only what is safe to read there.
+     */
+    virtual void describeWaits(std::string& out) const = 0;
+};
+
+/** One task: a body, its home, its park state and its counters. */
 class Task
 {
   public:
-    Task(SchedRun* run, std::string name, int replica,
-         std::function<void()> body);
-    ~Task();
+    Task(SchedRun* run, TaskBody* body) : run_(run), body_(body) {}
 
     Task(const Task&) = delete;
     Task& operator=(const Task&) = delete;
-
-    const std::string& name() const { return name_; }
 
   private:
     friend class Scheduler;
     friend class SchedRun;
     friend class WaitList;
-    friend void taskEntry(Task* t);
-
-    enum class Exit : uint8_t { kNone, kPark, kYield, kDone };
 
     SchedRun* run_;
-    std::string name_;
-    /** Pipeline replica this task belongs to; it shares the home. */
-    int replica_;
-    std::function<void()> body_;
+    TaskBody* body_;
 
     std::atomic<TaskState> state_{TaskState::kRunnable};
-    Exit exit_ = Exit::kNone;
-    FiberCtx fc_;
-    std::unique_ptr<char[]> stack_;
+    /** Parked by its last dispatch: its next one counts an unpark. */
+    bool parked_ = false;
+    /**
+     * What the body listed at its last kPark; the task stays on these
+     * lists until its next dispatch takes it off.
+     */
+    std::vector<ParkTarget> waits_;
     /** The pool worker that runs this task, set once by start(). */
     void* home_ = nullptr;
-
-    /** What the task is parked on, for the deadlock post-mortem. */
-    std::atomic<const char*> parkWhat_{""};
-    std::atomic<int> parkQ_{-1};
 
     /** Event counts; written only on the home worker's thread. */
     uint64_t parks_ = 0;
@@ -153,14 +163,14 @@ class SchedRun
     SchedRun& operator=(const SchedRun&) = delete;
 
     /**
-     * Add a task before start(). Tasks with the same replica index
-     * share one home worker.
+     * Add a task before start(); `body` must outlive the run. Each task
+     * gets a home worker of its own choosing (one per replica).
      */
-    void addTask(std::string name, int replica, std::function<void()> body);
+    void addTask(TaskBody* body);
 
     /**
-     * Give each replica a home worker, enqueue every task there, and
-     * register with the deadlock monitor.
+     * Give each task a home worker, enqueue it there, and register with
+     * the deadlock monitor.
      */
     void start();
 
@@ -184,7 +194,7 @@ class SchedRun
 
     /** Distinct pool workers that dispatched this run's tasks so far. */
     int workersUsed() const;
-    /** Pool worker index of each replica's home (empty before start). */
+    /** Pool worker index of each task's home, in addTask order. */
     const std::vector<int>& homes() const { return homes_; }
 
     Scheduler& scheduler() { return *sched_; }
@@ -199,7 +209,7 @@ class SchedRun
     Scheduler* sched_;
     RunControl* ctl_;
     std::vector<std::unique_ptr<Task>> tasks_;
-    /** Home worker index per replica, filled by start(). */
+    /** Home worker index per task, filled by start(). */
     std::vector<int> homes_;
     /** Per pool worker: has it dispatched one of this run's tasks? */
     std::unique_ptr<std::atomic<bool>[]> ranOn_;
@@ -259,22 +269,11 @@ class Scheduler
     std::unique_ptr<SchedRun> createRun(RunControl* ctl);
 
     /**
-     * Cooperative yield point (called from the instruction-count
-     * heartbeats): if the current worker has other runnable work
-     * queued, requeue the current task and run that work. No-op off a
-     * task, or when nothing else is runnable.
+     * True on a pool worker that has other tasks queued: a body asks at
+     * its heartbeats and yields (TaskStep::kYield) when it is. False off
+     * the pool.
      */
-    static void maybeYield();
-
-    /**
-     * Two-phase park of the current task on pt.list. Registers,
-     * re-checks pt.ready / abort under the Dekker fence pairing, and
-     * either cancels or parks: it switches straight into the front task
-     * of its home's own deque, or to the worker when that deque is
-     * empty or the inbox holds work, until a waker unparks it. Spurious returns are allowed; the caller's
-     * wait loop re-checks the ring. Must run on a task, with a list.
-     */
-    static void parkCurrent(const ParkTarget& pt, RunControl& ctl);
+    static bool shouldYield();
 
     /**
      * Make t runnable if parked (or cancel an in-flight park): requeue
@@ -286,7 +285,6 @@ class Scheduler
   private:
     friend class SchedRun;
     friend class WaitList;
-    friend void taskEntry(Task* t);
 
     struct Worker
     {
@@ -306,18 +304,24 @@ class Scheduler
         std::atomic<int> inboxSize{0};
         /** Live tasks homed here: start()'s placement load. */
         std::atomic<int> homed{0};
-        FiberCtx ctx;
         std::thread thr;
     };
 
     void workerLoop(Worker& w);
     /**
-     * Run t from w's own stack, then settle whichever task switched
-     * back (finished or yielded; a parked task settled itself).
+     * Run t's body on w until it finishes, yields or parks, and settle
+     * the outcome.
      */
     void dispatch(Worker& w, Task* t);
-    /** Mark t running on w; the caller then switches into it. */
-    static void enter(Worker& w, Task* t);
+    /**
+     * Two-phase park of t on every target its body listed: register,
+     * re-check the targets and abort under the Dekker fence pairing,
+     * then park. Returns false when the park was cancelled (a target
+     * was ready, the run aborted, or a waker raced it): t runs on.
+     */
+    bool park(Task* t);
+    /** Take t off every waiter list of its last park. */
+    static void leaveWaitLists(Task* t);
     void finishTask(Task* t);
     /** Pop w's next task, or sleep until one arrives; null at shutdown. */
     Task* next(Worker& w);
@@ -327,7 +331,7 @@ class Scheduler
      * w if it sleeps.
      */
     void submit(Worker& w, Task* t, bool front);
-    /** Choose each replica's home worker and home its tasks there. */
+    /** Choose each task's home worker. */
     void place(SchedRun& r);
 
     void monitorLoop();
@@ -338,8 +342,6 @@ class Scheduler
 
     /** The pool worker this OS thread is, or null off the pool. */
     static thread_local Worker* tlsWorker_;
-    /** The task this OS thread is currently executing, or null. */
-    static thread_local Task* tlsTask_;
 
     std::vector<std::unique_ptr<Worker>> workers_;
     std::atomic<bool> shutdown_{false};

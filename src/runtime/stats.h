@@ -97,7 +97,12 @@ struct SchedStats
     int workersUsed = 0;
     /** Pool worker index each replica was homed on, by replica. */
     std::vector<int> homes;
-    /** Times a task of this run parked on a full/empty ring or barrier. */
+    /**
+     * Times a replica task of this run parked: every live stage blocked,
+     * some on a wait that crosses replicas (a distribute ring, a barrier
+     * whose parties span replicas). Always 0 for one replica, whose
+     * handoffs are stage switches (QueueStats enq/deq blocks).
+     */
     uint64_t parks = 0;
     /** Times a parked/parking task of this run was woken. */
     uint64_t unparks = 0;
@@ -106,7 +111,10 @@ struct SchedStats
      * since every task stays on its replica's home worker.
      */
     uint64_t steals = 0;
-    /** Cooperative yields from compute loops (heartbeat checkpoints). */
+    /**
+     * Times a replica task gave its pool worker to other queued tasks
+     * at a stage's heartbeat.
+     */
     uint64_t yields = 0;
 };
 

@@ -10,114 +10,18 @@ namespace phloem::rt {
 
 namespace {
 
-/**
- * The one step of every blocked wait (queue op or barrier): false once
- * the run has aborted. Otherwise it parks the calling task on pt.list
- * until a notifier or an abort wakes it, and returns true so the caller
- * re-checks its condition. Deadlock detection is the scheduler's
- * all-parked monitor, whose fail() the abort check here observes once
- * the task is woken.
- */
+/** ParkTarget re-checks for a replica parked on a distribute ring. */
 bool
-parkStep(RunControl& ctl, const ParkTarget& pt)
+ringHasSpace(const ParkTarget& pt)
 {
-    if (ctl.aborted())
-        return false;
-    // Park straight away: every task is homed, so the peer that would
-    // satisfy this wait usually shares the worker and cannot run until
-    // we switch out; spinning would only delay it.
-    Scheduler::parkCurrent(pt, ctl);
-    return true;
+    const auto* r = static_cast<const SpscQueue*>(pt.obj);
+    return r->sizeApprox() < static_cast<size_t>(r->capacity());
 }
 
-/** Which side of a ring a blocked queue op waits on. */
-enum class QueueWait : uint8_t {
-    kEnq,   ///< producer: the ring is full
-    kDeq,   ///< consumer: the ring is empty
-    kPeek,  ///< consumer reading the front without popping
-};
-
-/** "enq", "deq" or "peek": park diagnostics and deadlock reports. */
-const char*
-queueWaitName(QueueWait kind)
-{
-    switch (kind) {
-      case QueueWait::kEnq:
-        return "enq";
-      case QueueWait::kDeq:
-        return "deq";
-      case QueueWait::kPeek:
-        break;
-    }
-    return "peek";
-}
-
-/**
- * The blocked path of every stage queue op, entered once its inline
- * fast path failed. If an RA drains the ring (enq) or feeds it
- * (deq/peek), pump it first and retry `attempt`: the stage does the
- * RA's work instead of waiting for it. Only when that cannot complete
- * the op does the stage count a block on the ring and park, between
- * retries, until the op succeeds or the run aborts. Behind an RA chain
- * it parks where the next useful move must come from: a consumer on
- * the chain's first input ring, woken by the next push there, and a
- * producer on the chain's last output ring, woken by the next pop
- * there. Returns true iff the op completed; a wait that parked is
- * recorded as one trace span on `tb` (null when tracing is off).
- */
-template <typename Attempt>
 bool
-waitBlocked(RunControl& ctl, trace::TraceBuffer* tb, SpscQueue& q, int abs_q,
-            QueueWait kind, Attempt&& attempt)
+ringHasData(const ParkTarget& pt)
 {
-    const bool enq = kind == QueueWait::kEnq;
-    RAWorker* ra = enq ? q.drainer() : q.feeder();
-    auto retry = [&] {
-        if (ra != nullptr) {
-            if (enq)
-                ra->pumpIn();
-            else
-                ra->pumpOut();
-        }
-        return attempt();
-    };
-    // The fast path just failed: only a pump can change that before
-    // the park's own re-check.
-    if (ra != nullptr && retry())
-        return true;
-
-    SpscQueue* ring = &q;
-    if (ra != nullptr)
-        ring = enq ? &ra->chainOut() : &ra->chainIn();
-    ParkTarget pt;
-    pt.list = enq ? &ring->waiters().producers : &ring->waiters().consumers;
-    if (enq) {
-        pt.ready = [](const ParkTarget& p) {
-            const auto* r = static_cast<const SpscQueue*>(p.obj);
-            return r->sizeApprox() < static_cast<size_t>(r->capacity());
-        };
-    } else {
-        pt.ready = [](const ParkTarget& p) {
-            return static_cast<const SpscQueue*>(p.obj)->sizeApprox() > 0;
-        };
-    }
-    pt.obj = ring;
-    pt.what = queueWaitName(kind);
-    pt.q = abs_q;
-
-    if (enq)
-        q.noteEnqBlocked();
-    else
-        q.noteDeqBlocked();
-    uint64_t t0 = tb != nullptr ? tb->now() : 0;
-    bool ok = false;
-    while (!ok && parkStep(ctl, pt))
-        ok = retry();
-    if (tb != nullptr)
-        tb->record(enq ? trace::EventKind::kEnqBlock
-                       : trace::EventKind::kDeqBlock,
-                   abs_q, t0, tb->now());
-    return ok;
+    return static_cast<const SpscQueue*>(pt.obj)->sizeApprox() > 0;
 }
 
 } // namespace
@@ -126,33 +30,35 @@ waitBlocked(RunControl& ctl, trace::TraceBuffer* tb, SpscQueue& q, int abs_q,
 // StageBarrier.
 // ---------------------------------------------------------------------
 
-bool
-StageBarrier::arriveAndWait(RunControl& ctl)
+uint64_t
+StageBarrier::arrive()
 {
     uint64_t gen = generation_.load(std::memory_order_acquire);
-    int arrived = waiting_.fetch_add(1, std::memory_order_acq_rel) + 1;
-    if (arrived == parties_) {
-        waiting_.store(0, std::memory_order_relaxed);
-        generation_.fetch_add(1, std::memory_order_release);
+    if (waiting_.fetch_add(1, std::memory_order_acq_rel) + 1 < parties_)
+        return gen;
+    waiting_.store(0, std::memory_order_relaxed);
+    generation_.fetch_add(1, std::memory_order_release);
+    if (spansReplicas_) {
         // Notifier side of the parking handshake: the generation bump
         // above must be ordered before the waiter-list check, so a
-        // peer that registered just before we bumped is either seen
-        // here or sees the new generation in its parked re-check.
+        // replica that registered just before we bumped is either seen
+        // here or sees the new generation in its park's re-check.
         std::atomic_thread_fence(std::memory_order_seq_cst);
         if (!waiters_.empty())
             waiters_.wakeAll();
-        return !ctl.aborted();
     }
+    return gen;
+}
+
+ParkTarget
+StageBarrier::parkTarget(uint64_t gen)
+{
     ParkTarget pt;
     pt.list = &waiters_;
     pt.ready = &StageBarrier::generationAdvanced;
     pt.obj = this;
     pt.arg = gen;
-    pt.what = "barrier";
-    while (generation_.load(std::memory_order_acquire) == gen)
-        if (!parkStep(ctl, pt))
-            return false;
-    return !ctl.aborted();
+    return pt;
 }
 
 // ---------------------------------------------------------------------
@@ -181,46 +87,175 @@ StageWorker::StageWorker(std::string name, const sim::Program* prog,
         arrayBind_[a] = binding.array(fn.arrays[a].name, replica);
 }
 
-void
-StageWorker::run()
+StageStop
+StageWorker::resume()
 {
-    const DecodedProgram dec = decodeProgram(*prog_, queueOffset_, queues_);
-    stats.fusedSites = static_cast<uint64_t>(dec.fusedSites);
-    const DInst* code = dec.code.data();
-    for (;;) {
-        const DInst& d = code[pc_];
-        if (!kDispatch[static_cast<size_t>(d.op)](*this, d))
-            break;
+    if (code_ == nullptr) {
+        // Decode when the stage first runs, on its replica's worker:
+        // the caller's thread (in phloemd, the one whose allocator
+        // arena holds its cached pipelines) allocates nothing per stage.
+        dec_ = decodeProgram(*prog_, queueOffset_, queues_);
+        code_ = dec_.code.data();
+        stats.fusedSites = static_cast<uint64_t>(dec_.fusedSites);
     }
-    // A budget overrun throws past this point.
-    if (traceBuf) {
+    stop_ = StageStop::kRunning;
+    moved_ = !blocked();
+    if (!moved_) {
+        // Retry the op the stage blocked on: it was counted when it
+        // first ran, so only its completion is left.
+        const DInst& d = code_[pc_];
+        const bool go = kRetry[static_cast<size_t>(d.op)](*this, d);
+        if (stop_ == StageStop::kBlocked)
+            return stop_;
+        moved_ = true;
+        endWait();
+        if (!go)
+            return stop_;
+    }
+    const DInst* code = code_;
+    while (kDispatch[static_cast<size_t>(code[pc_].op)](*this, code[pc_])) {
+    }
+    if (stop_ == StageStop::kHalted)
+        halt();
+    return stop_;
+}
+
+void
+StageWorker::halt()
+{
+    halted_ = true;
+    if (traceBuf != nullptr) {
         uint64_t t = traceBuf->now();
         traceBuf->record(trace::EventKind::kHalt, -1, t, t);
     }
 }
 
+bool
+StageWorker::crossReplicaWait(ParkTarget* pt) const
+{
+    if (waitKind_ == WaitKind::kBarrier) {
+        auto* b = static_cast<StageBarrier*>(waitOn_);
+        if (!b->spansReplicas())
+            return false;
+        *pt = b->parkTarget(waitGen_);
+        return true;
+    }
+    auto* q = static_cast<SpscQueue*>(waitOn_);
+    if (!q->multiProducer())
+        return false;
+    const bool enq = waitKind_ == WaitKind::kEnq;
+    pt->list = enq ? &q->waiters().producers : &q->waiters().consumers;
+    pt->ready = enq ? &ringHasSpace : &ringHasData;
+    pt->obj = q;
+    pt->arg = 0;
+    return true;
+}
+
+void
+StageWorker::abandon()
+{
+    if (halted_)
+        return;
+    if (blocked())
+        endWait();
+    halt();
+}
+
+void
+StageWorker::describeWait(std::string& out) const
+{
+    const char* what = waitWhat_.load(std::memory_order_relaxed);
+    if (what == nullptr)
+        return;
+    out += "\n  " + stats.name + " parked on " + what;
+    int32_t q = waitQ_.load(std::memory_order_relaxed);
+    if (q >= 0)
+        out += " q" + std::to_string(q);
+}
+
 // ---------------------------------------------------------------------
-// Queue ops: the blocked paths.
+// Blocked ops.
 // ---------------------------------------------------------------------
+
+void
+StageWorker::beginWait(WaitKind kind, void* on, int abs_q)
+{
+    waitKind_ = kind;
+    waitOn_ = on;
+    if (kind == WaitKind::kEnq)
+        static_cast<SpscQueue*>(on)->noteEnqBlocked();
+    else if (kind != WaitKind::kBarrier)
+        static_cast<SpscQueue*>(on)->noteDeqBlocked();
+    waitT0_ = traceBuf != nullptr ? traceBuf->now() : 0;
+    static constexpr const char* kNames[] = {"enq", "deq", "peek",
+                                             "barrier"};
+    waitQ_.store(abs_q, std::memory_order_relaxed);
+    waitWhat_.store(kNames[static_cast<size_t>(kind)],
+                    std::memory_order_relaxed);
+}
+
+void
+StageWorker::endWait()
+{
+    if (traceBuf != nullptr) {
+        trace::EventKind k = waitKind_ == WaitKind::kEnq
+                                 ? trace::EventKind::kEnqBlock
+                             : waitKind_ == WaitKind::kBarrier
+                                 ? trace::EventKind::kBarrierWait
+                                 : trace::EventKind::kDeqBlock;
+        traceBuf->record(k, waitQ_.load(std::memory_order_relaxed), waitT0_,
+                         traceBuf->now());
+    }
+    waitWhat_.store(nullptr, std::memory_order_relaxed);
+}
+
+/**
+ * The blocked path of every stage queue op, entered once its inline
+ * fast path failed, on the op's first run and on each retry. If an RA
+ * drains the ring (enq) or feeds it (deq/peek), pump it and, if that
+ * moved a value, retry `attempt`: the stage does the RA's work instead
+ * of waiting for it. Returns true iff the op completed; otherwise the
+ * op waits at pc_ (its first failure counts one block on the ring and
+ * opens its trace span) and the replica's loop runs another stage.
+ */
+template <typename Attempt>
+bool
+StageWorker::waitBlocked(SpscQueue& q, int abs_q, WaitKind kind,
+                         Attempt&& attempt)
+{
+    const bool enq = kind == WaitKind::kEnq;
+    if (RAWorker* ra = enq ? q.drainer() : q.feeder()) {
+        // The fast path just failed: only a pump can change that.
+        if ((enq ? ra->pumpIn() : ra->pumpOut()) > 0) {
+            moved_ = true;
+            if (attempt())
+                return true;
+        }
+    }
+    if (!blocked())
+        beginWait(kind, &q, abs_q);
+    stop_ = StageStop::kBlocked;
+    return false;
+}
 
 bool
 StageWorker::pushBlocked(SpscQueue& q, int abs_q, const ir::Value& v)
 {
-    return waitBlocked(*ctl_, traceBuf, q, abs_q, QueueWait::kEnq,
+    return waitBlocked(q, abs_q, WaitKind::kEnq,
                        [&] { return q.tryPush(v); });
 }
 
 bool
 StageWorker::popBlocked(SpscQueue& q, int abs_q, ir::Value& v)
 {
-    return waitBlocked(*ctl_, traceBuf, q, abs_q, QueueWait::kDeq,
+    return waitBlocked(q, abs_q, WaitKind::kDeq,
                        [&] { return q.tryPop(v); });
 }
 
 bool
 StageWorker::peekBlocked(SpscQueue& q, int abs_q, ir::Value& v)
 {
-    return waitBlocked(*ctl_, traceBuf, q, abs_q, QueueWait::kPeek,
+    return waitBlocked(q, abs_q, WaitKind::kPeek,
                        [&] { return q.tryPeek(v); });
 }
 
@@ -234,8 +269,10 @@ StageWorker::slowTick()
     // Heartbeat: abort and the instruction budget are polled here
     // rather than per instruction.
     heartbeat_ = 0;
-    if (ctl_->aborted())
+    if (ctl_->aborted()) {
+        stop_ = StageStop::kAborted;
         return false;
+    }
     if (stats.instructions > ctl_->opt.maxInstructions) {
         std::string msg = "instruction budget exceeded (" +
                           std::to_string(ctl_->opt.maxInstructions) +
@@ -243,94 +280,78 @@ StageWorker::slowTick()
         ctl_->fail(msg);
         throw std::runtime_error(msg);
     }
-    // Long compute phases must not monopolize the pool worker while
-    // runnable peers wait (no-op for a serial run, which is off it).
-    Scheduler::maybeYield();
-    return true;
-}
-
-inline bool
-StageWorker::tick(uint64_t n)
-{
-    stats.instructions += n;
-    heartbeat_ += n;
-    if (heartbeat_ >= kHeartbeatInterval)
-        return slowTick();
-    return true;
+    // Long compute phases must not monopolize the replica (or the pool
+    // worker) while peers could run.
+    stop_ = StageStop::kHeartbeat;
+    return false;
 }
 
 // ---------------------------------------------------------------------
-// Handlers.
+// Handlers. Each counts its op when it starts and retires its
+// instructions (tick) when the op is done, so a blocked op that a retry
+// completes counts once.
 // ---------------------------------------------------------------------
 
 bool
-StageWorker::hEnd(StageWorker&, const DInst&)
+StageWorker::hEnd(StageWorker& w, const DInst&)
 {
     // Fell off the end: halt without counting an instruction, exactly
     // like the simulator's pc bound check.
+    w.stop_ = StageStop::kHalted;
     return false;
 }
 
 bool
 StageWorker::hHalt(StageWorker& w, const DInst& d)
 {
-    w.tick(1);
     w.stats.opCounts[static_cast<size_t>(d.opcode)]++;
+    w.tick(1);
+    w.stop_ = StageStop::kHalted;
     return false;
 }
 
 bool
 StageWorker::hBr(StageWorker& w, const DInst& d)
 {
-    if (!w.tick(1))
-        return false;
     w.stats.branches++;
     w.pc_ = d.target;
-    return true;
+    return w.tick(1);
 }
 
 bool
 StageWorker::hBrIf(StageWorker& w, const DInst& d)
 {
-    if (!w.tick(1))
-        return false;
     w.stats.branches++;
     bool truth =
         w.regs_[static_cast<size_t>(d.src0)].asInt() != 0;
     w.pc_ = truth ? d.target : w.pc_ + 1;
-    return true;
+    return w.tick(1);
 }
 
 bool
 StageWorker::hBrIfNot(StageWorker& w, const DInst& d)
 {
-    if (!w.tick(1))
-        return false;
     w.stats.branches++;
     bool truth =
         w.regs_[static_cast<size_t>(d.src0)].asInt() != 0;
     w.pc_ = truth ? w.pc_ + 1 : d.target;
-    return true;
+    return w.tick(1);
 }
 
 bool
 StageWorker::hScalar(StageWorker& w, const DInst& d)
 {
-    if (!w.tick(1))
-        return false;
     w.stats.opCounts[static_cast<size_t>(d.opcode)]++;
     ir::Value out = sim::evalScalarOp(*d.raw, w.regs_.data());
     if (d.dst >= 0)
         w.regs_[static_cast<size_t>(d.dst)] = out;
     w.pc_++;
-    return true;
+    return w.tick(1);
 }
 
 bool
 StageWorker::hWork(StageWorker& w, const DInst& d)
 {
-    if (!w.tick(1))
-        return false;
     w.stats.opCounts[static_cast<size_t>(d.opcode)]++;
     ir::Value out = sim::evalScalarOp(*d.raw, w.regs_.data());
     if (d.imm > 1) {
@@ -345,14 +366,12 @@ StageWorker::hWork(StageWorker& w, const DInst& d)
     if (d.dst >= 0)
         w.regs_[static_cast<size_t>(d.dst)] = out;
     w.pc_++;
-    return true;
+    return w.tick(1);
 }
 
 bool
 StageWorker::hLoad(StageWorker& w, const DInst& d)
 {
-    if (!w.tick(1))
-        return false;
     w.stats.opCounts[static_cast<size_t>(d.opcode)]++;
     // Array bindings are looked up per execution: kSwapArr may retarget
     // them at runtime, so decoded instructions never cache the buffer.
@@ -362,14 +381,12 @@ StageWorker::hLoad(StageWorker& w, const DInst& d)
     if (d.dst >= 0)
         w.regs_[static_cast<size_t>(d.dst)] = out;
     w.pc_++;
-    return true;
+    return w.tick(1);
 }
 
 bool
 StageWorker::hStore(StageWorker& w, const DInst& d)
 {
-    if (!w.tick(1))
-        return false;
     w.stats.opCounts[static_cast<size_t>(d.opcode)]++;
     sim::ArrayBuffer* buf = w.arrayBind_[static_cast<size_t>(d.arr)];
     int64_t idx = w.regs_[static_cast<size_t>(d.src0)].asInt();
@@ -377,28 +394,24 @@ StageWorker::hStore(StageWorker& w, const DInst& d)
     if (d.dst >= 0)
         w.regs_[static_cast<size_t>(d.dst)] = ir::Value{};
     w.pc_++;
-    return true;
+    return w.tick(1);
 }
 
 bool
 StageWorker::hMemOther(StageWorker& w, const DInst& d)
 {
-    if (!w.tick(1))
-        return false;
     w.stats.opCounts[static_cast<size_t>(d.opcode)]++;
     sim::ArrayBuffer* buf = w.arrayBind_[static_cast<size_t>(d.arr)];
     ir::Value out = sim::applyMemOp(*d.raw, *buf, w.regs_.data());
     if (d.dst >= 0)
         w.regs_[static_cast<size_t>(d.dst)] = out;
     w.pc_++;
-    return true;
+    return w.tick(1);
 }
 
 bool
 StageWorker::hAtomic(StageWorker& w, const DInst& d)
 {
-    if (!w.tick(1))
-        return false;
     w.stats.opCounts[static_cast<size_t>(d.opcode)]++;
     sim::ArrayBuffer* buf = w.arrayBind_[static_cast<size_t>(d.arr)];
     ir::Value out;
@@ -411,71 +424,95 @@ StageWorker::hAtomic(StageWorker& w, const DInst& d)
     if (d.dst >= 0)
         w.regs_[static_cast<size_t>(d.dst)] = out;
     w.pc_++;
-    return true;
+    return w.tick(1);
 }
 
 bool
 StageWorker::hSwapArr(StageWorker& w, const DInst& d)
 {
-    if (!w.tick(1))
-        return false;
     w.stats.opCounts[static_cast<size_t>(d.opcode)]++;
     std::swap(w.arrayBind_[static_cast<size_t>(d.arr)],
               w.arrayBind_[static_cast<size_t>(d.arr2)]);
     w.pc_++;
-    return true;
+    return w.tick(1);
 }
 
 bool
 StageWorker::hBarrier(StageWorker& w, const DInst& d)
 {
-    if (!w.tick(1))
-        return false;
+    // Arrive once; a blocked barrier's retries only re-check the
+    // generation. Every arrival, the last one included, is a wait span.
     w.stats.opCounts[static_cast<size_t>(d.opcode)]++;
+    w.waitGen_ = w.barrier_->arrive();
+    w.beginWait(WaitKind::kBarrier, w.barrier_, -1);
+    if (!w.barrier_->passed(w.waitGen_)) {
+        w.stop_ = StageStop::kBlocked;
+        return false;
+    }
+    w.endWait();
     w.pc_++;
-    if (!w.traceBuf)
-        return w.barrier_->arriveAndWait(*w.ctl_);
-    uint64_t t0 = w.traceBuf->now();
-    bool ok = w.barrier_->arriveAndWait(*w.ctl_);
-    w.traceBuf->record(trace::EventKind::kBarrierWait, -1, t0,
-                       w.traceBuf->now());
-    return ok;
+    return w.tick(1);
+}
+
+bool
+StageWorker::rBarrier(StageWorker& w, const DInst&)
+{
+    if (!w.barrier_->passed(w.waitGen_)) {
+        w.stop_ = StageStop::kBlocked;
+        return false;
+    }
+    w.pc_++;
+    return w.tick(1);
 }
 
 bool
 StageWorker::hEnq(StageWorker& w, const DInst& d)
 {
-    if (!w.tick(1))
-        return false;
     w.stats.queueOps++;
     w.stats.opCounts[static_cast<size_t>(d.opcode)]++;
+    return rEnq(w, d);
+}
+
+bool
+StageWorker::rEnq(StageWorker& w, const DInst& d)
+{
     if (!w.push(*d.q, d.absQ, w.regs_[static_cast<size_t>(d.src0)]))
         return false;
     w.pc_++;
-    return true;
+    return w.tick(1);
 }
 
 bool
 StageWorker::hEnqCtrl(StageWorker& w, const DInst& d)
 {
-    if (!w.tick(1))
-        return false;
     w.stats.queueOps++;
     w.stats.opCounts[static_cast<size_t>(d.opcode)]++;
+    return rEnqCtrl(w, d);
+}
+
+bool
+StageWorker::rEnqCtrl(StageWorker& w, const DInst& d)
+{
     if (!w.push(*d.q, d.absQ,
                 ir::Value::makeControl(static_cast<uint32_t>(d.imm))))
         return false;
     w.pc_++;
-    return true;
+    return w.tick(1);
 }
 
 bool
 StageWorker::hEnqDist(StageWorker& w, const DInst& d)
 {
-    if (!w.tick(1))
-        return false;
     w.stats.queueOps++;
     w.stats.opCounts[static_cast<size_t>(d.opcode)]++;
+    return rEnqDist(w, d);
+}
+
+bool
+StageWorker::rEnqDist(StageWorker& w, const DInst& d)
+{
+    // The selector register is unchanged while the op waits, so a retry
+    // picks the same ring.
     int64_t sel = w.regs_[static_cast<size_t>(d.src1)].asInt();
     int target = sim::distTargetReplica(sel, w.numReplicas_);
     int abs_q = d.queueBase + target * w.queueStride_;
@@ -486,16 +523,20 @@ StageWorker::hEnqDist(StageWorker& w, const DInst& d)
     if (!w.push(q, abs_q, v))
         return false;
     w.pc_++;
-    return true;
+    return w.tick(1);
 }
 
 bool
 StageWorker::hDeq(StageWorker& w, const DInst& d)
 {
-    if (!w.tick(1))
-        return false;
     w.stats.queueOps++;
     w.stats.opCounts[static_cast<size_t>(d.opcode)]++;
+    return rDeq(w, d);
+}
+
+bool
+StageWorker::rDeq(StageWorker& w, const DInst& d)
+{
     ir::Value v;
     if (!w.pop(*d.q, d.absQ, v))
         return false;
@@ -506,22 +547,26 @@ StageWorker::hDeq(StageWorker& w, const DInst& d)
         w.pc_ = d.handlerPc;
     else
         w.pc_++;
-    return true;
+    return w.tick(1);
 }
 
 bool
 StageWorker::hPeek(StageWorker& w, const DInst& d)
 {
-    if (!w.tick(1))
-        return false;
     w.stats.queueOps++;
     w.stats.opCounts[static_cast<size_t>(d.opcode)]++;
+    return rPeek(w, d);
+}
+
+bool
+StageWorker::rPeek(StageWorker& w, const DInst& d)
+{
     ir::Value v;
     if (!w.peek(*d.q, d.absQ, v))
         return false;
     w.regs_[static_cast<size_t>(d.dst)] = v;
     w.pc_++;
-    return true;
+    return w.tick(1);
 }
 
 // --- Fused superinstructions (two raw instructions per dispatch). ----
@@ -529,8 +574,6 @@ StageWorker::hPeek(StageWorker& w, const DInst& d)
 bool
 StageWorker::hScalarBr(StageWorker& w, const DInst& d)
 {
-    if (!w.tick(2))
-        return false;
     w.stats.opCounts[static_cast<size_t>(d.opcode)]++;
     w.stats.branches++;
     ir::Value out = sim::evalScalarOp(*d.raw, w.regs_.data());
@@ -539,43 +582,41 @@ StageWorker::hScalarBr(StageWorker& w, const DInst& d)
     if (d.negate)
         truth = !truth;
     w.pc_ = truth ? d.target : w.pc_ + 2;
-    return true;
+    return w.tick(2);
 }
 
 bool
 StageWorker::hScalarJmp(StageWorker& w, const DInst& d)
 {
-    if (!w.tick(2))
-        return false;
     w.stats.opCounts[static_cast<size_t>(d.opcode)]++;
     w.stats.branches++;
     w.regs_[static_cast<size_t>(d.dst)] =
         sim::evalScalarOp(*d.raw, w.regs_.data());
     w.pc_ = d.target;
-    return true;
+    return w.tick(2);
 }
 
 bool
 StageWorker::hScalarEnq(StageWorker& w, const DInst& d)
 {
-    if (!w.tick(2))
-        return false;
     w.stats.queueOps++;
     w.stats.opCounts[static_cast<size_t>(d.opcode)]++;
     w.stats.opCounts[static_cast<size_t>(d.opcode2)]++;
     ir::Value out = sim::evalScalarOp(*d.raw, w.regs_.data());
     w.regs_[static_cast<size_t>(d.dst)] = out;
+    // The scalar half is done. A blocked enq half waits at pc+1, whose
+    // standalone kEnq (of this dst, to this ring) its retries complete.
+    w.retire(1);
+    w.pc_++;
     if (!w.push(*d.q, d.absQ, out))
         return false;
-    w.pc_ += 2;
-    return true;
+    w.pc_++;
+    return w.tick(1);
 }
 
 bool
 StageWorker::hLoadEnq(StageWorker& w, const DInst& d)
 {
-    if (!w.tick(2))
-        return false;
     w.stats.queueOps++;
     w.stats.opCounts[static_cast<size_t>(d.opcode)]++;
     w.stats.opCounts[static_cast<size_t>(d.opcode2)]++;
@@ -583,10 +624,13 @@ StageWorker::hLoadEnq(StageWorker& w, const DInst& d)
     int64_t idx = w.regs_[static_cast<size_t>(d.src0)].asInt();
     ir::Value out = buf->load(idx);
     w.regs_[static_cast<size_t>(d.dst)] = out;
+    // As in hScalarEnq: the load is done; a blocked enq waits at pc+1.
+    w.retire(1);
+    w.pc_++;
     if (!w.push(*d.q, d.absQ, out))
         return false;
-    w.pc_ += 2;
-    return true;
+    w.pc_++;
+    return w.tick(1);
 }
 
 // Order must match the DOp enumerators exactly.
@@ -615,6 +659,32 @@ const StageWorker::Handler StageWorker::kDispatch[kNumDOps] = {
     &StageWorker::hLoadEnq,   // kLoadEnq
 };
 
+// Only these ops wait; a fused enq waits at its standalone half (kEnq).
+const StageWorker::Handler StageWorker::kRetry[kNumDOps] = {
+    nullptr,                  // kEnd
+    nullptr,                  // kHalt
+    nullptr,                  // kBr
+    nullptr,                  // kBrIf
+    nullptr,                  // kBrIfNot
+    nullptr,                  // kScalar
+    nullptr,                  // kWork
+    nullptr,                  // kLoad
+    nullptr,                  // kStore
+    nullptr,                  // kMemOther
+    nullptr,                  // kAtomic
+    nullptr,                  // kSwapArr
+    &StageWorker::rBarrier,   // kBarrier
+    &StageWorker::rEnq,       // kEnq
+    &StageWorker::rEnqCtrl,   // kEnqCtrl
+    &StageWorker::rEnqDist,   // kEnqDist
+    &StageWorker::rDeq,       // kDeq
+    &StageWorker::rPeek,      // kPeek
+    nullptr,                  // kScalarBr
+    nullptr,                  // kScalarJmp
+    nullptr,                  // kScalarEnq
+    nullptr,                  // kLoadEnq
+};
+
 // ---------------------------------------------------------------------
 // RAWorker.
 // ---------------------------------------------------------------------
@@ -635,24 +705,6 @@ RAWorker::RAWorker(std::string name, const ir::RAConfig& cfg,
     outQ_->setFeeder(this);
     stats.name = std::move(name);
     stats.isStage = false;
-}
-
-SpscQueue&
-RAWorker::chainIn() const
-{
-    const RAWorker* ra = this;
-    while (ra->inQ_->feeder() != nullptr)
-        ra = ra->inQ_->feeder();
-    return *ra->inQ_;
-}
-
-SpscQueue&
-RAWorker::chainOut() const
-{
-    const RAWorker* ra = this;
-    while (ra->outQ_->drainer() != nullptr)
-        ra = ra->outQ_->drainer();
-    return *ra->outQ_;
 }
 
 void
@@ -726,25 +778,31 @@ RAWorker::pumpOut()
 {
     uint64_t t0 = traceBuf != nullptr ? traceBuf->now() : 0;
     size_t pushed = 0;
+    size_t moves = 0;
     // One RAEntity::step per iteration: reserve an output slot first, so
     // whatever the step takes off the input can always be passed on.
     while (outQ_->hasFreeSlot()) {
-        if (step(&pushed))
+        if (step(&pushed)) {
+            ++moves;
             continue;
+        }
         // The input ran dry: refill it from the RA upstream, if any.
         RAWorker* up = inQ_->feeder();
-        if (up == nullptr || up->pumpOut() == 0)
+        const size_t up_moves = up != nullptr ? up->pumpOut() : 0;
+        if (up_moves == 0)
             break;
+        moves += up_moves;
     }
     traceService(t0, pushed);
-    return pushed;
+    return moves;
 }
 
-void
+size_t
 RAWorker::pumpIn()
 {
     uint64_t t0 = traceBuf != nullptr ? traceBuf->now() : 0;
     size_t pushed = 0;
+    size_t moves = 0;
     for (;;) {
         if (!outQ_->hasFreeSlot()) {
             // The output is full: make room by draining the RA
@@ -752,14 +810,99 @@ RAWorker::pumpIn()
             RAWorker* down = outQ_->drainer();
             if (down == nullptr)
                 break;
-            down->pumpIn();
+            moves += down->pumpIn();
             if (!outQ_->hasFreeSlot())
                 break;
         }
         if (!step(&pushed))
             break;
+        ++moves;
     }
     traceService(t0, pushed);
+    return moves;
+}
+
+// ---------------------------------------------------------------------
+// Replica.
+// ---------------------------------------------------------------------
+
+Replica::Replica(std::vector<StageWorker*> stages, RunControl* ctl)
+    : stages_(std::move(stages)), ctl_(ctl), live_(stages_.size())
+{
+}
+
+TaskStep
+Replica::resume(std::vector<ParkTarget>& park)
+{
+    const size_t n = stages_.size();
+    while (live_ > 0) {
+        if (ctl_->aborted())
+            return stop();
+        // One round: every stage once, from where the last one left off.
+        bool moved = false;
+        for (size_t k = 0; k < n; ++k) {
+            StageWorker& s = *stages_[next_];
+            next_ = next_ + 1 == n ? 0 : next_ + 1;
+            if (s.halted())
+                continue;
+            StageStop st = StageStop::kRunning;
+            try {
+                st = s.resume();
+            } catch (const std::exception& e) {
+                ctl_->fail(s.stats.name + ": " + e.what());
+                return stop();
+            }
+            moved = moved || s.moved();
+            switch (st) {
+            case StageStop::kHalted:
+                --live_;
+                break;
+            case StageStop::kHeartbeat:
+                if (Scheduler::shouldYield())
+                    return TaskStep::kYield;
+                break;
+            case StageStop::kAborted:
+                return stop();
+            case StageStop::kBlocked:
+            case StageStop::kRunning:
+                break;
+            }
+        }
+        if (moved || live_ == 0)
+            continue;
+        // A fixed point: every live stage is blocked, and retrying each
+        // changed nothing. Only another replica can end a wait now.
+        park.clear();
+        ParkTarget pt;
+        for (StageWorker* s : stages_)
+            if (!s->halted() && s->crossReplicaWait(&pt))
+                park.push_back(pt);
+        if (!park.empty())
+            return TaskStep::kPark;
+        std::string msg = "deadlock: all " + std::to_string(live_) +
+                          " live stages blocked, and no stage or RA of "
+                          "their replica can move";
+        describeWaits(msg);
+        ctl_->fail(msg);
+        return stop();
+    }
+    return TaskStep::kDone;
+}
+
+TaskStep
+Replica::stop()
+{
+    for (StageWorker* s : stages_)
+        s->abandon();
+    live_ = 0;
+    return TaskStep::kDone;
+}
+
+void
+Replica::describeWaits(std::string& out) const
+{
+    for (const StageWorker* s : stages_)
+        s->describeWait(out);
 }
 
 } // namespace phloem::rt

@@ -1,23 +1,30 @@
 /**
  * @file
- * Native-runtime workers: the per-stage task and the software
- * reference accelerator.
+ * Native-runtime workers: the stage context, the software reference
+ * accelerator, and the replica loop that runs them as one pool task.
  *
  * A StageWorker runs one stage's sim::flatten instruction stream,
  * pre-decoded (runtime/decode.h), through the same functional core the
  * simulator uses (sim/eval.h), so the two backends agree bit-for-bit.
- * A blocked queue op pumps the RA beside its ring, if any, then parks
- * (waitBlocked in worker.cc); control values arriving at a kDeq with a
- * handler transfer to the handler pc exactly as the simulated hardware
- * does.
+ * Like a Pipette thread context it is registers and a pc, no stack: all
+ * of its state lives in members, and it can stop only between
+ * instructions or inside a queue op, kBarrier or its heartbeat. A
+ * blocked queue op pumps the RA beside its ring, if any, then returns
+ * "blocked" with pc_ still on the op (waitBlocked in worker.cc); control
+ * values arriving at a kDeq with a handler transfer to the handler pc
+ * exactly as the simulated hardware does.
  *
  * An RAWorker replays sim/machine.cc's RAEntity state machine in
  * software: indirect mode turns dequeued indices into loaded elements;
  * scan mode streams [start, end) ranges, optionally delimited with a
  * range control value. Control values pass through unchanged. Like a
  * stage, an RA holds no value outside its rings. An RA is not a task:
- * its replica's stages pump it from their blocked queue ops, so a run
- * is complete once every stage task has halted.
+ * its replica's stages pump it from their blocked queue ops.
+ *
+ * A Replica is one replica's stages as one stackless pool task: it runs
+ * them in turn, switching whenever one blocks, the way sim/machine.cc
+ * steps its thread contexts, so a run is complete once every replica's
+ * stages have halted.
  */
 
 #ifndef PHLOEM_RUNTIME_WORKER_H
@@ -40,8 +47,10 @@
 namespace phloem::rt {
 
 /**
- * Poll abort and the instruction budget, and offer the pool worker to
- * runnable peers (Scheduler::maybeYield), every this many instructions.
+ * Every this many instructions a stage polls abort and the instruction
+ * budget and hands over to the next stage of its replica, which yields
+ * its pool worker if other tasks are queued there
+ * (Scheduler::shouldYield).
  */
 constexpr uint64_t kHeartbeatInterval = 4096;
 
@@ -49,11 +58,13 @@ constexpr uint64_t kHeartbeatInterval = 4096;
 struct RuntimeOptions
 {
     /**
-     * Abort the run once every live task has stayed parked, with
-     * nothing runnable, for this long (the scheduler's all-parked
-     * monitor; a mis-compiled pipeline would otherwise hang the host).
-     * It bounds a deadlocked run, not a live one: a run that keeps
-     * computing is bounded only by maxInstructions.
+     * Abort the run once every replica has stayed parked on waits that
+     * cross replicas, with nothing runnable, for this long (the
+     * scheduler's all-parked monitor; a mis-compiled pipeline would
+     * otherwise hang the host). A replica whose stages wait only on
+     * each other is reported at once, without this wait. It bounds a
+     * deadlocked run, not a live one: a run that keeps computing is
+     * bounded only by maxInstructions.
      */
     int deadlockTimeoutMs = 10000;
     /** Per-worker dynamic instruction budget (runaway-loop backstop). */
@@ -124,43 +135,70 @@ struct RunControl
 };
 
 /**
- * Sense-reversing barrier for the pipeline's stage workers (kBarrier).
- * Abort-aware: a waiter returns false when the run is unwinding.
- * Waiters park on the barrier's waiter list and the last arriver wakes
- * them (spinning would starve the missing parties, which share the
- * waiter's pool worker).
+ * Sense-reversing barrier for the pipeline's stages (kBarrier). A stage
+ * arrives once (arrive) and then waits, switched out by its replica's
+ * loop, until the generation it arrived in has passed (passed). The
+ * last arriver starts the next generation and, when the parties span
+ * replicas, wakes the replicas parked on the barrier.
  */
 class StageBarrier
 {
   public:
-    explicit StageBarrier(int parties) : parties_(parties) {}
+    StageBarrier(int parties, bool spans_replicas)
+        : parties_(parties), spansReplicas_(spans_replicas)
+    {
+    }
 
-    /** Returns false when the run aborted while waiting. */
-    bool arriveAndWait(RunControl& ctl);
+    /** Count one arrival; returns the generation it has to pass. */
+    uint64_t arrive();
+
+    /** Has the generation `gen` (from arrive) passed? */
+    bool
+    passed(uint64_t gen) const
+    {
+        return generation_.load(std::memory_order_acquire) != gen;
+    }
+
+    /** Do the parties span replicas (can a replica park here)? */
+    bool spansReplicas() const { return spansReplicas_; }
+
+    /** Where a replica parks until generation `gen` passes. */
+    ParkTarget parkTarget(uint64_t gen);
 
   private:
     /** ParkTarget re-check: has the generation moved past pt.arg? */
     static bool
     generationAdvanced(const ParkTarget& pt)
     {
-        const auto* b = static_cast<const StageBarrier*>(pt.obj);
-        return b->generation_.load(std::memory_order_acquire) != pt.arg;
+        return static_cast<const StageBarrier*>(pt.obj)->passed(pt.arg);
     }
 
     const int parties_;
+    const bool spansReplicas_;
     std::atomic<int> waiting_{0};
     std::atomic<uint64_t> generation_{0};
     WaitList waiters_;
 };
 
+/** Why StageWorker::resume returned. */
+enum class StageStop : uint8_t {
+    kRunning,    ///< internal: no handler has stopped yet (never returned)
+    kHalted,     ///< ran kHalt or fell off the end of its program
+    kBlocked,    ///< its op at pc_ cannot complete yet (see blocked())
+    kHeartbeat,  ///< ran a heartbeat's worth: let the next stage run
+    kAborted,    ///< the run is aborting
+};
+
 /**
- * One pipeline stage as a pool task (or a serial function on the
- * caller's thread). The stage's flat program is decoded for its
- * replica's queue window (decodeProgram) and executed through a
- * function-pointer handler table: one indirect call per decoded
- * instruction, fused superinstructions retiring the flattener's
- * dominant pairs in one dispatch. Dynamic counts match the simulator's
- * exactly (fused pairs count two).
+ * One pipeline stage as a resumable context, run by its replica's loop
+ * (or by runSerial on the caller's thread). The stage's flat program is
+ * decoded for its replica's queue window (decodeProgram) and executed
+ * through a function-pointer handler table: one indirect call per
+ * decoded instruction, fused superinstructions retiring the
+ * flattener's dominant pairs in one dispatch. Dynamic counts match the
+ * simulator's exactly (fused pairs count two): a handler counts its op
+ * when it first runs and retires its instructions when the op
+ * completes, and a blocked op's retries (kRetry) count nothing.
  *
  * Queue ops go straight to the ring: a value stays in its fixed-capacity
  * ring until a deq moves it into a register, as in the simulator, so a
@@ -178,11 +216,42 @@ class StageWorker
                 RunControl* ctl);
 
     /**
-     * Task body: run the stage until halt or abort. Throws on an
-     * instruction-budget overrun; the caller's task wrapper routes that
-     * to RunControl::fail.
+     * Run from pc_ until the stage halts, blocks, reaches a heartbeat,
+     * or sees the run abort. A blocked stage first retries the op at
+     * pc_. Throws on an instruction-budget overrun, after failing the
+     * run.
      */
-    void run();
+    StageStop resume();
+
+    bool halted() const { return halted_; }
+    /** Is the op at pc_ waiting to complete? */
+    bool
+    blocked() const
+    {
+        return waitWhat_.load(std::memory_order_relaxed) != nullptr;
+    }
+    /**
+     * Did the last resume change anything: run an instruction, count a
+     * new op, complete the op it waited on, or pump an RA that moved a
+     * value?
+     */
+    bool moved() const { return moved_; }
+    /**
+     * Fill *pt for a wait that only another replica can end (a
+     * multi-producer ring, a barrier whose parties span replicas);
+     * false when this stage's own replica must end it.
+     */
+    bool crossReplicaWait(ParkTarget* pt) const;
+    /**
+     * The run is aborting: close the trace span of an open wait and
+     * halt.
+     */
+    void abandon();
+    /**
+     * While blocked, append "\n  <stage> parked on <enq|deq|peek|barrier>
+     * [qN]" to a deadlock report. Safe from any thread.
+     */
+    void describeWait(std::string& out) const;
 
     WorkerStats stats;
 
@@ -191,14 +260,44 @@ class StageWorker
 
   private:
     using Handler = bool (*)(StageWorker&, const DInst&);
+    /** First execution of each DOp (counts it). */
     static const Handler kDispatch[kNumDOps];
+    /**
+     * Retry of the blocked op at pc_ (counts nothing); null for an op
+     * that never blocks.
+     */
+    static const Handler kRetry[kNumDOps];
+
+    /** Which side of a ring, or the barrier, a blocked op waits on. */
+    enum class WaitKind : uint8_t { kEnq, kDeq, kPeek, kBarrier };
 
     // --- Bookkeeping ------------------------------------------------
-    /** Count n retired instructions; false when the run aborted. */
-    bool tick(uint64_t n);
+    /** Count n retired instructions without a heartbeat check. */
+    void
+    retire(uint64_t n)
+    {
+        stats.instructions += n;
+        heartbeat_ += n;
+    }
+    /**
+     * Count n retired instructions; false (with stop_ set) at a
+     * heartbeat or once the run aborted.
+     */
+    bool
+    tick(uint64_t n)
+    {
+        retire(n);
+        return heartbeat_ < kHeartbeatInterval || slowTick();
+    }
     bool slowTick();
+    /** Mark the stage halted and trace it. */
+    void halt();
+    /** The op at pc_ blocked for the first time. */
+    void beginWait(WaitKind kind, void* on, int abs_q);
+    /** The op waited on completed, or the run aborted. */
+    void endWait();
 
-    // --- Queue ops: false once the run aborted while blocked. -------
+    // --- Queue ops: false (stop_ = kBlocked) when the op must wait. --
     bool
     push(SpscQueue& q, int abs_q, const ir::Value& v)
     {
@@ -218,9 +317,16 @@ class StageWorker
         return q.tryPeek(v) || peekBlocked(q, abs_q, v);
     }
 
-    bool pushBlocked(SpscQueue& q, int abs_q, const ir::Value& v);
-    bool popBlocked(SpscQueue& q, int abs_q, ir::Value& v);
-    bool peekBlocked(SpscQueue& q, int abs_q, ir::Value& v);
+    // Out of line, so the pumps they may call cost the fast paths no
+    // registers.
+    [[gnu::noinline]] bool pushBlocked(SpscQueue& q, int abs_q,
+                                       const ir::Value& v);
+    [[gnu::noinline]] bool popBlocked(SpscQueue& q, int abs_q, ir::Value& v);
+    [[gnu::noinline]] bool peekBlocked(SpscQueue& q, int abs_q,
+                                       ir::Value& v);
+    template <typename Attempt>
+    bool waitBlocked(SpscQueue& q, int abs_q, WaitKind kind,
+                     Attempt&& attempt);
 
     // --- Handlers (indexed by DOp) ----------------------------------
     static bool hEnd(StageWorker& w, const DInst& d);
@@ -246,6 +352,14 @@ class StageWorker
     static bool hScalarEnq(StageWorker& w, const DInst& d);
     static bool hLoadEnq(StageWorker& w, const DInst& d);
 
+    // --- Op completions: a blocking op's first run and its retries. --
+    static bool rBarrier(StageWorker& w, const DInst& d);
+    static bool rEnq(StageWorker& w, const DInst& d);
+    static bool rEnqCtrl(StageWorker& w, const DInst& d);
+    static bool rEnqDist(StageWorker& w, const DInst& d);
+    static bool rDeq(StageWorker& w, const DInst& d);
+    static bool rPeek(StageWorker& w, const DInst& d);
+
     const sim::Program* prog_;
     int queueOffset_;
     int queueStride_;
@@ -253,6 +367,9 @@ class StageWorker
     std::vector<SpscQueue*> queues_;
     StageBarrier* barrier_;
     RunControl* ctl_;
+    /** Decoded by the first resume(); code_ is null until then. */
+    DecodedProgram dec_;
+    const DInst* code_ = nullptr;
 
     std::vector<ir::Value> regs_;
     std::vector<sim::ArrayBuffer*> arrayBind_;
@@ -261,6 +378,25 @@ class StageWorker
     uint64_t heartbeat_ = 0;
     /** Sink for kWork's burned mixes; keeps the burn loop observable. */
     uint64_t workSink_ = 0;
+    /** Why the last handler that returned false stopped. */
+    StageStop stop_ = StageStop::kRunning;
+    bool halted_ = false;
+    bool moved_ = false;
+
+    // --- The wait of a blocked op, set by beginWait. -----------------
+    /**
+     * "enq", "deq", "peek" or "barrier" while the op at pc_ waits, else
+     * null; atomic, with waitQ_, for describeWait.
+     */
+    std::atomic<const char*> waitWhat_{nullptr};
+    std::atomic<int32_t> waitQ_{-1};
+    WaitKind waitKind_ = WaitKind::kEnq;
+    /** The ring (SpscQueue) or StageBarrier waited on. */
+    void* waitOn_ = nullptr;
+    /** The barrier generation a kBarrier waits to pass. */
+    uint64_t waitGen_ = 0;
+    /** Trace timestamp of the wait's first failed attempt. */
+    uint64_t waitT0_ = 0;
 };
 
 /**
@@ -288,22 +424,16 @@ class RAWorker
 
     /**
      * Step while the output ring has a free slot, pulling the upstream
-     * RA when the input ring runs dry. Returns the values pushed.
+     * RA when the input ring runs dry. Returns the steps that moved a
+     * value, in this RA and the RAs it pulled.
      */
     size_t pumpOut();
     /**
      * Step while the input ring holds work, draining the downstream RA
-     * when the output ring is full.
+     * when the output ring is full. Returns the steps that moved a
+     * value, in this RA and the RAs it drained.
      */
-    void pumpIn();
-
-    /**
-     * The first input ring of this RA's chain (the ring a stage feeds)
-     * and the last output ring (the ring a stage drains): where a stage
-     * that pumped in vain parks, as consumer and producer respectively.
-     */
-    SpscQueue& chainIn() const;
-    SpscQueue& chainOut() const;
+    size_t pumpIn();
 
     WorkerStats stats;
 
@@ -317,8 +447,9 @@ class RAWorker
 
     /**
      * One RAEntity::step with the output slot already reserved: adds
-     * the values it pushes to *pushed, and returns false when it needs
-     * an input value and the input ring is empty.
+     * the values it pushes to *pushed, and returns false, having moved
+     * nothing, when it needs an input value and the input ring is
+     * empty.
      */
     bool step(size_t* pushed);
     /** Push into the slot the caller found free. */
@@ -335,6 +466,38 @@ class RAWorker
     int64_t pendingStart_ = 0;
     int64_t scanCur_ = 0;
     int64_t scanEnd_ = 0;
+};
+
+/**
+ * One replica's stages as one stackless pool task: the software
+ * counterpart of a Pipette core switching SMT thread contexts on a
+ * blocked queue. resume() runs the stages round-robin, each until it
+ * blocks, halts or reaches its heartbeat, so a same-replica handoff is
+ * a return and a call. The order depends only on the replica's own
+ * stages, so its switches (queue blocks) are a function of the program
+ * and its input. A round in which no stage ran or completed its op and
+ * no pump moved a value is a fixed point: if some stage waits on
+ * another replica the task parks on those waits, else the replica is
+ * deadlocked and fails the run at once, in the monitor's words.
+ */
+class Replica final : public TaskBody
+{
+  public:
+    Replica(std::vector<StageWorker*> stages, RunControl* ctl);
+
+    TaskStep resume(std::vector<ParkTarget>& park) override;
+    void describeWaits(std::string& out) const override;
+
+  private:
+    /** The run is aborting: halt every stage still live. */
+    TaskStep stop();
+
+    std::vector<StageWorker*> stages_;
+    RunControl* ctl_;
+    /** Index of the stage to run next. */
+    size_t next_ = 0;
+    /** Stages not yet halted. */
+    size_t live_;
 };
 
 } // namespace phloem::rt

@@ -21,9 +21,10 @@
  * acceptor then stops accepting, in-flight requests finish, idle
  * connections close, and wait() returns. The same path serves the
  * protocol's "shutdown" op. A request's timeout only ends a deadlocked
- * run (every live task parked that long); one that keeps computing is
- * bounded by the per-worker instruction budget alone, and the drain
- * waits for it.
+ * run (every replica parked that long on waits across replicas; a
+ * replica deadlocked on its own fails at once); one that keeps
+ * computing is bounded by the per-worker instruction budget alone, and
+ * the drain waits for it.
  */
 
 #ifndef PHLOEM_SERVICE_SERVER_H

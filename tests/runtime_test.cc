@@ -9,7 +9,7 @@
 #include "tests/test_util.h"
 
 #include <atomic>
-#include <cfenv>
+#include <chrono>
 #include <set>
 #include <thread>
 
@@ -643,6 +643,114 @@ TEST(NativeRuntime, EngineMatchesSimulatorOnCompiledPipeline)
     }
 }
 
+TEST(NativeRuntime, BlockedFusedEnqsCountLikeTheSimulator)
+{
+    // "produce" streams i + 7 through q0 (scalar;enq, fused into
+    // kScalarEnq), then a[i] through q1 (load;enq, fused into
+    // kLoadEnq), into depth-1 queues' 64-slot rings; "consume" drains
+    // them in turn. Each loop outruns its ring, so each fused op blocks
+    // again and again. A blocked fused op has done its scalar or load
+    // half: its retries complete only the enq half, at pc+1. So the
+    // dynamic counts must still equal the simulator's, which a retry
+    // that counted again, or re-ran the first half, would break.
+    const int n = 500;
+    auto pipeline = std::make_unique<ir::Pipeline>();
+    pipeline->name = "fused-block";
+    {
+        ir::FunctionBuilder b("produce");
+        ir::ArrayId a = b.arrayParam("a", ir::ElemType::kI64, false);
+        ir::RegId count = b.scalarParam("n");
+        ir::RegId seven = b.constI(7);
+        b.forRange(b.constI(0), count,
+                   [&](ir::RegId i) { b.enq(0, b.add(i, seven)); });
+        b.forRange(b.constI(0), count,
+                   [&](ir::RegId i) { b.enq(1, b.load(a, i, "v")); });
+        pipeline->stages.push_back(b.finish());
+    }
+    {
+        ir::FunctionBuilder b("consume");
+        ir::ArrayId out = b.arrayParam("out", ir::ElemType::kI64, true);
+        ir::RegId count = b.scalarParam("n");
+        ir::RegId v = b.newReg("v");
+        b.forRange(b.constI(0), count, [&](ir::RegId i) {
+            b.deqTo(0, v);
+            b.store(out, i, v);
+        });
+        b.forRange(b.constI(0), count, [&](ir::RegId i) {
+            b.deqTo(1, v);
+            b.store(out, b.add(i, count), v);
+        });
+        pipeline->stages.push_back(b.finish());
+    }
+    for (int q : {0, 1}) {
+        ir::QueueConfig qc;
+        qc.id = q;
+        qc.depth = 1;
+        pipeline->queues.push_back(qc);
+    }
+    auto bind = [](sim::Binding& b) {
+        auto* a = b.makeArray("a", ir::ElemType::kI64, n);
+        for (int i = 0; i < n; ++i)
+            a->setInt(i, 3 * i - 1000);
+        b.makeArray("out", ir::ElemType::kI64, 2 * n)->fillInt(-1);
+        b.setScalarInt("n", n);
+    };
+
+    rt::Scheduler::Options sopt;
+    sopt.workers = 1;
+    rt::Scheduler pool(sopt);
+    rt::RuntimeOptions opt;
+    opt.schedulerOverride = &pool;
+    rt::Runtime runtime(sim::SysConfig{}, opt);
+    sim::Binding nb;
+    bind(nb);
+    rt::NativeStats es = runtime.runPipeline(*pipeline, nb);
+    ASSERT_TRUE(es.ok) << es.error;
+
+    sim::Binding sb;
+    bind(sb);
+    sim::Machine machine(test::testConfig());
+    sim::RunStats ss = machine.runPipeline(*pipeline, sb);
+    ASSERT_FALSE(ss.deadlock) << ss.deadlockInfo;
+    EXPECT_TRUE(sb.array("out")->contentEquals(*nb.array("out")));
+
+    // Both fused ops were found and both blocked: q0's and q1's only
+    // producers are the kScalarEnq and the kLoadEnq.
+    const rt::WorkerStats& prod = es.workers[0];
+    ASSERT_EQ(prod.name, "produce");
+    EXPECT_GE(prod.fusedSites, 2u);
+    ASSERT_EQ(es.queues.size(), 2u);
+    for (const auto& q : es.queues)
+        EXPECT_GT(q.enqBlocks, 0u) << "q" << q.id;
+
+    // Per stage: the simulator's instruction, branch, load, store and
+    // queue-op counts, and the opcode profile the program implies.
+    ASSERT_EQ(ss.threads.size(), 2u);
+    for (size_t k = 0; k < 2; ++k) {
+        const rt::WorkerStats& w = es.workers[k];
+        const sim::ThreadStats& t = ss.threads[k];
+        SCOPED_TRACE(w.name);
+        EXPECT_EQ(w.instructions, t.instructions);
+        EXPECT_EQ(w.branches, t.branches);
+        EXPECT_EQ(w.queueOps, t.queueOps);
+        auto ops = [&](ir::Opcode op) {
+            return w.opCounts[static_cast<size_t>(op)];
+        };
+        EXPECT_EQ(ops(ir::Opcode::kLoad), t.loads);
+        EXPECT_EQ(ops(ir::Opcode::kStore), t.stores);
+        uint64_t sum = w.branches;
+        for (uint64_t c : w.opCounts)
+            sum += c;
+        EXPECT_EQ(sum, w.instructions);
+    }
+    auto prod_ops = [&](ir::Opcode op) {
+        return prod.opCounts[static_cast<size_t>(op)];
+    };
+    EXPECT_EQ(prod.queueOps, 2u * n);
+    EXPECT_EQ(prod_ops(ir::Opcode::kEnq), 2u * n);
+    EXPECT_EQ(prod_ops(ir::Opcode::kLoad), static_cast<uint64_t>(n));
+}
+
 // ---------------------------------------------------------------------
 // Manual SpMM pipeline: SCAN RAs with range control values.
 // ---------------------------------------------------------------------
@@ -838,12 +946,13 @@ TEST(NativeRuntime, DistributeRingsFillAcrossWorkers)
 // Deadlock monitor.
 // ---------------------------------------------------------------------
 
-TEST(NativeRuntime, WatchdogAbortsStuckPipeline)
+/**
+ * One stage, "jam", that enqueues n values into a depth-4 queue's ring
+ * that nothing ever drains.
+ */
+ir::PipelinePtr
+buildJamPipeline()
 {
-    // One stage enqueues past a depth-4 queue's ring that nothing ever
-    // drains: the producer parks forever and the deadlock monitor must
-    // abort the run, naming the parked task and its ring, instead of
-    // hanging the process.
     auto pipeline = std::make_unique<ir::Pipeline>();
     pipeline->name = "jam";
     {
@@ -856,6 +965,15 @@ TEST(NativeRuntime, WatchdogAbortsStuckPipeline)
     qc.id = 0;
     qc.depth = 4;
     pipeline->queues.push_back(qc);
+    return pipeline;
+}
+
+TEST(NativeRuntime, WatchdogAbortsStuckPipeline)
+{
+    // The jam stage enqueues past its ring: it blocks for good, and the
+    // run must abort, naming the blocked stage and its ring, instead of
+    // hanging the process.
+    auto pipeline = buildJamPipeline();
     const int cap = rt::ringCapacities(*pipeline, sim::SysConfig{})[0];
 
     sim::Binding b;
@@ -870,6 +988,31 @@ TEST(NativeRuntime, WatchdogAbortsStuckPipeline)
         << stats.error;
     EXPECT_NE(stats.error.find("jam parked on enq q0"), std::string::npos)
         << stats.error;
+}
+
+TEST(NativeRuntime, WatchdogReportsAReplicaDeadlockAtOnce)
+{
+    // At the default 10 s timeout: the jam's one replica waits only on
+    // itself, so it reports the deadlock as soon as a round of its
+    // stages moves nothing, instead of leaving it to the all-parked
+    // monitor's timeout. Nothing parks.
+    ASSERT_EQ(rt::RuntimeOptions{}.deadlockTimeoutMs, 10000);
+    auto pipeline = buildJamPipeline();
+    const int cap = rt::ringCapacities(*pipeline, sim::SysConfig{})[0];
+
+    sim::Binding b;
+    b.setScalarInt("n", 4 * cap + 3);
+    rt::Runtime runtime;
+    const auto t0 = std::chrono::steady_clock::now();
+    rt::NativeStats stats = runtime.runPipeline(*pipeline, b);
+    const auto elapsed = std::chrono::steady_clock::now() - t0;
+    EXPECT_FALSE(stats.ok);
+    EXPECT_LT(elapsed, std::chrono::seconds(1));
+    EXPECT_NE(stats.error.find("deadlock"), std::string::npos)
+        << stats.error;
+    EXPECT_NE(stats.error.find("jam parked on enq q0"), std::string::npos)
+        << stats.error;
+    EXPECT_EQ(stats.sched.parks, 0u);
 }
 
 TEST(NativeRuntime, WatchdogNamesABarrierStall)
@@ -904,6 +1047,53 @@ TEST(NativeRuntime, WatchdogNamesABarrierStall)
     EXPECT_NE(stats.error.find("\n  waits parked on barrier"),
               std::string::npos)
         << stats.error;
+}
+
+TEST(NativeRuntime, WatchdogNamesACrossReplicaBarrierStall)
+{
+    // The barrier stall above, replicated twice: the barrier's parties
+    // span both replicas, so each replica, its "waits" stage blocked and
+    // its "halts" stage done, parks on the barrier. That is a wait
+    // across replicas, which only the all-parked monitor can call a
+    // deadlock, after the timeout; its report names every blocked
+    // stage of every parked replica.
+    auto pipeline = std::make_unique<ir::Pipeline>();
+    pipeline->name = "stall";
+    pipeline->replicas = 2;
+    {
+        ir::FunctionBuilder b("waits");
+        b.scalarParam("n");
+        b.barrier();
+        pipeline->stages.push_back(b.finish());
+    }
+    {
+        ir::FunctionBuilder b("halts");
+        b.scalarParam("n");
+        pipeline->stages.push_back(b.finish());
+    }
+
+    sim::Binding b;
+    b.setScalarInt("n", 1);
+
+    rt::Scheduler::Options sopt;
+    sopt.workers = 2;
+    rt::Scheduler pool(sopt);
+    rt::RuntimeOptions opt;
+    opt.schedulerOverride = &pool;
+    opt.deadlockTimeoutMs = 100;
+    rt::Runtime runtime(sim::SysConfig{}, opt);
+    rt::NativeStats stats = runtime.runPipeline(*pipeline, b);
+    EXPECT_FALSE(stats.ok);
+    EXPECT_NE(stats.error.find("deadlock: all 2 live tasks parked"),
+              std::string::npos)
+        << stats.error;
+    for (const char* line :
+         {"\n  waits@0 parked on barrier", "\n  waits@1 parked on barrier"})
+        EXPECT_NE(stats.error.find(line), std::string::npos) << stats.error;
+    EXPECT_EQ(stats.error.find("halts"), std::string::npos) << stats.error;
+    // Each replica parked, and the abort woke every park.
+    EXPECT_GE(stats.sched.parks, 2u);
+    EXPECT_EQ(stats.sched.unparks, stats.sched.parks);
 }
 
 TEST(NativeRuntime, WatchdogPostMortemAttributesTheStall)
@@ -1217,11 +1407,12 @@ TEST(NativeRuntime, ChainedRasPumpAtDepthOne)
     }
 }
 
-TEST(NativeRuntime, RunSchedulesOnlyStageTasks)
+TEST(NativeRuntime, RunSchedulesOneTaskPerReplica)
 {
-    // A reference accelerator is no task: a run starts one task per
-    // stage per replica, however many RAs its stages pump. Each replica
-    // runs the whole filter into its own "out".
+    // Neither a stage nor a reference accelerator is a task: a run
+    // starts one task per replica, a loop over its stages, however many
+    // stages and RAs it has. Each replica runs the whole filter into its
+    // own "out".
     auto kernel = fe::compileKernel(kFilterKernel);
     comp::CompileOptions copts;
     copts.numStages = 4;
@@ -1248,8 +1439,9 @@ TEST(NativeRuntime, RunSchedulesOnlyStageTasks)
     const uint64_t before = pool.counters().tasksStarted;
     rt::NativeStats stats = runtime.runPipeline(p, b);
     ASSERT_TRUE(stats.ok) << stats.error;
+    ASSERT_GT(p.stages.size(), 1u);
     EXPECT_EQ(pool.counters().tasksStarted - before,
-              p.stages.size() * static_cast<size_t>(p.replicas));
+              static_cast<uint64_t>(p.replicas));
     EXPECT_EQ(stats.numRAWorkers,
               static_cast<int>(p.ras.size()) * p.replicas);
     EXPECT_TRUE(b.array("out@0")->contentEquals(*b.array("out@1")));
@@ -1349,17 +1541,26 @@ void heavy_filter(const int* restrict a, const int* restrict b,
 }
 )";
 
+/** Total enq plus deq blocks of a run: its stage switches. */
+uint64_t
+queueBlocks(const rt::NativeStats& stats)
+{
+    return stats.totalEnqBlocks() + stats.totalDeqBlocks();
+}
+
 TEST(NativeRuntime, SchedulerOversubscribedLivePipelineIsNotKilled)
 {
     // The regression the scheduler exists for: more live tasks than
-    // pool workers must look like a busy machine, not a deadlock. On a
-    // one-worker pool every task but one is descheduled (kRunnable) at
-    // any instant, and the run far outlasts the 60 ms timeout — the
-    // wall-time heuristic this replaced would have killed it. Depth-1
-    // queues (64-slot rings) make the stages fill their rings and park.
+    // pool workers must look like a busy machine, not a deadlock. Two
+    // independent replicas of a multi-stage pipeline share a one-worker
+    // pool, so one task is always descheduled (kRunnable), and the run
+    // far outlasts the 30 ms timeout — the wall-time heuristic this
+    // replaced would have killed it. Depth-1 queues (64-slot rings)
+    // make the stages fill their rings and switch.
     auto kernel = fe::compileKernel(kHeavyFilterKernel);
     comp::CompileOptions copts;
     copts.numStages = 8;
+    copts.replicas = 2;
     auto res = comp::compilePipeline(*kernel.fn, copts);
     ASSERT_TRUE(res.ok());
     ASSERT_FALSE(res.pipeline->queues.empty());
@@ -1374,8 +1575,16 @@ TEST(NativeRuntime, SchedulerOversubscribedLivePipelineIsNotKilled)
     opt.schedulerOverride = &pool;
     opt.deadlockTimeoutMs = 30;
 
+    auto bind = [](sim::Binding& b) {
+        setupFilter(b);
+        const size_t n = b.array("out")->size();
+        for (int r = 0; r < 2; ++r)
+            b.bindReplica(r, "out",
+                          b.makeArray("out@" + std::to_string(r),
+                                      ir::ElemType::kI64, n));
+    };
     sim::Binding nb;
-    setupFilter(nb);
+    bind(nb);
     rt::Runtime runtime(sim::SysConfig{}, opt);
     rt::NativeStats stats = runtime.runPipeline(*res.pipeline, nb);
     ASSERT_TRUE(stats.ok) << stats.error;
@@ -1383,20 +1592,26 @@ TEST(NativeRuntime, SchedulerOversubscribedLivePipelineIsNotKilled)
     // killed" claim to mean anything.
     EXPECT_GT(stats.wallMs(), opt.deadlockTimeoutMs) << stats.wallMs();
 
+    // Two tasks, both homed on the one worker.
     EXPECT_EQ(stats.sched.poolSize, 1);
-    // >= 2x oversubscribed: every stage task shares the one worker.
-    EXPECT_GE(stats.numStageThreads, 2);
-    // Blocked tasks parked instead of spinning the pool.
-    EXPECT_GT(stats.sched.parks, 0u);
-    EXPECT_GT(stats.sched.unparks, 0u);
+    EXPECT_EQ(stats.sched.homes, (std::vector<int>{0, 0}));
+    EXPECT_EQ(stats.numStageThreads,
+              2 * static_cast<int>(res.pipeline->stages.size()));
+    // Blocked stages switched inside their replica, nothing parked,
+    // and the tasks took turns at their heartbeats.
+    EXPECT_GT(queueBlocks(stats), 0u);
+    EXPECT_EQ(stats.sched.parks, 0u);
+    EXPECT_EQ(stats.sched.unparks, 0u);
+    EXPECT_GT(stats.sched.yields, 0u);
 
     // And the answer is still the answer.
     sim::Binding sb;
-    setupFilter(sb);
-    sim::Machine machine(test::testConfig());
+    bind(sb);
+    sim::Machine machine(test::testConfig(/*cores=*/2));
     auto sstats = machine.runPipeline(*res.pipeline, sb);
     ASSERT_FALSE(sstats.deadlock);
-    EXPECT_TRUE(sb.array("out")->contentEquals(*nb.array("out")));
+    for (const char* out : {"out@0", "out@1"})
+        EXPECT_TRUE(sb.array(out)->contentEquals(*nb.array(out))) << out;
 }
 
 TEST(NativeRuntime, SchedulerTwoConcurrentPipelinesShareOnePool)
@@ -1499,9 +1714,18 @@ TEST(NativeRuntime, SchedulerHomesEachReplicaOnOneWorker)
         if (replicas == 2) {
             EXPECT_NE(stats.sched.homes[0], stats.sched.homes[1]);
         }
-        // Co-located endpoints hand off by parking, never by stealing.
-        EXPECT_GT(stats.sched.parks, 0u);
+        // Co-located endpoints hand off by a stage switch inside their
+        // replica's task: a queue block, never a park or a steal.
+        EXPECT_GT(queueBlocks(stats), 0u);
+        EXPECT_EQ(stats.sched.parks, 0u);
         EXPECT_EQ(stats.sched.steals, 0u);
+        // The switches follow from each replica's program and input
+        // alone, so identical replicas block identically.
+        ASSERT_EQ(stats.queues.size(), static_cast<size_t>(replicas));
+        for (const auto& q : stats.queues) {
+            EXPECT_EQ(q.enqBlocks, stats.queues[0].enqBlocks) << "q" << q.id;
+            EXPECT_EQ(q.deqBlocks, stats.queues[0].deqBlocks) << "q" << q.id;
+        }
         metrics::Run run = metrics::nativeRunToMetrics("handoff", stats);
         EXPECT_EQ(run.top.gauges.at("sched_workers_used"),
                   static_cast<double>(replicas));
@@ -1511,9 +1735,9 @@ TEST(NativeRuntime, SchedulerHomesEachReplicaOnOneWorker)
 /**
  * A two-stage ping-pong through depth-1 rings: "pong" echoes each value
  * it dequeues from q0 back on q1 and stores it in out[i]; "ping"
- * enqueues i on q0 and waits for the echo. On one worker a round trip
- * parks both sides: pong, added first, parks on its empty q0 before
- * ping's first enqueue, and ping parks on q1 until the echo arrives.
+ * enqueues i on q0 and waits for the echo. A round trip blocks both
+ * sides: pong, stage 0, blocks on its empty q0 before ping's first
+ * enqueue, and ping blocks on q1 until the echo arrives.
  */
 ir::PipelinePtr
 buildPingPongPipeline()
@@ -1561,10 +1785,10 @@ bindPingPong(sim::Binding& b, int n)
 
 TEST(NativeRuntime, SchedulerPingPongHandoffs)
 {
-    // Two ping-pong runs at once on a one-worker pool: a parking task
-    // switches straight into the next runnable one, here hopping
-    // between the tasks of both runs on one thread. Neither the
-    // answers nor the park counts may depend on that.
+    // Two ping-pong runs at once on a one-worker pool: their replica
+    // tasks take turns on one thread, and inside each a blocked stage
+    // hands over to the other. Neither the answers nor the handoffs may
+    // depend on how the two runs interleave.
     const int n = 5000;
     auto pipeline = buildPingPongPipeline();
 
@@ -1602,72 +1826,26 @@ TEST(NativeRuntime, SchedulerPingPongHandoffs)
         for (int k = 0; k < n; ++k)
             ASSERT_EQ(out->atInt(k), k) << "index " << k;
         EXPECT_TRUE(sb.array("out")->contentEquals(*out));
-        // Every park is woken exactly once. Each round trip parks both
-        // sides, except where a heartbeat yield let the partner run
-        // first: a yield can stand in for at most one park.
-        const rt::SchedStats& ss = stats[i].sched;
-        EXPECT_EQ(ss.unparks, ss.parks);
-        EXPECT_LE(ss.parks, 2u * n);
-        EXPECT_GE(ss.parks + ss.yields, 2u * n);
+        // A one-replica run never parks: each handoff is a stage switch,
+        // one deq block per side per round trip, except where a stage's
+        // heartbeat handed over first, which can stand in for at most
+        // one block.
+        EXPECT_EQ(stats[i].sched.parks, 0u);
+        EXPECT_EQ(stats[i].sched.unparks, 0u);
+        uint64_t heartbeats = 0;
+        for (const auto& w : stats[i].workers)
+            heartbeats += w.instructions / rt::kHeartbeatInterval;
+        EXPECT_EQ(stats[i].totalEnqBlocks(), 0u);
+        EXPECT_LE(stats[i].totalDeqBlocks(), 2u * n);
+        EXPECT_GE(stats[i].totalDeqBlocks() + heartbeats, 2u * n);
     }
-    // Where the heartbeats fall is fixed by the instruction stream, so
-    // the park count does not depend on how the two runs interleave.
-    EXPECT_EQ(stats[0].sched.parks, stats[1].sched.parks);
-}
-
-TEST(NativeRuntime, SchedulerFiberKeepsItsFpControlState)
-{
-    // The rounding mode is per fiber, as it was under swapcontext: a
-    // task that sets FE_UPWARD and parks still has it when it resumes,
-    // while a peer that runs on the same worker in between sees the
-    // default. A new fiber starts with its creating thread's mode.
-    rt::Scheduler::Options sopt;
-    sopt.workers = 4;
-    rt::Scheduler pool(sopt);
-    rt::RunControl ctl;
-    auto run = pool.createRun(&ctl);
-    ctl.schedRun = run.get();
-
-    rt::WaitList waiters;
-    std::atomic<bool> go{false};
-    rt::ParkTarget pt;
-    pt.list = &waiters;
-    pt.obj = &go;
-    pt.ready = [](const rt::ParkTarget& p) {
-        return static_cast<const std::atomic<bool>*>(p.obj)->load();
-    };
-    int resumed_mode = -1;
-    int peer_mode = -1;
-    int fresh_mode = -1;
-    // Same replica, same home: "setter" runs first, parks, then "peer"
-    // runs on that worker and wakes it.
-    run->addTask("setter", /*replica=*/0, [&] {
-        std::fesetround(FE_UPWARD);
-        while (!go.load())
-            rt::Scheduler::parkCurrent(pt, ctl);
-        resumed_mode = std::fegetround();
-        std::fesetround(FE_TONEAREST);
-    });
-    run->addTask("peer", /*replica=*/0, [&] {
-        peer_mode = std::fegetround();
-        go.store(true);
-        std::atomic_thread_fence(std::memory_order_seq_cst);
-        if (!waiters.empty())
-            waiters.wakeAll();
-    });
-    std::fesetround(FE_DOWNWARD);
-    run->addTask("fresh", /*replica=*/1,
-                 [&] { fresh_mode = std::fegetround(); });
-    std::fesetround(FE_TONEAREST);
-    run->start();
-    run->waitAll();
-
-    EXPECT_EQ(resumed_mode, FE_UPWARD);
-    EXPECT_EQ(peer_mode, FE_TONEAREST);
-    EXPECT_EQ(fresh_mode, FE_DOWNWARD);
-    EXPECT_EQ(run->parks(), 1u);
-    EXPECT_EQ(run->workersUsed(), 2);
-    EXPECT_EQ(std::fegetround(), FE_TONEAREST);
+    // The switch order is fixed by each run's own stages, so both runs
+    // block on the same ops the same number of times.
+    ASSERT_EQ(stats[0].queues.size(), stats[1].queues.size());
+    for (size_t q = 0; q < stats[0].queues.size(); ++q) {
+        EXPECT_EQ(stats[0].queues[q].enqBlocks, stats[1].queues[q].enqBlocks);
+        EXPECT_EQ(stats[0].queues[q].deqBlocks, stats[1].queues[q].deqBlocks);
+    }
 }
 
 } // namespace

@@ -519,6 +519,31 @@ TEST(ServiceServer, ReportsCompileErrorsWithoutDying)
         EXPECT_TRUE(resp.ok);
     }
 
+    // A replicated kernel without a distribute boundary used to run its
+    // replicas over the request's one binding, each redoing the whole
+    // kernel and all storing the same outputs. Both backends refuse it,
+    // naming the fix, and the server keeps serving.
+    for (const char* backend : {"native", "sim"}) {
+        svc::Request copies;
+        copies.op = "run";
+        copies.backend = backend;
+        copies.source =
+            "#pragma phloem\n#pragma replicate 2\n"
+            "void k(const long* restrict a, long* restrict out, int n) "
+            "{ for (int i = 0; i < n; i++) { out[i] = a[a[i]]; } }\n";
+        ASSERT_TRUE(client.call(copies, &resp, &err)) << err;
+        EXPECT_FALSE(resp.ok) << backend;
+        EXPECT_NE(resp.error.find("#pragma replicate 2 without distribution"),
+                  std::string::npos)
+            << resp.error;
+        EXPECT_NE(resp.error.find("add a #pragma distribute boundary, or "
+                                  "drop replicate"),
+                  std::string::npos)
+            << resp.error;
+        ASSERT_TRUE(client.call(ping, &resp, &err)) << err;
+        EXPECT_TRUE(resp.ok);
+    }
+
     // 200 double arrays at the largest size the server runs would
     // synthesize 201 x 32 MiB of inputs; the binding budget refuses the
     // run before allocating any of it, and the server keeps serving.

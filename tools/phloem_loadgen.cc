@@ -423,9 +423,9 @@ main(int argc, char** argv)
             run.top.setGauge("server_cache_entries",
                              static_cast<double>(resp.cacheEntries));
             // Shared task-pool counters: all native requests multiplex
-            // onto one fixed pool, so parks here prove the
-            // daemon ran concurrency x stages tasks without spawning
-            // that many threads.
+            // onto one fixed pool, one task per replica, so the daemon
+            // runs concurrency x stages stage contexts without spawning
+            // that many threads; parks count waits across replicas.
             if (resp.schedPoolSize > 0) {
                 run.top.setGauge("sched_pool_size",
                                  static_cast<double>(resp.schedPoolSize));

@@ -395,9 +395,11 @@ runPipeline(const driver::CompiledPipeline& cp, RunMode mode,
         if (!trace_path.empty())
             metrics::addTraceSummary(run, tracer);
         const sim::RunStats& stats = outcome.sim;
-        if (stats.deadlock) {
-            std::fprintf(stderr, "run: simulator deadlock:\n%s\n",
-                         stats.deadlockInfo.c_str());
+        if (!outcome.ok) {
+            std::fprintf(stderr,
+                         stats.deadlock ? "run: simulator deadlock:\n%s\n"
+                                        : "run: sim failed: %s\n",
+                         outcome.error.c_str());
             writeReport(report, report_path);
             return 1;
         }
