@@ -165,7 +165,6 @@ runCompiled(const CompiledPipeline& cp, const RunSpec& spec,
     auto t0 = Clock::now();
     if (spec.backend == Backend::kNative) {
         rt::RuntimeOptions ropts;
-        ropts.deadlockTimeoutMs = spec.deadlockTimeoutMs;
         ropts.maxInstructions = spec.maxInstructions;
         ropts.tracer = spec.tracer;
         ropts.requestId = spec.requestId;

@@ -95,13 +95,9 @@ struct RunSpec
     int64_t size = 4096;
     sim::SysConfig cfg;
     /**
-     * Native deadlock timeout: ends a run in which every replica has
-     * stayed parked this long on waits across replicas (a replica
-     * deadlocked on its own fails at once). A run that keeps computing
-     * is bounded only by maxInstructions.
+     * Dynamic instruction budget per worker (runaway backstop). A
+     * deadlocked native run fails at once and needs no bound.
      */
-    int deadlockTimeoutMs = 10000;
-    /** Dynamic instruction budget per worker (runaway backstop). */
     uint64_t maxInstructions = 4'000'000'000ull;
     /** Optional stall-attribution tracer (must outlive the run). */
     trace::Tracer* tracer = nullptr;

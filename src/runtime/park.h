@@ -13,17 +13,20 @@
  * of those, and its parker and notifier can run on different OS
  * threads. The lifecycle contract:
  *
- *   parker:   state = Parking; list->add(task) for every target;
- *             seq_cst fence; re-check every target; park or cancel
- *             (Scheduler::park in sched.cc).
+ *   parker:   list->add(task) for every target; seq_cst fence;
+ *             re-check every target; then, under the run's mutex,
+ *             park unless a wake came first (Scheduler::park in
+ *             sched.cc).
  *   notifier: perform the push/pop/arrival; seq_cst fence; if the list
  *             is non-empty, wake every waiter.
  *
  * The symmetric fences are the Dekker handshake that makes a lost
  * wakeup impossible: either the parker's re-check observes the
  * notifier's operation, or the notifier's list check observes the
- * parker's registration. Spurious wakeups are allowed: a woken replica
- * runs its stages again and re-parks if nothing moved.
+ * parker's registration, and its wake, taken under the same mutex,
+ * either unparks the task or cancels the park. Spurious wakeups are
+ * allowed: a woken replica runs its stages again and re-parks if
+ * nothing moved.
  */
 
 #ifndef PHLOEM_RUNTIME_PARK_H

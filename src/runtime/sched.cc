@@ -10,7 +10,7 @@
 
 #include "runtime/sched.h"
 
-#include <chrono>
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
 
@@ -24,15 +24,6 @@ namespace {
 
 /** Pool-size ceiling: a fat-finger guard, not a real limit. */
 constexpr int kMaxWorkers = 256;
-
-uint64_t
-nowNs()
-{
-    return static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now().time_since_epoch())
-            .count());
-}
 
 std::atomic<Scheduler*> g_sharedSched{nullptr};
 
@@ -59,16 +50,9 @@ WaitList::wakeAll()
 
 // ------------------------------------------------------------ SchedRun
 
-SchedRun::SchedRun(Scheduler* sched, RunControl* ctl)
-    : sched_(sched), ctl_(ctl),
-      ranOn_(new std::atomic<bool>[sched->workers_.size()]())
-{
-}
-
 SchedRun::~SchedRun()
 {
     if (started_) {
-        sched_->unregisterRun(this);
         // Defensive: a run must not be torn down under live tasks.
         waitAll();
         sched_->parks_.fetch_add(parks(), std::memory_order_relaxed);
@@ -88,7 +72,6 @@ void
 SchedRun::start()
 {
     started_ = true;
-    sched_->registerRun(this);
     sched_->place(*this);
     sched_->tasksStarted_.fetch_add(tasks_.size(), std::memory_order_relaxed);
     for (auto& t : tasks_)
@@ -109,9 +92,20 @@ int
 SchedRun::workersUsed() const
 {
     int n = 0;
-    for (size_t i = 0; i < sched_->workers_.size(); ++i)
-        n += ranOn_[i].load(std::memory_order_relaxed) ? 1 : 0;
+    for (auto it = homes_.begin(); it != homes_.end(); ++it)
+        n += std::find(homes_.begin(), it, *it) == it ? 1 : 0;
     return n;
+}
+
+std::string
+SchedRun::deadlockReport(int live) const
+{
+    std::string msg = "deadlock: all " + std::to_string(live) +
+                      " live tasks parked with nothing runnable";
+    for (const auto& t : tasks_)
+        if (t->parked_)
+            t->body_->describeWaits(msg);
+    return msg;
 }
 
 void
@@ -124,12 +118,9 @@ SchedRun::waitAll()
 void
 SchedRun::wakeAllTasks()
 {
-    // Notifier side of the park handshake for abort: orders the
-    // caller's abortFlag store before unpark()'s state loads. Its
-    // partner is the fence in Scheduler::park: either a parking task's
-    // re-check sees the flag, or we see the task kParking/kParked and
-    // wake it.
-    std::atomic_thread_fence(std::memory_order_seq_cst);
+    // Each unpark takes mu_ after the caller's abortFlag store: a task
+    // parked by then is woken, and one that parks later finds its wake
+    // request and runs on into the abort.
     for (auto& t : tasks_)
         sched_->unpark(t.get());
 }
@@ -155,7 +146,6 @@ Scheduler::Scheduler(const Options& opts)
     }
     for (auto& w : workers_)
         w->thr = std::thread([this, wp = w.get()] { workerLoop(*wp); });
-    monitor_ = std::thread([this] { monitorLoop(); });
 }
 
 Scheduler::~Scheduler()
@@ -167,14 +157,8 @@ Scheduler::~Scheduler()
         }
         w->cv.notify_one();
     }
-    {
-        std::lock_guard<std::mutex> g(monMu_);
-    }
-    monCv_.notify_all();
     for (auto& w : workers_)
         w->thr.join();
-    if (monitor_.joinable())
-        monitor_.join();
     Scheduler* self = this;
     g_sharedSched.compare_exchange_strong(self, nullptr);
 }
@@ -219,44 +203,51 @@ bool
 Scheduler::shouldYield()
 {
     const Worker* w = tlsWorker_;
-    return w != nullptr &&
-           (!w->local.empty() ||
-            w->inboxSize.load(std::memory_order_relaxed) > 0);
+    return w != nullptr && w->queued.load(std::memory_order_relaxed) > 0;
 }
 
 bool
 Scheduler::park(Task* t)
 {
     phloem_assert(!t->waits_.empty(), "a parking task needs a wait");
-    t->state_.store(TaskState::kParking, std::memory_order_release);
     for (const ParkTarget& pt : t->waits_)
         pt.list->add(t);
     // Dekker handshake with the notifiers (park.h): the fence orders
     // our registrations before the re-checks, so either we observe a
     // notifier's push/pop/arrival here, or it observes us on its list
-    // and wakes us. It also pairs with the fence in
-    // SchedRun::wakeAllTasks, the abort notifier.
+    // and wakes us.
     std::atomic_thread_fence(std::memory_order_seq_cst);
-    bool ready = t->run_->ctl_->aborted();
+    bool ready = false;
     for (const ParkTarget& pt : t->waits_)
         ready = ready || pt.ready(pt);
+    SchedRun* r = t->run_;
+    std::string deadlock;
     if (!ready) {
-        ++t->parks_;
-        TaskState expect = TaskState::kParking;
-        if (t->state_.compare_exchange_strong(expect, TaskState::kParked,
-                                              std::memory_order_acq_rel)) {
-            // Parked. A waker may requeue t at once, but only this
-            // thread, t's home, runs it, after this dispatch returns.
+        std::lock_guard<std::mutex> g(r->mu_);
+        // A wake that found t not yet parked, perhaps one that came
+        // after the re-check, cancels the park: run on as if woken.
+        ready = t->wakeRequested_;
+        t->wakeRequested_ = false;
+        if (!ready) {
             t->parked_ = true;
-            return true;
+            if (++r->totalParked_ == r->totalLive_)
+                deadlock = r->deadlockReport(r->totalLive_);
         }
-        // A waker got in first (kUnparkRequested): a target may already
-        // be ready, so run on as if woken.
-        ++t->unparks_;
     }
-    leaveWaitLists(t);
-    t->state_.store(TaskState::kRunning, std::memory_order_release);
-    return false;
+    if (ready) {
+        leaveWaitLists(t);
+        return false;
+    }
+    // Parked. A waker may requeue t at once, but only this thread, t's
+    // home, runs it, after this dispatch returns.
+    ++t->parks_;
+    t->resumesFromPark_ = true;
+    // Every live task is parked, so no task can wake another: fail the
+    // run, which wakes them all, t too. t is still live, so the run
+    // outlives the call.
+    if (!deadlock.empty())
+        r->ctl_->fail(deadlock);
+    return true;
 }
 
 void
@@ -274,32 +265,21 @@ Scheduler::leaveWaitLists(Task* t)
 void
 Scheduler::unpark(Task* t)
 {
-    for (;;) {
-        TaskState s = t->state_.load(std::memory_order_acquire);
-        if (s == TaskState::kParking) {
-            TaskState expect = TaskState::kParking;
-            if (t->state_.compare_exchange_weak(expect,
-                                                TaskState::kUnparkRequested,
-                                                std::memory_order_acq_rel)) {
-                // The parking worker sees the request and requeues.
-                return;
-            }
-            continue;
-        }
-        if (s == TaskState::kParked) {
-            TaskState expect = TaskState::kParked;
-            if (!t->state_.compare_exchange_weak(expect, TaskState::kRunnable,
-                                                 std::memory_order_acq_rel))
-                continue;
-            // A waker on the home worker is usually the other end of
-            // the ring it just touched: run the woken task next, while
-            // the ring's lines are still in this core's cache.
-            submit(*static_cast<Worker*>(t->home_), t, /*front=*/true);
+    {
+        std::lock_guard<std::mutex> g(t->run_->mu_);
+        if (!t->parked_) {
+            // Running, queued or done: cancel its next park instead.
+            t->wakeRequested_ = true;
             return;
         }
-        // Runnable / Running / UnparkRequested / Done: nothing to do.
-        return;
+        t->parked_ = false;
+        --t->run_->totalParked_;
     }
+    // A waker on the home worker is usually the other end of the ring
+    // it just touched: run the woken task next, while the ring's lines
+    // are still in this core's cache.
+    Worker& home = *static_cast<Worker*>(t->home_);
+    submit(home, t, /*front=*/tlsWorker_ == &home);
 }
 
 void
@@ -329,19 +309,15 @@ Scheduler::place(SchedRun& r)
 void
 Scheduler::submit(Worker& w, Task* t, bool front)
 {
-    if (tlsWorker_ == &w) {
-        if (front)
-            w.local.push_front(t);
-        else
-            w.local.push_back(t);
-        return;
-    }
     bool wake = false;
     {
         std::lock_guard<std::mutex> g(w.mu);
-        w.inbox.push_back(t);
-        w.inboxSize.store(static_cast<int>(w.inbox.size()),
-                          std::memory_order_relaxed);
+        if (front)
+            w.queue.push_front(t);
+        else
+            w.queue.push_back(t);
+        w.queued.store(static_cast<int>(w.queue.size()),
+                       std::memory_order_relaxed);
         wake = w.sleeping;
     }
     if (wake)
@@ -351,27 +327,18 @@ Scheduler::submit(Worker& w, Task* t, bool front)
 Task*
 Scheduler::next(Worker& w)
 {
-    // The inbox count is read without the lock: a task queued just now
-    // is picked up on a later call, and the lock is always taken
-    // before the worker sleeps.
-    if (w.local.empty() || w.inboxSize.load(std::memory_order_relaxed) > 0) {
-        std::unique_lock<std::mutex> lk(w.mu);
-        for (;;) {
-            for (Task* t : w.inbox)
-                w.local.push_back(t);
-            w.inbox.clear();
-            w.inboxSize.store(0, std::memory_order_relaxed);
-            if (!w.local.empty())
-                break;
-            if (shutdown_.load(std::memory_order_acquire))
-                return nullptr;
-            w.sleeping = true;
-            w.cv.wait(lk);
-            w.sleeping = false;
-        }
+    std::unique_lock<std::mutex> lk(w.mu);
+    while (w.queue.empty()) {
+        if (shutdown_.load(std::memory_order_acquire))
+            return nullptr;
+        w.sleeping = true;
+        w.cv.wait(lk);
+        w.sleeping = false;
     }
-    Task* t = w.local.front();
-    w.local.pop_front();
+    Task* t = w.queue.front();
+    w.queue.pop_front();
+    w.queued.store(static_cast<int>(w.queue.size()),
+                   std::memory_order_relaxed);
     return t;
 }
 
@@ -387,16 +354,12 @@ Scheduler::workerLoop(Worker& w)
 void
 Scheduler::dispatch(Worker& w, Task* t)
 {
-    std::atomic<bool>& ran = t->run_->ranOn_[w.idx];
-    if (!ran.load(std::memory_order_relaxed))
-        ran.store(true, std::memory_order_relaxed);
-    if (t->parked_) {
+    if (t->resumesFromPark_) {
         // Only a wake makes a parked task runnable again.
         ++t->unparks_;
-        t->parked_ = false;
+        t->resumesFromPark_ = false;
         leaveWaitLists(t);
     }
-    t->state_.store(TaskState::kRunning, std::memory_order_release);
     for (;;) {
         switch (t->body_->resume(t->waits_)) {
         case TaskStep::kDone:
@@ -404,13 +367,12 @@ Scheduler::dispatch(Worker& w, Task* t)
             return;
         case TaskStep::kYield:
             ++t->yields_;
-            t->state_.store(TaskState::kRunnable, std::memory_order_release);
             submit(w, t, /*front=*/false);
             return;
         case TaskStep::kPark:
             if (park(t))
                 return;
-            break;  // cancelled: a wait already ended, so run on
+            break;  // cancelled: a wait ended or a wake came, so run on
         }
     }
 }
@@ -418,105 +380,26 @@ Scheduler::dispatch(Worker& w, Task* t)
 void
 Scheduler::finishTask(Task* t)
 {
-    t->state_.store(TaskState::kDone, std::memory_order_release);
     static_cast<Worker*>(t->home_)->homed.fetch_sub(
         1, std::memory_order_relaxed);
     SchedRun* r = t->run_;
-    // Notify while holding the mutex: a waiter cannot re-check the
-    // counts (and destroy r, cv included) until the lock drops, so the
-    // notify never touches a dead condvar.
-    std::lock_guard<std::mutex> g(r->mu_);
-    --r->totalLive_;
-    r->cv_.notify_all();
-}
-
-void
-Scheduler::registerRun(SchedRun* r)
-{
-    std::lock_guard<std::mutex> g(runsMu_);
-    runs_.push_back(r);
-}
-
-void
-Scheduler::unregisterRun(SchedRun* r)
-{
-    std::lock_guard<std::mutex> g(runsMu_);
-    for (size_t i = 0; i < runs_.size(); ++i) {
-        if (runs_[i] == r) {
-            runs_[i] = runs_.back();
-            runs_.pop_back();
-            break;
-        }
-    }
-}
-
-void
-Scheduler::monitorLoop()
-{
-    setCurrentThreadName("phl-sched-mon");
-    std::unique_lock<std::mutex> lk(monMu_);
-    while (!shutdown_.load(std::memory_order_acquire)) {
-        monCv_.wait_for(lk, std::chrono::milliseconds(10));
-        if (shutdown_.load(std::memory_order_acquire))
-            return;
+    // Check and drop in one hold: a task that parked between them would
+    // leave every live task parked, unseen.
+    std::unique_lock<std::mutex> lk(r->mu_);
+    const int others = r->totalLive_ - 1;
+    if (others > 0 && r->totalParked_ == others) {
+        // t leaves only parked tasks behind. Fail the run while t still
+        // keeps it alive; fail() wakes every task, under mu_.
+        std::string msg = r->deadlockReport(others);
         lk.unlock();
-        checkRuns(nowNs());
+        r->ctl_->fail(msg);
         lk.lock();
     }
-}
-
-void
-Scheduler::checkRuns(uint64_t now_ns)
-{
-    std::lock_guard<std::mutex> g(runsMu_);
-    for (SchedRun* r : runs_) {
-        int total_live = 0;
-        {
-            std::lock_guard<std::mutex> g2(r->mu_);
-            total_live = r->totalLive_;
-        }
-        // Finished: the caller is about to unregister the run.
-        if (total_live == 0) {
-            r->allParkedSinceNs_ = 0;
-            continue;
-        }
-        // Deadlocked iff *every* live task is Parked: nothing is
-        // running, nothing is runnable, so no unpark can ever come
-        // from inside the run. A merely descheduled (oversubscribed)
-        // task is kRunnable and keeps the run alive.
-        bool all_parked = true;
-        for (const auto& t : r->tasks_) {
-            TaskState s = t->state_.load(std::memory_order_acquire);
-            if (s != TaskState::kDone && s != TaskState::kParked) {
-                all_parked = false;
-                break;
-            }
-        }
-        if (!all_parked) {
-            r->allParkedSinceNs_ = 0;
-            continue;
-        }
-        if (r->allParkedSinceNs_ == 0) {
-            r->allParkedSinceNs_ = now_ns;
-            continue;
-        }
-        const uint64_t timeout_ns =
-            static_cast<uint64_t>(r->ctl_->opt.deadlockTimeoutMs) * 1000000ull;
-        if (now_ns - r->allParkedSinceNs_ < timeout_ns)
-            continue;
-        std::string msg = "deadlock: all " + std::to_string(total_live) +
-                          " live tasks parked with nothing runnable for " +
-                          std::to_string(r->ctl_->opt.deadlockTimeoutMs) +
-                          " ms";
-        for (const auto& t : r->tasks_)
-            if (t->state_.load(std::memory_order_acquire) ==
-                TaskState::kParked)
-                t->body_->describeWaits(msg);
-        // fail() wakes every parked task (SchedRun::wakeAllTasks) so the
-        // run unwinds and the caller's post-mortem path takes over.
-        r->ctl_->fail(msg);
-        r->allParkedSinceNs_ = 0;
-    }
+    // Notify while holding the mutex: a waiter cannot re-check the
+    // count (and destroy r, cv included) until the lock drops, so the
+    // notify never touches a dead condvar.
+    --r->totalLive_;
+    r->cv_.notify_all();
 }
 
 } // namespace phloem::rt

@@ -25,15 +25,19 @@
  * and parks it or runs it on. The push, pop or arrival on the other
  * side unparks it onto its home's queue.
  *
- * Deadlock detection has two tiers. A body finds the deadlocks it can
- * see whole: a replica whose stages wait only on each other reports
- * one at once. The scheduler's monitor finds the rest: a run is
- * deadlocked iff *every* live task is Parked (nothing runnable, nothing
- * running) and stays so for the run's timeout. A merely descheduled
- * task is Runnable, so an oversubscribed-but-live pipeline can never
- * trip the monitor.
+ * Deadlock detection is exact. A body finds the deadlocks it can see
+ * whole: a replica whose stages wait only on each other reports one at
+ * once. The scheduler finds the rest. Every park and wake of a run's
+ * tasks happens under the run's mutex, beside its live and parked
+ * counts, and only a live task of the run may call Scheduler::unpark,
+ * SchedRun::wakeAllTasks or RunControl::fail: one of its stages, the
+ * last task to park, or a task that finishes. So once every live task
+ * is parked, none can ever be woken: the run fails in the lock hold
+ * that parks the last of them, or that finishes a task and leaves only
+ * parked ones behind. A merely descheduled task is queued, not parked,
+ * so an oversubscribed but live pipeline is never called deadlocked.
  *
- * See DESIGN.md §12 for the task state machine and parking protocol.
+ * See DESIGN.md §12 for the parking protocol.
  */
 
 #ifndef PHLOEM_RUNTIME_SCHED_H
@@ -56,29 +60,6 @@ namespace phloem::rt {
 struct RunControl;
 class Scheduler;
 class SchedRun;
-
-/**
- * Task lifecycle. Transitions:
- *   Runnable -> Running            (a worker dispatches it)
- *   Running  -> Parking            (its body asked to park; registered)
- *   Parking  -> Running            (cancel: a target ready on re-check)
- *   Parking  -> UnparkRequested    (a waker raced the park)
- *   Parking  -> Parked             (the worker completed the park)
- *   UnparkRequested -> Running     (the worker sees the race, runs on)
- *   Parked   -> Runnable           (a waker unparks it)
- *   Running  -> Runnable           (cooperative yield)
- *   Running  -> Done               (body finished)
- * The Parking/UnparkRequested split is what makes a wake that lands
- * mid-park impossible to lose and impossible to double-enqueue.
- */
-enum class TaskState : uint8_t {
-    kRunnable,
-    kRunning,
-    kParking,
-    kUnparkRequested,
-    kParked,
-    kDone,
-};
 
 /** What a task body asks of its worker when it returns. */
 enum class TaskStep : uint8_t {
@@ -108,13 +89,14 @@ class TaskBody
 
     /**
      * Append one "\n  ..." line per wait of the task to a deadlock
-     * report. The monitor calls it while the task is parked, from its
-     * own thread, so it may read only what is safe to read there.
+     * report. The scheduler calls it while the task is parked, under the
+     * run's mutex, on whichever thread found the deadlock, so it may read
+     * only what is safe to read there.
      */
     virtual void describeWaits(std::string& out) const = 0;
 };
 
-/** One task: a body, its home, its park state and its counters. */
+/** One task: a body, its home, its park flags and its counters. */
 class Task
 {
   public:
@@ -131,9 +113,18 @@ class Task
     SchedRun* run_;
     TaskBody* body_;
 
-    std::atomic<TaskState> state_{TaskState::kRunnable};
-    /** Parked by its last dispatch: its next one counts an unpark. */
+    /** Parked until a wake; guarded by the run's mu_. */
     bool parked_ = false;
+    /**
+     * A wake found the task not parked, so its next park is cancelled:
+     * a spurious wake, which the body absorbs. Guarded by the run's mu_.
+     */
+    bool wakeRequested_ = false;
+    /**
+     * Parked by its last dispatch: its next one counts an unpark and
+     * leaves the wait lists. Written only on the home worker's thread.
+     */
+    bool resumesFromPark_ = false;
     /**
      * What the body listed at its last kPark; the task stays on these
      * lists until its next dispatch takes it off.
@@ -168,19 +159,16 @@ class SchedRun
      */
     void addTask(TaskBody* body);
 
-    /**
-     * Give each task a home worker, enqueue it there, and register with
-     * the deadlock monitor.
-     */
+    /** Give each task a home worker and enqueue it there. */
     void start();
 
     /** Block the caller until every task finished. */
     void waitAll();
 
     /**
-     * Unpark every parked task (idempotent, callable from any thread):
-     * RunControl::fail calls it so an aborting run cannot strand
-     * sleepers.
+     * Unpark every parked task and cancel the next park of every other
+     * (idempotent): RunControl::fail calls it so an aborting run cannot
+     * strand sleepers. Only a live task of the run may call it.
      */
     void wakeAllTasks();
 
@@ -192,7 +180,10 @@ class SchedRun
     uint64_t unparks() const { return sumOverTasks(&Task::unparks_); }
     uint64_t yields() const { return sumOverTasks(&Task::yields_); }
 
-    /** Distinct pool workers that dispatched this run's tasks so far. */
+    /**
+     * Distinct pool workers that run this run's tasks: a task runs only
+     * on its home, so the distinct homes.
+     */
     int workersUsed() const;
     /** Pool worker index of each task's home, in addTask order. */
     const std::vector<int>& homes() const { return homes_; }
@@ -202,25 +193,29 @@ class SchedRun
   private:
     friend class Scheduler;
 
-    SchedRun(Scheduler* sched, RunControl* ctl);
+    SchedRun(Scheduler* sched, RunControl* ctl) : sched_(sched), ctl_(ctl) {}
 
     uint64_t sumOverTasks(uint64_t Task::*count) const;
+    /**
+     * "deadlock: all <live> live tasks parked with nothing runnable",
+     * then each parked task's waits. Call with mu_ held.
+     */
+    std::string deadlockReport(int live) const;
 
     Scheduler* sched_;
     RunControl* ctl_;
     std::vector<std::unique_ptr<Task>> tasks_;
     /** Home worker index per task, filled by start(). */
     std::vector<int> homes_;
-    /** Per pool worker: has it dispatched one of this run's tasks? */
-    std::unique_ptr<std::atomic<bool>[]> ranOn_;
 
+    /** Guards the two counts and every task's park flags. */
     std::mutex mu_;
     std::condition_variable cv_;
+    /** Tasks not yet finished. */
     int totalLive_ = 0;
+    /** Live tasks parked until a wake. */
+    int totalParked_ = 0;
     bool started_ = false;
-
-    /** Monitor-private: when the all-parked state was first seen. */
-    uint64_t allParkedSinceNs_ = 0;
 };
 
 class Scheduler
@@ -276,9 +271,9 @@ class Scheduler
     static bool shouldYield();
 
     /**
-     * Make t runnable if parked (or cancel an in-flight park): requeue
-     * it on its home worker, at the front when the caller already runs
-     * there.
+     * Make t runnable if parked, requeueing it on its home worker (at
+     * the front when the caller already runs there); else cancel t's
+     * next park. Only a live task of t's run may call it.
      */
     void unpark(Task* t);
 
@@ -289,19 +284,14 @@ class Scheduler
     struct Worker
     {
         int idx = 0;
-        /**
-         * Runnable tasks queued by this worker itself: wakes and
-         * requeues of its own tasks, the common case, take no lock.
-         */
-        std::deque<Task*> local;
         std::mutex mu;
         std::condition_variable cv;
-        /** Tasks queued by other threads; guarded by mu. */
-        std::vector<Task*> inbox;
-        /** The worker waits on cv for the inbox to fill; guarded by mu. */
+        /** Runnable tasks homed here; guarded by mu. */
+        std::deque<Task*> queue;
+        /** The worker waits on cv for the queue to fill; guarded by mu. */
         bool sleeping = false;
-        /** inbox.size(), readable without mu. */
-        std::atomic<int> inboxSize{0};
+        /** queue.size(), readable without mu (shouldYield). */
+        std::atomic<int> queued{0};
         /** Live tasks homed here: start()'s placement load. */
         std::atomic<int> homed{0};
         std::thread thr;
@@ -315,30 +305,28 @@ class Scheduler
     void dispatch(Worker& w, Task* t);
     /**
      * Two-phase park of t on every target its body listed: register,
-     * re-check the targets and abort under the Dekker fence pairing,
-     * then park. Returns false when the park was cancelled (a target
-     * was ready, the run aborted, or a waker raced it): t runs on.
+     * re-check the targets under the Dekker fence pairing, then park
+     * under the run's mutex, failing the run if t was its last live
+     * task not parked. Returns false when the park was cancelled (a
+     * target was ready, or a wake came first): t runs on.
      */
     bool park(Task* t);
     /** Take t off every waiter list of its last park. */
     static void leaveWaitLists(Task* t);
+    /**
+     * Drop t from its run's live count, failing the run first if only
+     * parked tasks remain.
+     */
     void finishTask(Task* t);
     /** Pop w's next task, or sleep until one arrives; null at shutdown. */
     Task* next(Worker& w);
     /**
-     * Queue t on w: on its own deque when called from w (at the front,
-     * to run next, if `front`), else at the back of its inbox, waking
-     * w if it sleeps.
+     * Queue t on w, at the front (to run next) if `front`, else at the
+     * back, waking w if it sleeps.
      */
     void submit(Worker& w, Task* t, bool front);
     /** Choose each task's home worker. */
     void place(SchedRun& r);
-
-    void monitorLoop();
-    void checkRuns(uint64_t now_ns);
-
-    void registerRun(SchedRun* r);
-    void unregisterRun(SchedRun* r);
 
     /** The pool worker this OS thread is, or null off the pool. */
     static thread_local Worker* tlsWorker_;
@@ -350,12 +338,6 @@ class Scheduler
     std::mutex placeMu_;
     /** Round-robin tie-break cursor for placement; guarded by placeMu_. */
     size_t placeNext_ = 0;
-
-    std::mutex runsMu_;
-    std::vector<SchedRun*> runs_;
-    std::thread monitor_;
-    std::mutex monMu_;
-    std::condition_variable monCv_;
 
     std::atomic<uint64_t> parks_{0};
     std::atomic<uint64_t> unparks_{0};

@@ -197,8 +197,8 @@ class Tracer
 
     /**
      * Human-readable trailing history: each worker's last `last_n`
-     * events, one line per event. Appended to the deadlock monitor's
-     * post-mortem alongside the residual-occupancy report.
+     * events, one line per event. Runtime::runPipeline appends it, with
+     * the residual-occupancy report, to the error of any failed run.
      */
     std::string postMortem(size_t last_n = 8) const;
 

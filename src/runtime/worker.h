@@ -58,16 +58,10 @@ constexpr uint64_t kHeartbeatInterval = 4096;
 struct RuntimeOptions
 {
     /**
-     * Abort the run once every replica has stayed parked on waits that
-     * cross replicas, with nothing runnable, for this long (the
-     * scheduler's all-parked monitor; a mis-compiled pipeline would
-     * otherwise hang the host). A replica whose stages wait only on
-     * each other is reported at once, without this wait. It bounds a
-     * deadlocked run, not a live one: a run that keeps computing is
-     * bounded only by maxInstructions.
+     * Per-worker dynamic instruction budget (runaway-loop backstop). A
+     * deadlocked run needs no bound: it fails as soon as every replica
+     * waits (sched.h); only a run that keeps computing meets this one.
      */
-    int deadlockTimeoutMs = 10000;
-    /** Per-worker dynamic instruction budget (runaway-loop backstop). */
     uint64_t maxInstructions = 4'000'000'000ull;
     /**
      * Stall-attribution tracer (trace.h), or null for no tracing. Must
@@ -111,7 +105,11 @@ struct RunControl
     std::mutex errorMu;
     std::string error;
 
-    /** Record the first failure and tell every worker to unwind. */
+    /**
+     * Record the first failure and tell every worker to unwind. On the
+     * pool, only a live task of the run may call it (sched.h): one of
+     * its stages, its last task to park, or a finishing task.
+     */
     void
     fail(const std::string& msg)
     {
@@ -122,7 +120,7 @@ struct RunControl
         }
         abortFlag.store(true, std::memory_order_release);
         // Parked tasks cannot poll the abort flag; wake them so the
-        // run unwinds instead of waiting out the deadlock monitor.
+        // run unwinds.
         if (schedRun != nullptr)
             schedRun->wakeAllTasks();
     }
@@ -478,7 +476,7 @@ class RAWorker
  * and its input. A round in which no stage ran or completed its op and
  * no pump moved a value is a fixed point: if some stage waits on
  * another replica the task parks on those waits, else the replica is
- * deadlocked and fails the run at once, in the monitor's words.
+ * deadlocked and fails the run at once, in the scheduler's words.
  */
 class Replica final : public TaskBody
 {

@@ -125,7 +125,6 @@ Request::toJson() const
         j.set("backend", Json::str(backend));
         j.set("stages", Json::integer(stages));
         j.set("size", Json::integer(size));
-        j.set("timeout_ms", Json::integer(timeoutMs));
         if (noCache) j.set("no_cache", Json::boolean(true));
         if (trace) j.set("trace", Json::boolean(true));
     }
@@ -169,9 +168,6 @@ Request::fromJson(const std::string& text, Request* out, std::string* err)
             req.stages = static_cast<int>(j.at("stages").asInt());
         }
         if (j.at("size").isNumber()) req.size = j.at("size").asInt();
-        if (j.at("timeout_ms").isNumber()) {
-            req.timeoutMs = static_cast<int>(j.at("timeout_ms").asInt());
-        }
         if (j.at("no_cache").kind() == Json::Kind::kBool) {
             req.noCache = j.at("no_cache").asBool();
         }
@@ -179,7 +175,7 @@ Request::fromJson(const std::string& text, Request* out, std::string* err)
             req.trace = j.at("trace").asBool();
         }
         if (req.stages < 1 || req.stages > 64 || req.size < 1 ||
-            req.size > (1ll << 32) || req.timeoutMs < 1) {
+            req.size > (1ll << 32)) {
             if (err != nullptr) *err = "run request parameter out of range";
             return false;
         }

@@ -72,7 +72,6 @@ struct Request
     std::string backend = "native"; ///< "native" | "sim"
     int stages = 4;              ///< target stage count
     int64_t size = 4096;         ///< synthetic input size
-    int timeoutMs = 10000;       ///< deadlock timeout (all replicas parked)
     bool noCache = false;        ///< bypass the pipeline cache
     /**
      * Ask for a request-scoped trace: the server runs this request

@@ -533,7 +533,6 @@ Server::handleRun(const Request& req, double queueWaitNs)
                                        : driver::Backend::kNative;
     run.size = std::min<int64_t>(req.size, opts_.maxRunSize);
     run.cfg = opts_.cfg;
-    run.deadlockTimeoutMs = std::min(req.timeoutMs, opts_.maxTimeoutMs);
     run.requestId = resp.requestId;
     run.tracer = tracer.get();
     if (run.backend == driver::Backend::kSim) {

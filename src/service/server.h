@@ -20,11 +20,9 @@
  * signal-safe), so the SIGTERM handler can call it directly. The
  * acceptor then stops accepting, in-flight requests finish, idle
  * connections close, and wait() returns. The same path serves the
- * protocol's "shutdown" op. A request's timeout only ends a deadlocked
- * run (every replica parked that long on waits across replicas; a
- * replica deadlocked on its own fails at once); one that keeps
- * computing is bounded by the per-worker instruction budget alone, and
- * the drain waits for it.
+ * protocol's "shutdown" op. A deadlocked run fails as soon as every
+ * replica waits; one that keeps computing is bounded by the per-worker
+ * instruction budget alone, and the drain waits for it.
  */
 
 #ifndef PHLOEM_SERVICE_SERVER_H
@@ -58,8 +56,6 @@ struct ServerOptions
     sim::SysConfig cfg = sim::SysConfig::scaledEval();
     /** Upper bound on a request's synthetic input size. */
     int64_t maxRunSize = 1 << 22;
-    /** Upper bound on a request's timeout_ms (deadlock timeout). */
-    int maxTimeoutMs = 60000;
     /**
      * Directory for request-scoped traces (req-<id>.trace.json). Empty
      * disables per-request tracing: a request's `trace` flag is then

@@ -376,7 +376,6 @@ runCase(const FuzzCase& fc, const OracleOptions& opts)
     // --- 3. Native runtime --------------------------------------------
     try {
         rt::RuntimeOptions ro;
-        ro.deadlockTimeoutMs = opts.nativeTimeoutMs;
         ro.maxInstructions = opts.maxInstructions;
         rt::Runtime runtime(cfg, ro);
         rt::NativeStats st =

@@ -49,8 +49,6 @@ struct OracleOptions
     bool injectDivergence = false;
     /** Dynamic instruction budget per executor (runaway backstop). */
     uint64_t maxInstructions = 400'000'000ull;
-    /** Native deadlock timeout (ms); generated cases finish in ms. */
-    int nativeTimeoutMs = 10000;
 };
 
 struct OracleResult

@@ -3,7 +3,7 @@
  * Native-runtime tests: SPSC ring semantics under one and two threads,
  * handcrafted pipelines with in-band control values, differential
  * native-vs-simulator execution, replicated (multi-producer) streams,
- * and the scheduler's deadlock monitor.
+ * and the scheduler's deadlock detection.
  */
 
 #include "tests/test_util.h"
@@ -869,20 +869,27 @@ TEST(NativeRuntime, ReplicatedBfsMatchesGolden)
 
 TEST(NativeRuntime, DistributeRingsFillAcrossWorkers)
 {
-    // Four replicas on a private 4-worker pool, one home each. Every
-    // replica's producer deals 0..n-1 round-robin over the replicas
-    // (enqDist with selector i), so each consumer's ring has all four
-    // producers behind it; the consumers burn `work` per value, so the
-    // producers fill those multi-producer rings and park on their shared
-    // waiter lists, which take the lock and the notifier's fence.
+    // Four replicas, on private pools of 1, 2 and 4 workers. Every
+    // replica's producer deals 0..n-1 over the replicas in four runs of
+    // m = n / 4 (enqDist with selector i / m), so all four producers
+    // push into one consumer's ring at a time; that consumer burns
+    // `work` per value, so the producers fill the multi-producer ring
+    // and park on its shared waiter list, which takes the lock and the
+    // notifier's fence, while the other consumers park on their empty
+    // rings. So replicas park and wake each other on every pool, on one
+    // worker too. A live run must never look deadlocked: every run of
+    // every pool ends ok with the exact sums.
     constexpr int kReplicas = 4;
+    constexpr int kRuns = 20;
     auto pipeline = std::make_unique<ir::Pipeline>();
     pipeline->name = "deal";
     pipeline->replicas = kReplicas;
     {
         ir::FunctionBuilder b("deal");
         ir::RegId n = b.scalarParam("n");
-        b.forRange(b.constI(0), n, [&](ir::RegId i) { b.enqDist(0, i, i); });
+        ir::RegId m = b.div(n, b.constI(kReplicas));
+        b.forRange(b.constI(0), n,
+                   [&](ir::RegId i) { b.enqDist(0, i, b.div(i, m)); });
         pipeline->stages.push_back(b.finish());
     }
     {
@@ -903,47 +910,57 @@ TEST(NativeRuntime, DistributeRingsFillAcrossWorkers)
     const int cap = rt::ringCapacities(*pipeline, sim::SysConfig{})[0];
     // Each consumer gets n / 4 values from each of the four producers.
     const int64_t n = 4 * static_cast<int64_t>(cap);
-
-    sim::Binding b;
-    b.setScalarInt("n", n);
-    std::vector<sim::ArrayBuffer*> outs;
-    for (int r = 0; r < kReplicas; ++r) {
-        outs.push_back(b.makeArray("out@" + std::to_string(r),
-                                   ir::ElemType::kI64, 1));
-        b.bindReplica(r, "out", outs.back());
-    }
-
-    rt::Scheduler::Options sopt;
-    sopt.workers = kReplicas;
-    rt::Scheduler pool(sopt);
-    rt::RuntimeOptions opt;
-    opt.schedulerOverride = &pool;
-    rt::Runtime runtime(sim::SysConfig{}, opt);
-    rt::NativeStats stats = runtime.runPipeline(*pipeline, b);
-    ASSERT_TRUE(stats.ok) << stats.error;
-
-    // Consumer r sums 4 x (r, r + 4, r + 8, ... < n).
     const int64_t m = n / kReplicas;
-    for (int r = 0; r < kReplicas; ++r)
-        EXPECT_EQ(outs[static_cast<size_t>(r)]->atInt(0),
-                  kReplicas * (kReplicas * m * (m - 1) / 2 + r * m))
-            << "replica " << r;
 
-    uint64_t enq_blocks = 0;
-    for (const auto& q : stats.queues) {
-        EXPECT_EQ(q.capacity, cap) << "q" << q.id;
-        EXPECT_LE(q.maxOccupancy, static_cast<uint64_t>(cap)) << "q" << q.id;
-        enq_blocks += q.enqBlocks;
+    for (int workers : {1, 2, 4}) {
+        rt::Scheduler::Options sopt;
+        sopt.workers = workers;
+        rt::Scheduler pool(sopt);
+        rt::RuntimeOptions opt;
+        opt.schedulerOverride = &pool;
+        rt::Runtime runtime(sim::SysConfig{}, opt);
+        uint64_t parks = 0;
+        for (int run = 0; run < kRuns; ++run) {
+            sim::Binding b;
+            b.setScalarInt("n", n);
+            std::vector<sim::ArrayBuffer*> outs;
+            for (int r = 0; r < kReplicas; ++r) {
+                outs.push_back(b.makeArray("out@" + std::to_string(r),
+                                           ir::ElemType::kI64, 1));
+                b.bindReplica(r, "out", outs.back());
+            }
+            rt::NativeStats stats = runtime.runPipeline(*pipeline, b);
+            ASSERT_TRUE(stats.ok)
+                << workers << " workers, run " << run << ": " << stats.error;
+
+            // Consumer r sums 4 x (r m, r m + 1, ..., r m + m - 1).
+            for (int r = 0; r < kReplicas; ++r)
+                ASSERT_EQ(outs[static_cast<size_t>(r)]->atInt(0),
+                          kReplicas * (r * m * m + m * (m - 1) / 2))
+                    << workers << " workers, run " << run << ", replica "
+                    << r;
+
+            uint64_t enq_blocks = 0;
+            for (const auto& q : stats.queues) {
+                EXPECT_EQ(q.capacity, cap) << "q" << q.id;
+                EXPECT_LE(q.maxOccupancy, static_cast<uint64_t>(cap))
+                    << "q" << q.id;
+                enq_blocks += q.enqBlocks;
+            }
+            EXPECT_GT(enq_blocks, 0u) << "no producer ever found a ring full";
+            EXPECT_EQ(std::set<int>(stats.sched.homes.begin(),
+                                    stats.sched.homes.end())
+                          .size(),
+                      static_cast<size_t>(workers));
+            EXPECT_EQ(stats.sched.unparks, stats.sched.parks);
+            parks += stats.sched.parks;
+        }
+        EXPECT_GT(parks, 0u) << workers << " workers";
     }
-    EXPECT_GT(enq_blocks, 0u) << "no producer ever found a ring full";
-    EXPECT_EQ(std::set<int>(stats.sched.homes.begin(),
-                            stats.sched.homes.end())
-                  .size(),
-              static_cast<size_t>(kReplicas));
 }
 
 // ---------------------------------------------------------------------
-// Deadlock monitor.
+// Deadlock detection.
 // ---------------------------------------------------------------------
 
 /**
@@ -979,9 +996,7 @@ TEST(NativeRuntime, WatchdogAbortsStuckPipeline)
     sim::Binding b;
     b.setScalarInt("n", 4 * cap + 3);
 
-    rt::RuntimeOptions opt;
-    opt.deadlockTimeoutMs = 100;
-    rt::Runtime runtime(sim::SysConfig{}, opt);
+    rt::Runtime runtime;
     rt::NativeStats stats = runtime.runPipeline(*pipeline, b);
     EXPECT_FALSE(stats.ok);
     EXPECT_NE(stats.error.find("deadlock"), std::string::npos)
@@ -992,11 +1007,9 @@ TEST(NativeRuntime, WatchdogAbortsStuckPipeline)
 
 TEST(NativeRuntime, WatchdogReportsAReplicaDeadlockAtOnce)
 {
-    // At the default 10 s timeout: the jam's one replica waits only on
-    // itself, so it reports the deadlock as soon as a round of its
-    // stages moves nothing, instead of leaving it to the all-parked
-    // monitor's timeout. Nothing parks.
-    ASSERT_EQ(rt::RuntimeOptions{}.deadlockTimeoutMs, 10000);
+    // The jam's one replica waits only on itself, so it reports the
+    // deadlock as soon as a round of its stages moves nothing, without
+    // parking.
     auto pipeline = buildJamPipeline();
     const int cap = rt::ringCapacities(*pipeline, sim::SysConfig{})[0];
 
@@ -1037,9 +1050,7 @@ TEST(NativeRuntime, WatchdogNamesABarrierStall)
     sim::Binding b;
     b.setScalarInt("n", 1);
 
-    rt::RuntimeOptions opt;
-    opt.deadlockTimeoutMs = 100;
-    rt::Runtime runtime(sim::SysConfig{}, opt);
+    rt::Runtime runtime;
     rt::NativeStats stats = runtime.runPipeline(*pipeline, b);
     EXPECT_FALSE(stats.ok);
     EXPECT_NE(stats.error.find("deadlock"), std::string::npos)
@@ -1054,9 +1065,10 @@ TEST(NativeRuntime, WatchdogNamesACrossReplicaBarrierStall)
     // The barrier stall above, replicated twice: the barrier's parties
     // span both replicas, so each replica, its "waits" stage blocked and
     // its "halts" stage done, parks on the barrier. That is a wait
-    // across replicas, which only the all-parked monitor can call a
-    // deadlock, after the timeout; its report names every blocked
-    // stage of every parked replica.
+    // across replicas, which only the scheduler can call a deadlock: the
+    // second park leaves every live task parked, and fails the run at
+    // once. Its report names every blocked stage of every parked
+    // replica.
     auto pipeline = std::make_unique<ir::Pipeline>();
     pipeline->name = "stall";
     pipeline->replicas = 2;
@@ -1080,9 +1092,10 @@ TEST(NativeRuntime, WatchdogNamesACrossReplicaBarrierStall)
     rt::Scheduler pool(sopt);
     rt::RuntimeOptions opt;
     opt.schedulerOverride = &pool;
-    opt.deadlockTimeoutMs = 100;
     rt::Runtime runtime(sim::SysConfig{}, opt);
+    const auto t0 = std::chrono::steady_clock::now();
     rt::NativeStats stats = runtime.runPipeline(*pipeline, b);
+    EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(1));
     EXPECT_FALSE(stats.ok);
     EXPECT_NE(stats.error.find("deadlock: all 2 live tasks parked"),
               std::string::npos)
@@ -1094,6 +1107,54 @@ TEST(NativeRuntime, WatchdogNamesACrossReplicaBarrierStall)
     // Each replica parked, and the abort woke every park.
     EXPECT_GE(stats.sched.parks, 2u);
     EXPECT_EQ(stats.sched.unparks, stats.sched.parks);
+}
+
+TEST(NativeRuntime, WatchdogNamesABarrierStallLeftByAFinishedReplica)
+{
+    // One stage that meets the barrier n times, replicated twice, with
+    // replica 1 bound n = 0: it halts at once, and replica 0 parks on
+    // the barrier for good. Whichever comes last, the park or the
+    // finish, leaves the one live task parked and fails the run at once.
+    // On one worker replica 0 runs first, so the finish comes last.
+    auto pipeline = std::make_unique<ir::Pipeline>();
+    pipeline->name = "stall";
+    pipeline->replicas = 2;
+    {
+        ir::FunctionBuilder b("waits");
+        ir::RegId n = b.scalarParam("n");
+        b.forRange(b.constI(0), n, [&](ir::RegId) { b.barrier(); });
+        pipeline->stages.push_back(b.finish());
+    }
+
+    for (int workers : {1, 2}) {
+        sim::Binding b;
+        b.setScalarInt("n", 3);
+        b.setScalarReplica(1, "n", ir::Value::fromInt(0));
+
+        rt::Scheduler::Options sopt;
+        sopt.workers = workers;
+        rt::Scheduler pool(sopt);
+        rt::RuntimeOptions opt;
+        opt.schedulerOverride = &pool;
+        rt::Runtime runtime(sim::SysConfig{}, opt);
+        const auto t0 = std::chrono::steady_clock::now();
+        rt::NativeStats stats = runtime.runPipeline(*pipeline, b);
+        EXPECT_LT(std::chrono::steady_clock::now() - t0,
+                  std::chrono::seconds(1))
+            << workers << " workers";
+        EXPECT_FALSE(stats.ok) << workers << " workers";
+        EXPECT_NE(stats.error.find("deadlock: all 1 live tasks parked"),
+                  std::string::npos)
+            << workers << " workers: " << stats.error;
+        EXPECT_NE(stats.error.find("\n  waits@0 parked on barrier"),
+                  std::string::npos)
+            << workers << " workers: " << stats.error;
+        EXPECT_EQ(stats.error.find("waits@1"), std::string::npos)
+            << workers << " workers: " << stats.error;
+        EXPECT_EQ(stats.sched.parks, 1u) << workers << " workers";
+        EXPECT_EQ(stats.sched.unparks, stats.sched.parks)
+            << workers << " workers";
+    }
 }
 
 TEST(NativeRuntime, WatchdogPostMortemAttributesTheStall)
@@ -1133,7 +1194,6 @@ TEST(NativeRuntime, WatchdogPostMortemAttributesTheStall)
 
     trace::Tracer tracer{trace::Timebase::kWallNs};
     rt::RuntimeOptions opt;
-    opt.deadlockTimeoutMs = 100;
     opt.tracer = &tracer;
     rt::Runtime runtime(sim::SysConfig{}, opt);
     rt::NativeStats stats = runtime.runPipeline(*pipeline, b);
@@ -1219,9 +1279,7 @@ TEST(NativeRuntime, IndirectRaStrandsNothing)
     b.makeArray("table", ir::ElemType::kI64, static_cast<size_t>(2 * n));
     b.setScalarInt("n", n);
 
-    rt::RuntimeOptions opt;
-    opt.deadlockTimeoutMs = 100;
-    rt::Runtime runtime(sim::SysConfig{}, opt);
+    rt::Runtime runtime;
     rt::NativeStats stats = runtime.runPipeline(*pipeline, b);
 
     ASSERT_FALSE(stats.ok);
@@ -1298,7 +1356,6 @@ TEST(NativeRuntime, RaInputDrainedByItsProducer)
     rt::Scheduler pool(sopt);
     rt::RuntimeOptions opt;
     opt.schedulerOverride = &pool;
-    opt.deadlockTimeoutMs = 1000;
     rt::Runtime runtime(sim::SysConfig{}, opt);
     rt::NativeStats stats = runtime.runPipeline(*pipeline, b);
     ASSERT_TRUE(stats.ok) << stats.error;
@@ -1386,7 +1443,6 @@ TEST(NativeRuntime, ChainedRasPumpAtDepthOne)
     rt::Scheduler pool(sopt);
     rt::RuntimeOptions opt;
     opt.schedulerOverride = &pool;
-    opt.deadlockTimeoutMs = 1000;
     rt::Runtime runtime(sim::SysConfig{}, opt);
     for (int n : {10, 777}) {
         sim::Binding nb;
@@ -1525,7 +1581,8 @@ TEST(NativeRuntime, RingCapacityScalesDepthWithinBudget)
 
 /**
  * Heavier cousin of kFilterKernel: enough phloem_work per element that
- * a run comfortably outlives a deliberately short deadlock timeout.
+ * its stages reach many heartbeats, where replicas that share a worker
+ * take turns.
  */
 const char* kHeavyFilterKernel = R"(
 #pragma phloem
@@ -1553,10 +1610,12 @@ TEST(NativeRuntime, SchedulerOversubscribedLivePipelineIsNotKilled)
     // The regression the scheduler exists for: more live tasks than
     // pool workers must look like a busy machine, not a deadlock. Two
     // independent replicas of a multi-stage pipeline share a one-worker
-    // pool, so one task is always descheduled (kRunnable), and the run
-    // far outlasts the 30 ms timeout — the wall-time heuristic this
-    // replaced would have killed it. Depth-1 queues (64-slot rings)
-    // make the stages fill their rings and switch.
+    // pool, so one task is always descheduled, queued behind the other.
+    // A queued task is not parked, so the all-parked check cannot fire
+    // however long it waits: "not killed" holds by construction, where
+    // the wall-time heuristic this replaced would have killed the run.
+    // Depth-1 queues (64-slot rings) make the stages fill their rings
+    // and switch.
     auto kernel = fe::compileKernel(kHeavyFilterKernel);
     comp::CompileOptions copts;
     copts.numStages = 8;
@@ -1573,7 +1632,6 @@ TEST(NativeRuntime, SchedulerOversubscribedLivePipelineIsNotKilled)
 
     rt::RuntimeOptions opt;
     opt.schedulerOverride = &pool;
-    opt.deadlockTimeoutMs = 30;
 
     auto bind = [](sim::Binding& b) {
         setupFilter(b);
@@ -1588,9 +1646,6 @@ TEST(NativeRuntime, SchedulerOversubscribedLivePipelineIsNotKilled)
     rt::Runtime runtime(sim::SysConfig{}, opt);
     rt::NativeStats stats = runtime.runPipeline(*res.pipeline, nb);
     ASSERT_TRUE(stats.ok) << stats.error;
-    // The run must have straddled several monitor scans for the "not
-    // killed" claim to mean anything.
-    EXPECT_GT(stats.wallMs(), opt.deadlockTimeoutMs) << stats.wallMs();
 
     // Two tasks, both homed on the one worker.
     EXPECT_EQ(stats.sched.poolSize, 1);

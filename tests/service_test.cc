@@ -254,7 +254,6 @@ TEST(ServiceProtocol, RequestRoundTripsThroughJson)
     req.backend = "sim";
     req.stages = 3;
     req.size = 1000;
-    req.timeoutMs = 1234;
     req.noCache = true;
 
     svc::Request back;
@@ -265,13 +264,16 @@ TEST(ServiceProtocol, RequestRoundTripsThroughJson)
     EXPECT_EQ(back.backend, "sim");
     EXPECT_EQ(back.stages, 3);
     EXPECT_EQ(back.size, 1000);
-    EXPECT_EQ(back.timeoutMs, 1234);
     EXPECT_TRUE(back.noCache);
+    EXPECT_EQ(req.toJson().find("timeout_ms"), std::string::npos);
 
-    // Clients that still send the retired "tier" key get it ignored
-    // like any other unknown key.
+    // Clients that still send the retired "tier" or "timeout_ms" keys
+    // get them ignored like any other unknown key.
     EXPECT_TRUE(svc::Request::fromJson(
         R"({"op":"run","source":"x","tier":"jit"})", &back, &err))
+        << err;
+    EXPECT_TRUE(svc::Request::fromJson(
+        R"({"op":"run","source":"x","timeout_ms":0})", &back, &err))
         << err;
 }
 
